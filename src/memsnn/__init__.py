@@ -3,7 +3,7 @@ network with frame-synchronous, multiple-step-quantized STDP."""
 
 from .device import (MemristorParams, MemristorState, SineDrive, VteamParams,
                      WindowSpec, dwdt, hysteresis_sweep, joule_g, memristance,
-                     step_voltage, vteam_step, window_value)
+                     window_value)
 from .errors import ConfigError, SimulationFault
 from .network import (Network, NetworkConfig, PatternResult, StimulusProgram,
                       default_pattern_stimulus, pattern_learning, run_simulation,

@@ -1,32 +1,18 @@
-"""RK4 integration kernels for the device models.
+"""RK4 integration kernels for the device models, in plain Python.
 
-Each bridge branch has one RK4 step (`*_branch_rk4`) shared by two drivers:
-the fixed-step `*_branch_step`, the reference that takes substeps of at most
-dt, and the error-controlled `*_branch_segment` used by the network engine,
-which integrates a constant-drive segment with RK4 step doubling and steps
-no shorter than dt.  The kernels are compiled with numba when it is
-available and fall back to the identical plain-Python code otherwise.  All
-state is passed as scalars / preallocated float64 arrays so both paths
-compute the same arithmetic.
+Each device model has one RK4 step for a bridge branch (`dopant_branch_rk4`,
+`vteam_branch_rk4`), and two drivers integrate a branch under constant drive
+with either step: the fixed-step `branch_step`, the reference that takes
+substeps of at most dt, and the error-controlled `branch_segment` used by
+the network engine, which uses RK4 step doubling and steps no shorter than
+dt.  The sine sweeps drive a single device for the hysteresis experiment.
+All state is passed as scalars / preallocated float64 arrays.
 """
 import math
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
+# The kernels are never compiled; the constant stays for tools that record
+# which backend ran (bench/worker.py reads it).
+HAVE_NUMBA = False
 
 # window kinds (keep in sync with device.WindowSpec.KINDS)
 WIN_ZHA = 0
@@ -37,7 +23,6 @@ WIN_STRUKOV = 4
 WIN_NONE = 5
 
 
-@njit(cache=True)
 def window_factor(kind, p, j, x, direction):
     """Boundary window on the normalized state x = w/D, in [0, j].
 
@@ -73,7 +58,6 @@ def window_factor(kind, p, j, x, direction):
 SEGMENT_TOL = 1e-12
 
 
-@njit(cache=True)
 def _clamp(x, lo, hi):
     if x < lo:
         return lo
@@ -82,7 +66,6 @@ def _clamp(x, lo, hi):
     return x
 
 
-@njit(cache=True)
 def _step_error(w, f, c, lo, hi):
     """Local error estimate for one device over a doubled step from w.
 
@@ -100,7 +83,6 @@ def _step_error(w, f, c, lo, hi):
     return abs(_clamp(c, lo, hi) - _clamp(f, lo, hi)) / 15.0
 
 
-@njit(cache=True)
 def _step_factor(err, tol):
     """Step-size multiplier for RK4 step doubling.
 
@@ -117,7 +99,59 @@ def _step_factor(err, tol):
     return min(4.0, max(0.2, 0.9 * (tol / err) ** 0.2))
 
 
-@njit(cache=True)
+def branch_step(rk4, w1, w2, lo, hi, duration, dt, *args):
+    """Advance one bridge branch (two devices + series resistor) under
+    constant drive for `duration` with RK4 substeps <= dt.
+
+    rk4 is a device model's branch step, called as rk4(w1, w2, h, *args);
+    both states are clamped to the state range [lo, hi] after every substep.
+    """
+    n = int(math.ceil(duration / dt - 1e-9))
+    if n < 1:
+        n = 1
+    h = duration / n
+    for _ in range(n):
+        w1, w2 = rk4(w1, w2, h, *args)
+        w1 = _clamp(w1, lo, hi)
+        w2 = _clamp(w2, lo, hi)
+    return w1, w2
+
+
+def branch_segment(rk4, w1, w2, lo, hi, duration, dt, *args):
+    """Error-controlled counterpart of branch_step (see _step_factor).
+
+    Returns NaN states if the error estimate turns non-finite."""
+    tol = SEGMENT_TOL * (hi - lo)
+    t = 0.0
+    h = duration
+    while True:
+        last = h >= duration - t
+        if last:
+            h = duration - t
+        if h <= dt * (1.0 + 1e-9):
+            w1, w2 = rk4(w1, w2, h, *args)
+            grow = 2.0  # no estimate at the floor: probe a longer step next
+        else:
+            f1, f2 = rk4(w1, w2, h, *args)
+            c1, c2 = rk4(w1, w2, 0.5 * h, *args)
+            c1, c2 = rk4(_clamp(c1, lo, hi), _clamp(c2, lo, hi), 0.5 * h, *args)
+            err = max(_step_error(w1, f1, c1, lo, hi),
+                      _step_error(w2, f2, c2, lo, hi))
+            if not math.isfinite(err):
+                return math.nan, math.nan
+            grow = _step_factor(err, tol)
+            if err > tol:
+                h = max(h * grow, dt)
+                continue
+            w1, w2 = c1, c2
+        w1 = _clamp(w1, lo, hi)
+        w2 = _clamp(w2, lo, hi)
+        if last:
+            return w1, w2
+        t += h
+        h = max(h * grow, dt)
+
+
 def joule_current(a0, i0, q, i):
     """Odd power-law drive a0*(i/i0)^(2q-1); exactly odd in i."""
     x = i / i0
@@ -126,7 +160,6 @@ def joule_current(a0, i0, q, i):
     return a0 * m if x >= 0.0 else -(a0 * m)
 
 
-@njit(cache=True)
 def _memristance(w, d, r_on, r_off):
     x = w / d
     if x < 0.0:
@@ -136,7 +169,6 @@ def _memristance(w, d, r_on, r_off):
     return r_on * x + r_off * (1.0 - x)
 
 
-@njit(cache=True)
 def dopant_rate(w, i_dev, r_on, d, mu_v, a0, i0, q, wk, wp, wj):
     """dw/dt of the dopant-drift device in its own frame (i_dev signed)."""
     g = joule_current(a0, i0, q, i_dev)
@@ -144,40 +176,6 @@ def dopant_rate(w, i_dev, r_on, d, mu_v, a0, i0, q, wk, wp, wj):
     return mu_v * (r_on / d) * g * f
 
 
-@njit(cache=True)
-def dopant_device_step(w, orient, v, duration, dt, r_on, r_off, d, mu_v, a0, i0, q, wk, wp, wj):
-    """Advance one dopant-drift device under constant terminal voltage.
-
-    RK4 with substep h <= dt; the current is recomputed from the stage state
-    at every stage (i = v / R(w)).  Returns the new w, clamped to [0, d].
-    """
-    if duration <= 0.0 or v == 0.0:
-        return w
-    n = int(math.ceil(duration / dt - 1e-9))
-    if n < 1:
-        n = 1
-    h = duration / n
-    for _ in range(n):
-        i1 = orient * v / _memristance(w, d, r_on, r_off)
-        k1 = dopant_rate(w, i1, r_on, d, mu_v, a0, i0, q, wk, wp, wj)
-        wa = w + 0.5 * h * k1
-        i2 = orient * v / _memristance(wa, d, r_on, r_off)
-        k2 = dopant_rate(wa, i2, r_on, d, mu_v, a0, i0, q, wk, wp, wj)
-        wb = w + 0.5 * h * k2
-        i3 = orient * v / _memristance(wb, d, r_on, r_off)
-        k3 = dopant_rate(wb, i3, r_on, d, mu_v, a0, i0, q, wk, wp, wj)
-        wc = w + h * k3
-        i4 = orient * v / _memristance(wc, d, r_on, r_off)
-        k4 = dopant_rate(wc, i4, r_on, d, mu_v, a0, i0, q, wk, wp, wj)
-        w += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if w < 0.0:
-            w = 0.0
-        elif w > d:
-            w = d
-    return w
-
-
-@njit(cache=True)
 def dopant_branch_rates(w1, w2, o1, o2, r_series, v, r_on, r_off, d, mu_v, a0, i0, q, wk, wp, wj):
     """Rates for the two devices of one bridge branch sharing current i."""
     i = v / (_memristance(w1, d, r_on, r_off) + _memristance(w2, d, r_on, r_off) + r_series)
@@ -186,7 +184,6 @@ def dopant_branch_rates(w1, w2, o1, o2, r_series, v, r_on, r_off, d, mu_v, a0, i
     return k1, k2
 
 
-@njit(cache=True)
 def dopant_branch_rk4(w1, w2, h, o1, o2, r_series, v,
                       r_on, r_off, d, mu_v, a0, i0, q, wk, wp, wj):
     """One unclamped RK4 step of length h for a dopant-drift branch."""
@@ -202,70 +199,6 @@ def dopant_branch_rk4(w1, w2, h, o1, o2, r_series, v,
             w2 + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
 
 
-@njit(cache=True)
-def dopant_branch_step(w1, w2, o1, o2, r_series, v, duration, dt,
-                       r_on, r_off, d, mu_v, a0, i0, q, wk, wp, wj):
-    """Advance one bridge branch (two devices + series resistor) under
-    constant differential voltage v for `duration`, RK4 substeps <= dt."""
-    if duration <= 0.0 or v == 0.0:
-        return w1, w2
-    n = int(math.ceil(duration / dt - 1e-9))
-    if n < 1:
-        n = 1
-    h = duration / n
-    for _ in range(n):
-        w1, w2 = dopant_branch_rk4(w1, w2, h, o1, o2, r_series, v,
-                                   r_on, r_off, d, mu_v, a0, i0, q, wk, wp, wj)
-        w1 = _clamp(w1, 0.0, d)
-        w2 = _clamp(w2, 0.0, d)
-    return w1, w2
-
-
-@njit(cache=True)
-def dopant_branch_segment(w1, w2, o1, o2, r_series, v, duration, dt,
-                          r_on, r_off, d, mu_v, a0, i0, q, wk, wp, wj):
-    """Error-controlled counterpart of dopant_branch_step (see _step_factor).
-
-    Returns NaN states if the error estimate turns non-finite."""
-    if duration <= 0.0 or v == 0.0:
-        return w1, w2
-    tol = SEGMENT_TOL * d
-    t = 0.0
-    h = duration
-    while True:
-        last = h >= duration - t
-        if last:
-            h = duration - t
-        if h <= dt * (1.0 + 1e-9):
-            w1, w2 = dopant_branch_rk4(w1, w2, h, o1, o2, r_series, v,
-                                       r_on, r_off, d, mu_v, a0, i0, q, wk, wp, wj)
-            grow = 2.0  # no estimate at the floor: probe a longer step next
-        else:
-            f1, f2 = dopant_branch_rk4(w1, w2, h, o1, o2, r_series, v,
-                                       r_on, r_off, d, mu_v, a0, i0, q, wk, wp, wj)
-            c1, c2 = dopant_branch_rk4(w1, w2, 0.5 * h, o1, o2, r_series, v,
-                                       r_on, r_off, d, mu_v, a0, i0, q, wk, wp, wj)
-            c1, c2 = dopant_branch_rk4(_clamp(c1, 0.0, d), _clamp(c2, 0.0, d), 0.5 * h,
-                                       o1, o2, r_series, v,
-                                       r_on, r_off, d, mu_v, a0, i0, q, wk, wp, wj)
-            err = max(_step_error(w1, f1, c1, 0.0, d),
-                      _step_error(w2, f2, c2, 0.0, d))
-            if not math.isfinite(err):
-                return math.nan, math.nan
-            grow = _step_factor(err, tol)
-            if err > tol:
-                h = max(h * grow, dt)
-                continue
-            w1, w2 = c1, c2
-        w1 = _clamp(w1, 0.0, d)
-        w2 = _clamp(w2, 0.0, d)
-        if last:
-            return w1, w2
-        t += h
-        h = max(h * grow, dt)
-
-
-@njit(cache=True)
 def _vteam_resistance(w, w_on, w_off, r_on, r_off):
     x = (w - w_on) / (w_off - w_on)
     if x < 0.0:
@@ -275,7 +208,6 @@ def _vteam_resistance(w, w_on, w_off, r_on, r_off):
     return r_on + (r_off - r_on) * x
 
 
-@njit(cache=True)
 def vteam_rate(w, v_dev, v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, wk, wp, wj):
     """dw/dt of a threshold (voltage-controlled) device; dead zone between
     the two thresholds contributes exactly zero."""
@@ -289,32 +221,6 @@ def vteam_rate(w, v_dev, v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, wk,
     return r * window_factor(wk, wp, wj, x, r)
 
 
-@njit(cache=True)
-def vteam_device_step(w, orient, v, duration, dt,
-                      v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, wk, wp, wj):
-    if duration <= 0.0:
-        return w
-    v_dev = orient * v
-    if v_on < v_dev < v_off:
-        return w  # dead zone: bitwise unchanged
-    n = int(math.ceil(duration / dt - 1e-9))
-    if n < 1:
-        n = 1
-    h = duration / n
-    for _ in range(n):
-        k1 = vteam_rate(w, v_dev, v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, wk, wp, wj)
-        k2 = vteam_rate(w + 0.5 * h * k1, v_dev, v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, wk, wp, wj)
-        k3 = vteam_rate(w + 0.5 * h * k2, v_dev, v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, wk, wp, wj)
-        k4 = vteam_rate(w + h * k3, v_dev, v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, wk, wp, wj)
-        w += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if w < w_on:
-            w = w_on
-        elif w > w_off:
-            w = w_off
-    return w
-
-
-@njit(cache=True)
 def vteam_branch_rates(w1, w2, o1, o2, r_series, v,
                        v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, wk, wp, wj):
     """Branch current splits the differential voltage across both devices;
@@ -327,7 +233,6 @@ def vteam_branch_rates(w1, w2, o1, o2, r_series, v,
     return k1, k2
 
 
-@njit(cache=True)
 def vteam_branch_rk4(w1, w2, h, o1, o2, r_series, v,
                      v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, wk, wp, wj):
     """One unclamped RK4 step of length h for a threshold-device branch."""
@@ -343,73 +248,6 @@ def vteam_branch_rk4(w1, w2, h, o1, o2, r_series, v,
             w2 + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
 
 
-@njit(cache=True)
-def vteam_branch_step(w1, w2, o1, o2, r_series, v, duration, dt,
-                      v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, wk, wp, wj):
-    if duration <= 0.0 or v == 0.0:
-        return w1, w2
-    n = int(math.ceil(duration / dt - 1e-9))
-    if n < 1:
-        n = 1
-    h = duration / n
-    for _ in range(n):
-        w1, w2 = vteam_branch_rk4(w1, w2, h, o1, o2, r_series, v,
-                                  v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off,
-                                  wk, wp, wj)
-        w1 = _clamp(w1, w_on, w_off)
-        w2 = _clamp(w2, w_on, w_off)
-    return w1, w2
-
-
-@njit(cache=True)
-def vteam_branch_segment(w1, w2, o1, o2, r_series, v, duration, dt,
-                         v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, wk, wp, wj):
-    """Error-controlled counterpart of vteam_branch_step (see _step_factor).
-
-    Returns NaN states if the error estimate turns non-finite."""
-    if duration <= 0.0 or v == 0.0:
-        return w1, w2
-    tol = SEGMENT_TOL * (w_off - w_on)
-    t = 0.0
-    h = duration
-    while True:
-        last = h >= duration - t
-        if last:
-            h = duration - t
-        if h <= dt * (1.0 + 1e-9):
-            w1, w2 = vteam_branch_rk4(w1, w2, h, o1, o2, r_series, v,
-                                      v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off,
-                                      r_on, r_off, wk, wp, wj)
-            grow = 2.0  # no estimate at the floor: probe a longer step next
-        else:
-            f1, f2 = vteam_branch_rk4(w1, w2, h, o1, o2, r_series, v,
-                                      v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off,
-                                      r_on, r_off, wk, wp, wj)
-            c1, c2 = vteam_branch_rk4(w1, w2, 0.5 * h, o1, o2, r_series, v,
-                                      v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off,
-                                      r_on, r_off, wk, wp, wj)
-            c1, c2 = vteam_branch_rk4(_clamp(c1, w_on, w_off), _clamp(c2, w_on, w_off), 0.5 * h,
-                                      o1, o2, r_series, v,
-                                      v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off,
-                                      r_on, r_off, wk, wp, wj)
-            err = max(_step_error(w1, f1, c1, w_on, w_off),
-                      _step_error(w2, f2, c2, w_on, w_off))
-            if not math.isfinite(err):
-                return math.nan, math.nan
-            grow = _step_factor(err, tol)
-            if err > tol:
-                h = max(h * grow, dt)
-                continue
-            w1, w2 = c1, c2
-        w1 = _clamp(w1, w_on, w_off)
-        w2 = _clamp(w2, w_on, w_off)
-        if last:
-            return w1, w2
-        t += h
-        h = max(h * grow, dt)
-
-
-@njit(cache=True)
 def dopant_sine_sweep(w0, orient, amp, freq, duration, dt, sample_every,
                       r_on, r_off, d, mu_v, a0, i0, q, wk, wp, wj,
                       t_out, v_out, i_out, w_out, r_out):
@@ -459,7 +297,6 @@ def dopant_sine_sweep(w0, orient, amp, freq, duration, dt, sample_every,
     return idx
 
 
-@njit(cache=True)
 def vteam_sine_sweep(w0, orient, amp, freq, duration, dt, sample_every,
                      v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, wk, wp, wj,
                      t_out, v_out, i_out, w_out, r_out):

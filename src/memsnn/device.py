@@ -10,12 +10,15 @@ Two device models are provided:
 * a threshold (voltage-controlled) model with a true sub-threshold dead zone
   and polynomial rate law above each threshold.
 
-State is a single scalar per device, integrated with explicit fixed-step RK4.
+State is a single scalar per device.  This module holds the device constants,
+the rate law and the single-device sine sweep of the hysteresis experiment;
+devices wired into a synapse are integrated branch by branch through
+`synapse.SynapseAssembly` (kernels in `_kernels`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,6 +84,10 @@ class MemristorParams:
         self.window.validate()
         return self
 
+    @property
+    def state_range(self) -> tuple[float, float]:
+        return 0.0, self.d
+
 
 @dataclass(frozen=True)
 class VteamParams:
@@ -115,6 +122,10 @@ class VteamParams:
         self.window.validate()
         return self
 
+    @property
+    def state_range(self) -> tuple[float, float]:
+        return self.w_on, self.w_off
+
 
 @dataclass(frozen=True)
 class MemristorState:
@@ -139,11 +150,6 @@ def memristance(params: MemristorParams, state: MemristorState) -> float:
     """Total device resistance R_ON*(w/D) + R_OFF*(1 - w/D)."""
     x = state.w / params.d
     return params.r_on * x + params.r_off * (1.0 - x)
-
-
-def vteam_resistance(params: VteamParams, state: MemristorState) -> float:
-    x = (state.w - params.w_on) / (params.w_off - params.w_on)
-    return params.r_on + (params.r_off - params.r_on) * x
 
 
 def joule_g(params: MemristorParams, i: float) -> float:
@@ -171,37 +177,6 @@ def _check_drive(v: float, dt: float):
         raise SimulationFault(f"non-finite drive voltage {v!r}")
     if not math.isfinite(dt) or dt <= 0.0:
         raise SimulationFault(f"bad timestep {dt!r}")
-
-
-def step_voltage(params: MemristorParams, state: MemristorState,
-                 v: float, dt: float) -> tuple[MemristorState, float]:
-    """One RK4 step of size dt under constant terminal voltage.
-
-    Returns the new state and the current conducted at step entry
-    (i = v / R(w at entry)).
-    """
-    _check_drive(v, dt)
-    i = v / memristance(params, state)
-    w = K.dopant_device_step(
-        state.w, float(state.orientation), v, dt, dt,
-        params.r_on, params.r_off, params.d, params.mu_v,
-        params.a0, params.i0, params.q,
-        params.window.code, params.window.p, params.window.j)
-    return replace(state, w=w), i
-
-
-def vteam_step(params: VteamParams, state: MemristorState,
-               v: float, dt: float) -> tuple[MemristorState, float]:
-    """One RK4 step of the threshold device under constant terminal voltage."""
-    _check_drive(v, dt)
-    i = v / vteam_resistance(params, state)
-    w = K.vteam_device_step(
-        state.w, float(state.orientation), v, dt, dt,
-        params.v_on, params.v_off, params.k_on, params.k_off,
-        float(params.alpha_on), float(params.alpha_off),
-        params.w_on, params.w_off, params.r_on, params.r_off,
-        params.window.code, params.window.p, params.window.j)
-    return replace(state, w=w), i
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,6 @@ DEFAULTS = {
     "trace.v_p": (2.0, _parse_float),
     "trace.tau": (0.045, _parse_float),
     "network.n_pre": (9, _parse_int),
-    "network.seed": (0, _parse_int),
     "stimulus.epoch_frames": (10, _parse_int),
     "stimulus.pattern_frame": (0, _parse_int),
     "stimulus.pattern_pres": ((0, 2, 3, 5, 7), _parse_int_list),
@@ -218,11 +217,14 @@ def vteam_params(cfg: Config) -> VteamParams:
                           j=cfg["vteam.window.j"]))
 
 
+def selected_device(cfg: Config) -> MemristorParams | VteamParams:
+    return vteam_params(cfg) if cfg["device.kind"] == "vteam" else device_params(cfg)
+
+
 def synapse_config(cfg: Config) -> SynapseConfig:
-    device = vteam_params(cfg) if cfg["device.kind"] == "vteam" else device_params(cfg)
     return SynapseConfig(polarity=cfg["synapse.polarity"], r1=cfg["synapse.r1"],
                          r2=cfg["synapse.r2"], gain_a=cfg["synapse.gain_a"],
-                         device=device)
+                         device=selected_device(cfg))
 
 
 def network_config(cfg: Config, n_pre: int | None = None) -> NetworkConfig:
@@ -233,8 +235,7 @@ def network_config(cfg: Config, n_pre: int | None = None) -> NetworkConfig:
         synapse=synapse_config(cfg),
         lif_r_in=cfg["lif.r_in"], lif_r_ref=cfg["lif.r_ref"], lif_c=cfg["lif.c"],
         lif_v_th=cfg["lif.v_th"], v_cc=cfg["lif.v_cc"],
-        trace=TraceParams(v_p=cfg["trace.v_p"], tau=cfg["trace.tau"]),
-        seed=cfg["network.seed"])
+        trace=TraceParams(v_p=cfg["trace.v_p"], tau=cfg["trace.tau"]))
 
 
 def validate_config(cfg: Config):
@@ -253,6 +254,17 @@ def validate_config(cfg: Config):
         raise ConfigError("dt must divide the slot width")
     if cfg["pattern.init"] not in ("zero", "midpoint"):
         raise ConfigError("pattern.init must be zero or midpoint")
+    if cfg["pattern.epochs"] < 0:
+        raise ConfigError("pattern.epochs >= 0")
+    pres = (*cfg["stimulus.pattern_pres"], *(pre for pre, _ in cfg["stimulus.noise_map"]))
+    if any(not 0 <= pre < cfg["network.n_pre"] for pre in pres):
+        raise ConfigError("every stimulus pre index in [0, network.n_pre)")
+    if cfg["stdp.settle_frames"] < 0:
+        raise ConfigError("stdp.settle_frames >= 0")
+    if not 0.0 < cfg["switchrate.i_min"] < cfg["switchrate.i_max"]:
+        raise ConfigError("0 < switchrate.i_min < switchrate.i_max")
+    if cfg["pd.sample_dt"] <= 0.0:
+        raise ConfigError("pd.sample_dt > 0")
 
 
 def vteam_variant(cfg: Config) -> Config:
@@ -302,7 +314,12 @@ def write_manifest(outdir: Path, name: str, cfg: Config, files: list[Path]):
 
 
 def run_hysteresis(cfg: Config, outdir: Path) -> list[Path]:
-    params = device_params(cfg)
+    params = selected_device(cfg)
+    # checked here, not in validate_config: the stock w0 lies outside the
+    # threshold device's range, which every other experiment may select
+    lo, hi = params.state_range
+    if not lo <= cfg["hysteresis.w0"] <= hi:
+        raise ConfigError(f"hysteresis.w0 in the device state range [{lo:.9g}, {hi:.9g}]")
     dt = cfg["clock.dt"]
     every = cfg["hysteresis.sample_every"]
     files = []
@@ -320,6 +337,8 @@ def run_hysteresis(cfg: Config, outdir: Path) -> list[Path]:
 
 
 def run_switch_rate(cfg: Config, outdir: Path) -> list[Path]:
+    if cfg["device.kind"] != "proposed":
+        raise ConfigError("switch-rate models the current-driven device: device.kind = proposed")
     params = device_params(cfg)
     w = cfg["switchrate.w_frac"] * params.d
     currents = np.geomspace(cfg["switchrate.i_min"], cfg["switchrate.i_max"],
@@ -399,7 +418,10 @@ def run_stdp_window(cfg: Config, outdir: Path) -> list[Path]:
 
 
 def run_stdp_window_vteam(cfg: Config, outdir: Path) -> list[Path]:
-    return _window_files(vteam_variant(cfg), outdir, "_vteam")
+    """The window of the threshold-device circuit; cfg is a vteam_variant."""
+    if cfg["device.kind"] != "vteam":
+        raise ConfigError("stdp-window-vteam runs the vteam_variant configuration")
+    return _window_files(cfg, outdir, "_vteam")
 
 
 def run_pattern_learn(cfg: Config, outdir: Path) -> list[Path]:
@@ -434,6 +456,9 @@ RUNNERS = {
     "pattern-learn": run_pattern_learn,
 }
 
+# experiments that run a derived configuration; the manifest records it
+VARIANTS = {"stdp-window-vteam": vteam_variant}
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -453,6 +478,8 @@ class ExperimentSpec:
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
     spec.validate()
     cfg = load_config(spec.config_path, spec.overrides)
+    if spec.name in VARIANTS:
+        cfg = VARIANTS[spec.name](cfg)
     outdir = Path(spec.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = RUNNERS[spec.name](cfg, outdir)
@@ -504,7 +531,6 @@ def main(argv=None) -> int:
     parser.add_argument("--dt", type=float, default=None,
                         help="programming micro-pulse width and shortest integrator "
                              "step (clock.dt), s")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized tests")
     parser.add_argument("--epochs", type=int, default=None, help="pattern-learn epochs")
     parser.add_argument("--init", choices=("zero", "midpoint"), default=None,
                         help="pattern-learn weight initialization")
@@ -514,8 +540,6 @@ def main(argv=None) -> int:
     overrides = list(args.overrides)
     if args.dt is not None:
         overrides.append(f"clock.dt={args.dt!r}")
-    if args.seed is not None:
-        overrides.append(f"network.seed={args.seed}")
     if args.epochs is not None:
         overrides.append(f"pattern.epochs={args.epochs}")
     if args.init is not None:

@@ -83,7 +83,6 @@ class NetworkConfig:
     lif_v_th: float = -0.45
     v_cc: float = 2.0
     trace: TraceParams = field(default_factory=TraceParams)
-    seed: int = 0  # randomized tests only; the experiments are deterministic
 
     def validate(self):
         if self.n_pre < 1 or self.n_post < 1:

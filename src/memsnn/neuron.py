@@ -47,7 +47,6 @@ class LifState:
     q1: bool = False             # trigger loaded
     q2: bool = False             # firing this frame
     enabled: bool = True         # EN port; low blocks firing
-    fire_frames_left: int = 0
     comp_prev: bool = False      # comparator output at last observation
 
 
@@ -60,8 +59,7 @@ class LifNeuron:
 
     def copy(self) -> "LifNeuron":
         s = self.state
-        return LifNeuron(self.params, LifState(s.v_mp, s.q1, s.q2, s.enabled,
-                                               s.fire_frames_left, s.comp_prev))
+        return LifNeuron(self.params, LifState(s.v_mp, s.q1, s.q2, s.enabled, s.comp_prev))
 
     def integrate(self, inputs, dt: float):
         """Advance the membrane under inputs held constant for dt.
@@ -108,12 +106,9 @@ class LifNeuron:
         s = self.state
         fired = False
         if frame_edge:
-            if s.q2:
-                s.q2 = False
-                s.fire_frames_left = 0
+            s.q2 = False
             if s.q1 and s.enabled:
                 s.q2 = True
-                s.fire_frames_left = 1
                 s.v_mp = 0.0    # reset switch dumps the capacitor
                 s.q1 = False    # trigger cleared by the inverter
                 fired = True

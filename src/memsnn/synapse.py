@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import _kernels as K
-from .device import MemristorParams, MemristorState, VteamParams
+from .device import MemristorParams, VteamParams
 from .errors import ConfigError, SimulationFault
 
 EXCITATORY = "excitatory"
@@ -84,10 +84,7 @@ class SynapseAssembly:
         self.config = config
         self.w = list(float(x) for x in w)
         self._orient = _orientations(config)
-        if config.is_vteam:
-            self._lo, self._hi = config.device.w_on, config.device.w_off
-        else:
-            self._lo, self._hi = 0.0, config.device.d
+        self._lo, self._hi = config.device.state_range
         for wi in self.w:
             if not (self._lo <= wi <= self._hi):
                 raise ConfigError(f"device state {wi} outside [{self._lo}, {self._hi}]")
@@ -104,10 +101,6 @@ class SynapseAssembly:
 
     def copy(self) -> "SynapseAssembly":
         return SynapseAssembly(self.config, tuple(self.w))
-
-    def states(self) -> tuple[MemristorState, ...]:
-        return tuple(MemristorState(w=wi, orientation=int(o))
-                     for wi, o in zip(self.w, self._orient))
 
     def resistances(self) -> tuple[float, float, float, float]:
         dev = self.config.device
@@ -174,17 +167,19 @@ class SynapseAssembly:
         wk, wp, wj = dev.window.code, dev.window.p, dev.window.j
         o1, o2, o3, o4 = self._orient
         if c.is_vteam:
-            branch = K.vteam_branch_segment if adaptive else K.vteam_branch_step
+            rk4 = K.vteam_branch_rk4
             params = (dev.v_on, dev.v_off, dev.k_on, dev.k_off,
                       float(dev.alpha_on), float(dev.alpha_off),
                       dev.w_on, dev.w_off, dev.r_on, dev.r_off, wk, wp, wj)
         else:
-            branch = K.dopant_branch_segment if adaptive else K.dopant_branch_step
+            rk4 = K.dopant_branch_rk4
             params = (dev.r_on, dev.r_off, dev.d, dev.mu_v, dev.a0, dev.i0, dev.q, wk, wp, wj)
-        self.w[0], self.w[1] = branch(self.w[0], self.w[1], o1, o2, c.r1, v_ab, duration, dt,
-                                      *params)
-        self.w[2], self.w[3] = branch(self.w[2], self.w[3], o3, o4, c.r2, v_ab, duration, dt,
-                                      *params)
+        branch = K.branch_segment if adaptive else K.branch_step
+        lo, hi = self._lo, self._hi
+        self.w[0], self.w[1] = branch(rk4, self.w[0], self.w[1], lo, hi, duration, dt,
+                                      o1, o2, c.r1, v_ab, *params)
+        self.w[2], self.w[3] = branch(rk4, self.w[2], self.w[3], lo, hi, duration, dt,
+                                      o3, o4, c.r2, v_ab, *params)
         if adaptive and not all(math.isfinite(wi) for wi in self.w):
             raise SimulationFault(f"non-finite device state under {v_ab!r} V drive")
         return self

@@ -5,8 +5,10 @@ import pytest
 
 from memsnn.device import (MemristorParams, MemristorState, SineDrive, VteamParams,
                            WindowSpec, dwdt, hysteresis_sweep, joule_g, memristance,
-                           step_voltage, vteam_step, window_value)
-from memsnn.errors import ConfigError, SimulationFault
+                           window_value)
+from memsnn.errors import ConfigError
+from memsnn.synapse import SynapseAssembly, SynapseConfig
+from test_synapse import DRIVERS
 
 P = MemristorParams()
 D = P.d
@@ -95,32 +97,32 @@ def test_power_law_slope(q, expected_slope):
     assert slope == pytest.approx(expected_slope, rel=0.01)
 
 
-def test_step_voltage_zero_drive():
-    s0 = MemristorState(w=D / 2)
-    s1, i = step_voltage(P, s0, 0.0, 1e-5)
-    assert s1.w == s0.w
-    assert i == 0.0
+VT = VteamParams()
 
 
-def test_step_voltage_returns_entry_current():
-    s0 = MemristorState(w=D / 2)
-    _, i = step_voltage(P, s0, 1.0, 1e-5)
-    assert i == pytest.approx(1.0 / 8050.0, rel=1e-12)
-
-
-def test_step_voltage_faults_on_nonfinite():
-    with pytest.raises(SimulationFault):
-        step_voltage(P, MemristorState(w=0.0), float("nan"), 1e-5)
-    with pytest.raises(SimulationFault):
-        step_voltage(P, MemristorState(w=0.0), 1.0, 0.0)
+def mid_bridge(device, r_series=16000.0):
+    """An excitatory bridge of the given device with every state at mid-range."""
+    lo, hi = device.state_range
+    config = SynapseConfig(device=device, r1=r_series, r2=r_series)
+    return SynapseAssembly(config, (0.5 * (lo + hi),) * 4)
 
 
 def test_boundary_confinement_random_drive():
+    """Random +-4 V segments, fixed-step and error-controlled, keep every
+    device of both kinds inside its state range.  Without a window the
+    devices run into their bounds, so the clamp is exercised."""
+    unwindowed = MemristorParams(window=WindowSpec(kind="none", p=1))
     rng = np.random.default_rng(7)
-    s = MemristorState(w=D / 2)
-    for v in rng.uniform(-4.0, 4.0, 500):
-        s, _ = step_voltage(P, s, float(v), 5e-4)
-        assert 0.0 <= s.w <= D
+    for device, r_series in ((unwindowed, 16000.0), (VT, VT.r_off)):
+        lo, hi = device.state_range
+        for step in DRIVERS:
+            syn = mid_bridge(device, r_series)
+            bound_hits = 0
+            for v in rng.uniform(-4.0, 4.0, 100):
+                step(syn, float(v), 1e-3, 5e-2)
+                assert all(lo <= w <= hi for w in syn.w)
+                bound_hits += any(w in (lo, hi) for w in syn.w)
+            assert bound_hits > 0
 
 
 def test_integrator_convergence_fourth_order():
@@ -179,22 +181,31 @@ def test_sweep_dt_convergence():
     assert np.max(np.abs(a.w - b.w)) < 1e-3 * D
 
 
-VT = VteamParams()
-
-
 def test_vteam_dead_zone_bitwise():
-    s = MemristorState(w=1.7e-9)
-    for v in (0.0, 0.5, -0.5, VT.v_off * 0.999, VT.v_on * 0.999):
-        s2, _ = vteam_step(VT, s, v, 1e-6)
-        assert s2.w == s.w
+    # v_ab is scaled by the divider ratio so that each device sees x itself:
+    # at 0.999 of a threshold one device of each branch sits just inside
+    # v_off and its partner, of opposite orientation, just inside v_on
+    for step in DRIVERS:
+        for x in (0.0, 0.5, -0.5, VT.v_off * 0.999, VT.v_on * 0.999):
+            syn = mid_bridge(VT, VT.r_off)
+            m = syn.resistances()[0]
+            w0 = tuple(syn.w)
+            step(syn, x * (m + m + VT.r_off) / m, 1e-6, 1e-3)
+            assert tuple(syn.w) == w0
 
 
 def test_vteam_above_threshold_moves_toward_off():
-    s = MemristorState(w=1.5e-9)
-    s2, _ = vteam_step(VT, s, 2 * VT.v_off, 1e-6)
-    assert s2.w > s.w  # toward w_off
-    s3, _ = vteam_step(VT, s, 2 * VT.v_on, 1e-6)
-    assert s3.w < s.w
+    # a positive A-B drive puts M2 (orientation +1) above v_off, moving it
+    # toward w_off, and M1 (orientation -1) below v_on; the excitatory
+    # weight follows the sign of the drive
+    for step in DRIVERS:
+        for v in (4.0, -4.0):
+            syn = mid_bridge(VT, VT.r_off)
+            w0, psi0 = tuple(syn.w), syn.weight()
+            step(syn, v, 1e-6, 1e-4)
+            assert math.copysign(1.0, syn.w[1] - w0[1]) == math.copysign(1.0, v)
+            assert math.copysign(1.0, syn.w[0] - w0[0]) == -math.copysign(1.0, v)
+            assert math.copysign(1.0, syn.weight() - psi0) == math.copysign(1.0, v)
 
 
 def test_vteam_sweep_regression():

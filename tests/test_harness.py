@@ -1,9 +1,12 @@
+import signal
+
 import numpy as np
 import pytest
 
 from memsnn.errors import ConfigError
-from memsnn.harness import (ExperimentSpec, load_config, main, run_experiment,
+from memsnn.harness import (RUNNERS, ExperimentSpec, load_config, main, run_experiment,
                             vteam_variant)
+from test_network import deadline
 
 
 def test_empty_config_gives_stock_constants(tmp_path):
@@ -148,3 +151,53 @@ def test_hysteresis_experiment_writes_both_series(tmp_path):
     assert names == ["hysteresis_hard.csv", "hysteresis_pinched.csv"]
     data = np.genfromtxt(files[0], delimiter=",", names=True)
     assert set(data.dtype.names) == {"t", "v", "i", "w", "R"}
+
+
+BAD_VALUES = [
+    ("synapse-pd", "pd.sample_dt=0", "pd.sample_dt > 0"),
+    ("pattern-learn", "pattern.epochs=-1", "pattern.epochs >= 0"),
+    ("switch-rate", "switchrate.i_min=0", "0 < switchrate.i_min < switchrate.i_max"),
+    ("switch-rate", "switchrate.i_max=1e-5", "0 < switchrate.i_min < switchrate.i_max"),
+    ("switch-rate", "device.kind=vteam", "switch-rate models the current-driven device"),
+    ("pattern-learn", "network.n_pre=4", "every stimulus pre index in [0, network.n_pre)"),
+    ("hysteresis", "hysteresis.w0=1", "hysteresis.w0 in the device state range [0, 1e-08]"),
+    ("stdp-window", "stdp.settle_frames=-5", "stdp.settle_frames >= 0"),
+]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@pytest.mark.parametrize("experiment, override, rule", BAD_VALUES,
+                         ids=[override for _, override, _ in BAD_VALUES])
+def test_cli_bad_value_exits_2_naming_rule(tmp_path, capsys, experiment, override, rule):
+    # pd.sample_dt = 0 once looped forever, growing memory
+    with deadline(10.0):
+        rc = main([experiment, "--out", str(tmp_path), "--set", override])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: {rule}")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_vteam_window_manifest_records_variant(tmp_path):
+    assert main(["stdp-window-vteam", "--out", str(tmp_path),
+                 "--set", "stdp.max_offset=0"]) == 0
+    manifest = set((tmp_path / "manifest").read_text().splitlines())
+    assert set(vteam_variant(load_config(None, ["stdp.max_offset=0"])).lines()) <= manifest
+    assert {"device.kind = vteam", "clock.base_freq = 1000", "clock.dt = 1e-06",
+            "trace.tau = 0.01"} <= manifest
+    # the runner refuses the base configuration rather than run the dopant
+    # device under the _vteam file names
+    with pytest.raises(ConfigError):
+        RUNNERS["stdp-window-vteam"](load_config(None), tmp_path / "base")
+
+
+def test_hysteresis_honours_vteam_device(tmp_path):
+    assert main(["hysteresis", "--out", str(tmp_path), "--set", "device.kind=vteam",
+                 "--set", "hysteresis.w0=1.5e-9", "--set", "hysteresis.hard_freq=10"]) == 0
+    cfg = load_config(None)
+    for name in ("hysteresis_pinched.csv", "hysteresis_hard.csv"):
+        data = np.genfromtxt(tmp_path / name, delimiter=",", names=True)
+        # R(w0) of the threshold device at mid-range; the dopant device gives 13615
+        assert data["R"][0] == pytest.approx(4500.0, rel=1e-12)
+        assert np.all((data["R"] >= cfg["vteam.r_on"]) & (data["R"] <= cfg["vteam.r_off"]))
+        assert np.ptp(data["w"]) > 0.0

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from memsnn.errors import ConfigError, SimulationFault
+from memsnn.harness import load_config, network_config, vteam_variant
 from memsnn.network import (Network, NetworkConfig, StimulusProgram,
                             default_pattern_stimulus, pattern_learning,
                             run_simulation, stability_epoch, stdp_window)
-from memsnn.synapse import SynapseConfig
+from memsnn.synapse import SynapseAssembly, SynapseConfig
 
 
 def make_config(n_pre=1, polarity="excitatory", **kw):
@@ -82,6 +83,36 @@ def test_dt_halving_changes_weights_below_tenth_percent():
     a = run_simulation(make_config(n_pre=2, dt=1e-5), stim)
     b = run_simulation(make_config(n_pre=2, dt=5e-6), stim)
     assert np.max(np.abs(a.weights_per_epoch - b.weights_per_epoch)) < 1e-3
+
+
+@pytest.mark.parametrize("variant", [lambda cfg: cfg, vteam_variant], ids=["proposed", "vteam"])
+def test_engine_matches_fixed_step_oracle(variant, monkeypatch):
+    """The engine, whose segments go through the error-controlled `drive`,
+    against the same program with every segment stepped by the fixed-step
+    reference `apply_differential`.  The post fires naturally right after a
+    pre spike (causal pair), then is forced two frames before the next one
+    (anti-causal pair)."""
+    cfg = network_config(variant(load_config(None)), n_pre=1)
+
+    def run():
+        net = Network(cfg)
+        net.synapses[0].program_to_weight(0.5, tolerance=1e-3, dt=cfg.dt)
+        net.posts[0].state.v_mp = cfg.lif_v_th + 0.002  # one transmit from threshold
+        fires, weights = [], []
+        for frame in range(12):
+            rep = net.run_frame(forced_pre=(0,) if frame in (0, 7) else (),
+                                forced_post=(0,) if frame == 5 else ())
+            fires.append((rep.pre_fired, rep.post_fired))
+            weights.append(rep.weights[0])
+        return fires, np.array(weights)
+
+    fires, weights = run()
+    monkeypatch.setattr(SynapseAssembly, "drive", SynapseAssembly.apply_differential)
+    ref_fires, ref_weights = run()
+    assert fires == ref_fires
+    assert [f for f, (_, post) in enumerate(fires) if post] == [1, 5]
+    assert np.ptp(ref_weights) > 1e-3  # the pairs move the weight
+    assert np.max(np.abs(weights - ref_weights)) < 1e-9
 
 
 def test_stimulus_program_validation():

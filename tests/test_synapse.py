@@ -13,6 +13,10 @@ from memsnn.synapse import EXCITATORY, INHIBITORY, SynapseAssembly, SynapseConfi
 CFG_EXC = SynapseConfig(polarity=EXCITATORY)
 CFG_INH = SynapseConfig(polarity=INHIBITORY)
 DT = 1e-5
+STOCK = load_config(None)
+# the threshold-device circuit of the stdp-window-vteam experiment
+CFG_VTEAM = network_config(vteam_variant(STOCK)).synapse
+DRIVERS = (SynapseAssembly.apply_differential, SynapseAssembly.drive)
 
 
 def assembly_at(config, m1, m2, m3, m4):
@@ -89,26 +93,32 @@ def test_weight_matches_nodal_oracle():
 
 
 def test_apply_zero_is_identity():
-    syn = SynapseAssembly.fresh(CFG_EXC)
-    w0 = tuple(syn.w)
-    syn.apply_differential(0.0, DT, duration=0.01)
-    assert tuple(syn.w) == w0
+    for config in (CFG_EXC, CFG_VTEAM):
+        for step in DRIVERS:
+            syn = SynapseAssembly.fresh(config)
+            w0 = tuple(syn.w)
+            step(syn, 0.0, DT, duration=0.01)
+            assert tuple(syn.w) == w0
 
 
 def test_apply_nonfinite_faults():
-    syn = SynapseAssembly.fresh(CFG_EXC)
-    with pytest.raises(SimulationFault):
-        syn.apply_differential(float("inf"), DT)
+    for config in (CFG_EXC, CFG_VTEAM):
+        syn = SynapseAssembly.fresh(config)
+        for step in DRIVERS:
+            for v, dt in ((float("inf"), DT), (float("nan"), DT), (4.0, 0.0), (4.0, -DT)):
+                with pytest.raises(SimulationFault):
+                    step(syn, v, dt)
 
 
 def test_monotone_potentiation():
-    syn = SynapseAssembly.fresh(CFG_EXC)
-    prev = syn.weight()
-    for _ in range(30):
-        syn.apply_differential(4.0, DT, duration=5e-3)
-        cur = syn.weight()
-        assert cur > prev
-        prev = cur
+    for config, dt, pulse in ((CFG_EXC, DT, 5e-3), (CFG_VTEAM, 1e-6, 1e-4)):
+        syn = SynapseAssembly.fresh(config)
+        prev = syn.weight()
+        for _ in range(30):
+            syn.apply_differential(4.0, dt, duration=pulse)
+            cur = syn.weight()
+            assert cur > prev
+            prev = cur
 
 
 def test_soft_bound_near_range_top():
@@ -232,7 +242,6 @@ def test_config_validation():
         SynapseConfig(polarity="bidirectional").validate()
 
 
-STOCK = load_config(None)
 ENGINE_CONFIGS = {"proposed": STOCK, "vteam": vteam_variant(STOCK)}
 
 
