@@ -9,9 +9,8 @@ from .network import (Network, NetworkConfig, PatternResult, StimulusProgram,
                       default_pattern_stimulus, pattern_learning, run_simulation,
                       stdp_window)
 from .neuron import LifNeuron, LifParams, LifState
-from .plasticity import (FrameClock, SlotWaveform, TraceParams, TraceState,
-                         compose_post_port, compose_pre_port, differential_frame,
-                         pwm_encode, trace_step)
+from .plasticity import (FrameClock, TraceParams, differential_frame, pwm_encode,
+                         trace_step)
 from .synapse import SynapseAssembly, SynapseConfig
 
 __version__ = "0.1.0"

@@ -138,13 +138,6 @@ class MemristorState:
     w: float
     orientation: int = 1
 
-    def validated(self, d: float) -> "MemristorState":
-        if not (0.0 <= self.w <= d):
-            raise ConfigError(f"state w={self.w} outside [0, {d}]")
-        if self.orientation not in (-1, 1):
-            raise ConfigError("orientation must be +1 or -1")
-        return self
-
 
 def memristance(params: MemristorParams, state: MemristorState) -> float:
     """Total device resistance R_ON*(w/D) + R_OFF*(1 - w/D)."""

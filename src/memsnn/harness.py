@@ -230,7 +230,6 @@ def synapse_config(cfg: Config) -> SynapseConfig:
 def network_config(cfg: Config, n_pre: int | None = None) -> NetworkConfig:
     return NetworkConfig(
         n_pre=n_pre if n_pre is not None else cfg["network.n_pre"],
-        n_post=1,
         base_freq=cfg["clock.base_freq"], dt=cfg["clock.dt"],
         synapse=synapse_config(cfg),
         lif_r_in=cfg["lif.r_in"], lif_r_ref=cfg["lif.r_ref"], lif_c=cfg["lif.c"],
@@ -263,8 +262,19 @@ def validate_config(cfg: Config):
         raise ConfigError("stdp.settle_frames >= 0")
     if not 0.0 < cfg["switchrate.i_min"] < cfg["switchrate.i_max"]:
         raise ConfigError("0 < switchrate.i_min < switchrate.i_max")
+    if cfg["switchrate.points"] < 1:
+        raise ConfigError("switchrate.points >= 1")
+    if not 0.0 <= cfg["switchrate.w_frac"] <= 1.0:
+        raise ConfigError("0 <= switchrate.w_frac <= 1")
+    for series in ("pinched", "hard"):
+        if cfg[f"hysteresis.{series}_freq"] <= 0.0:
+            raise ConfigError(f"hysteresis.{series}_freq > 0")
+        if cfg[f"hysteresis.{series}_cycles"] < 0:
+            raise ConfigError(f"hysteresis.{series}_cycles >= 0")
     if cfg["pd.sample_dt"] <= 0.0:
         raise ConfigError("pd.sample_dt > 0")
+    if cfg["calibration.pulse_seconds"] <= 0.0:
+        raise ConfigError("calibration.pulse_seconds > 0")
 
 
 def vteam_variant(cfg: Config) -> Config:
@@ -480,23 +490,29 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     cfg = load_config(spec.config_path, spec.overrides)
     if spec.name in VARIANTS:
         cfg = VARIANTS[spec.name](cfg)
+    plt = _pyplot() if spec.plot else None  # before the run, which may be long
     outdir = Path(spec.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = RUNNERS[spec.name](cfg, outdir)
-    if spec.plot:
-        files.extend(emit_plots(spec.name, files, outdir))
+    if plt is not None:
+        files.extend(emit_plots(plt, files))
     write_manifest(outdir, spec.name, cfg, files)
     return files
 
 
-def emit_plots(name: str, csv_files: list[Path], outdir: Path) -> list[Path]:
-    """Optional SVG plots, derived purely from the CSVs."""
+def _pyplot():
+    """matplotlib.pyplot on the Agg backend."""
     try:
         import matplotlib
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
-    except ImportError as exc:  # pragma: no cover
+    except ImportError as exc:
         raise ConfigError("plot output requires matplotlib") from exc
+    return plt
+
+
+def emit_plots(plt, csv_files: list[Path]) -> list[Path]:
+    """Optional SVG plots, derived purely from the CSVs."""
     out = []
     for f in csv_files:
         if f.suffix != ".csv":

@@ -1,10 +1,11 @@
 """Frame-synchronous simulation engine.
 
-Wires an array of sending (pre) neurons through bridge synapses into
-receiving (post) neurons and executes the three-timeslot protocol:
+Wires an array of sending (pre) inputs through bridge synapses of one
+polarity into a single receiving (post) neuron and executes the
+three-timeslot protocol:
 
     slot 0 - spike transmission: each firing pre drives +v_cc through its
-             synapse; the weighted outputs feed the post integrators;
+             synapse; the weighted outputs feed the post integrator;
     slot 1 - potentiation: the pre-side PWM pulse against the post's firing
              rail (strong +2*v_cc overlap only when both coincide);
     slot 2 - depression: the mirrored composition.
@@ -12,7 +13,7 @@ receiving (post) neurons and executes the three-timeslot protocol:
 Fires are decided at frame edges only.  Within a slot every drive is
 piecewise constant, so synapse branches integrate per segment with
 error-controlled RK4 (`SynapseAssembly.drive`, steps no shorter than dt),
-the LIF membranes advance with the exact constant-input exponential, and
+the LIF membrane advances with the exact constant-input exponential, and
 traces decay analytically.  Everything is deterministic: identical
 configurations give bit-identical results.
 """
@@ -26,9 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, SimulationFault
 from .neuron import LifNeuron, LifParams
-from .plasticity import (FrameClock, TraceParams, TraceState, compose_post_port,
-                         compose_pre_port, differential_frame, frame_debug_rows,
-                         pwm_encode, trace_step)
+from .plasticity import FrameClock, TraceParams, differential_frame, pwm_encode, trace_step
 from .synapse import EXCITATORY, SynapseAssembly, SynapseConfig
 
 
@@ -71,9 +70,6 @@ class StimulusProgram:
 @dataclass(frozen=True)
 class NetworkConfig:
     n_pre: int = 1
-    n_post: int = 1
-    # pre index -> (post index, polarity); default wires every pre to post 0
-    topology: tuple[tuple[int, str], ...] | None = None
     base_freq: float = 100.0
     dt: float = 1e-5  # micro-pulse width, reference RK4 step, shortest drive step
     synapse: SynapseConfig = field(default_factory=SynapseConfig)
@@ -85,8 +81,8 @@ class NetworkConfig:
     trace: TraceParams = field(default_factory=TraceParams)
 
     def validate(self):
-        if self.n_pre < 1 or self.n_post < 1:
-            raise ConfigError("need at least one pre and one post")
+        if self.n_pre < 1:
+            raise ConfigError("need at least one pre")
         slot = 1.0 / self.base_freq
         steps = slot / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
@@ -95,90 +91,69 @@ class NetworkConfig:
         self.trace.validate()
         return self
 
-    def resolved_topology(self):
-        if self.topology is not None:
-            return self.topology
-        return tuple((0, self.synapse.polarity) for _ in range(self.n_pre))
-
 
 @dataclass
 class FrameReport:
     frame: int
     t: float
     pre_fired: tuple[int, ...]
-    post_fired: tuple[int, ...]
-    post_v_mp_at_edge: tuple[float, ...]
+    post_fired: bool
+    post_v_mp_at_edge: float
     weights: tuple[float, ...]
 
 
 class Network:
-    """One simulation instance; single-threaded stepping."""
+    """One simulation instance; single-threaded stepping.
 
-    def __init__(self, config: NetworkConfig, collect_debug: bool = False):
+    Pre i drives synapse i.  A pre never integrates: a fire command only
+    latches it (`pre_loaded`) until the next frame edge.
+    """
+
+    def __init__(self, config: NetworkConfig):
         self.config = config.validate()
         self.clock = FrameClock(base_freq=config.base_freq).validate()
-        self.collect_debug = collect_debug
-        self.debug_rows = []  # per-slot waveform diagnostics for synapse 0
-        topo = config.resolved_topology()
-        if len(topo) != config.n_pre:
-            raise ConfigError("topology must map every pre")
-        self.synapses: list[SynapseAssembly] = []
-        self.syn_post: list[int] = []
-        for post_idx, polarity in topo:
-            if not (0 <= post_idx < config.n_post):
-                raise ConfigError(f"post index {post_idx} out of range")
-            sc = replace(config.synapse, polarity=polarity)
-            self.synapses.append(SynapseAssembly.fresh(sc))
-            self.syn_post.append(post_idx)
-        afferents = [[] for _ in range(config.n_post)]
-        for si, pj in enumerate(self.syn_post):
-            afferents[pj].append(si)
-        self.post_afferents = [tuple(a) for a in afferents]
-        self.pres = [LifNeuron(LifParams(r_in=(config.lif_r_in,), v_cc=config.v_cc))
-                     for _ in range(config.n_pre)]
-        self.posts = [LifNeuron(LifParams(
-            r_in=tuple(config.lif_r_in for _ in self.post_afferents[j]) or (config.lif_r_in,),
-            r_ref=config.lif_r_ref, c=config.lif_c,
+        self.synapses = [SynapseAssembly.fresh(config.synapse) for _ in range(config.n_pre)]
+        self.post = LifNeuron(LifParams(
+            r_in=(config.lif_r_in,) * config.n_pre, r_ref=config.lif_r_ref, c=config.lif_c,
             v_th=config.lif_v_th, v_cc=config.v_cc))
-            for j in range(config.n_post)]
-        self.pre_traces = [TraceState() for _ in range(config.n_pre)]
-        self.post_traces = [TraceState() for _ in range(config.n_post)]
+        self.pre_loaded: set[int] = set()
+        self.pre_traces = [0.0] * config.n_pre
+        self.post_trace = 0.0
 
     # -- helpers -----------------------------------------------------------
 
     def weights(self) -> tuple[float, ...]:
         return tuple(s.weight() for s in self.synapses)
 
-    def _sample_width(self, trace: TraceState, fired: bool) -> float:
+    def _sample_width(self, v_cp: float, fired: bool) -> float:
         """PWM width for this frame: trace sampled at the slot-1 start."""
         tp = self.config.trace
         slot = self.clock.slot_width
         if fired:
             return pwm_encode(tp, tp.v_p, slot, True)
-        sampled = trace.v_cp * math.exp(-slot / tp.tau)
+        sampled = v_cp * math.exp(-slot / tp.tau)
         return pwm_encode(tp, sampled, slot, False)
 
     def _step_synapse_segments(self, si: int, segments, slot_idx: int):
         v_cc = self.config.v_cc
         with _fault_context(f"slot {slot_idx}, synapse {si}"):
             for duration, v in segments:
-                if abs(v) > v_cc + 1e-9 and slot_idx == 0:
-                    raise SimulationFault("strong differential outside programming slots")
                 if abs(v) > 2.0 * v_cc + 1e-9:
                     raise SimulationFault(f"differential drive {v} exceeds 2*v_cc")
                 self.synapses[si].drive(v, self.config.dt, duration)
 
     # -- frame execution ----------------------------------------------------
 
-    def run_frame(self, forced_pre=(), forced_post=(), load_pre=(), load_post=(),
-                  load_slot: int = 1) -> FrameReport:
+    def run_frame(self, forced_pre=(), forced_post: bool = False, load_pre=(),
+                  load_post: bool = False, load_slot: int = 1) -> FrameReport:
         """Execute one full frame.
 
-        forced_* indices fire at this frame's edge (the external command
-        arrives with the edge, bypassing the integrator).  load_* indices get
-        their trigger loaded mid-frame, after slot `load_slot`, and therefore
-        fire at the NEXT frame's edge regardless of which slot the load lands
-        in - the sub-frame phase insensitivity the trigger provides.
+        forced_pre indices and a forced_post fire at this frame's edge (the
+        external command arrives with the edge, bypassing the integrator).
+        load_pre indices and a load_post get their trigger loaded mid-frame,
+        after slot `load_slot`, and therefore fire at the NEXT frame's edge
+        regardless of which slot the load lands in - the sub-frame phase
+        insensitivity the trigger provides.
 
         Faults abort the run annotated with the frame (and slot and synapse)
         they hit.
@@ -192,75 +167,57 @@ class Network:
         slot = self.clock.slot_width
         frame_idx = self.clock.frame
         t0 = self.clock.t
+        post = self.post
 
         def inject_loads(after_slot: int):
             if after_slot != load_slot:
                 return
-            for i in load_pre:
-                self.pres[i].load_fire()
-            for j in load_post:
-                self.posts[j].load_fire()
+            self.pre_loaded.update(load_pre)
+            if load_post:
+                post.load_fire()
 
         # frame edge: forced commands arrive now; natural loads came from
-        # comparator crossings during earlier frames.  Tick every neuron.
-        for i in forced_pre:
-            self.pres[i].load_fire()
-        for j in forced_post:
-            self.posts[j].load_fire()
-        pre_fired = tuple(i for i, n in enumerate(self.pres) if n.trigger_tick(frame_edge=True))
-        post_v_edge = tuple(n.state.v_mp for n in self.posts)
-        post_fired = tuple(j for j, n in enumerate(self.posts) if n.trigger_tick(frame_edge=True))
+        # comparator crossings during earlier frames.
+        fired = self.pre_loaded.union(forced_pre)
+        if not all(0 <= i < cfg.n_pre for i in fired):
+            raise ConfigError(f"pre index outside [0, {cfg.n_pre})")
+        self.pre_loaded = set()
+        pre_fired = tuple(sorted(fired))
+        if forced_post:
+            post.load_fire()
+        post_v_edge = post.state.v_mp
+        post_fired = post.trigger_tick(frame_edge=True)
 
-        pre_fired_set = set(pre_fired)
-        post_fired_set = set(post_fired)
-
-        width_a = [self._sample_width(self.pre_traces[i], i in pre_fired_set)
-                   for i in range(cfg.n_pre)]
-        width_b = [self._sample_width(self.post_traces[j], j in post_fired_set)
-                   for j in range(cfg.n_post)]
-
-        ports_a = [compose_pre_port(i in pre_fired_set, width_a[i], cfg.v_cc, slot)
-                   for i in range(cfg.n_pre)]
-        ports_b = [compose_post_port(j in post_fired_set, width_b[j], cfg.v_cc, slot)
-                   for j in range(cfg.n_post)]
-        if self.collect_debug:
-            self.debug_rows.extend(frame_debug_rows(
-                frame_idx, ports_a[0], ports_b[self.syn_post[0]], slot, cfg.v_cc))
+        width_b = self._sample_width(self.post_trace, post_fired)
+        drives = [differential_frame(si in fired, post_fired,
+                                     self._sample_width(self.pre_traces[si], si in fired),
+                                     width_b, cfg.v_cc, slot)
+                  for si in range(cfg.n_pre)]
 
         # slot 0: transmission.  Weighted outputs are evaluated from the
         # entry weights, then the spike biases the synapse for the slot.
-        post_inputs = [[0.0] * max(1, len(self.post_afferents[j])) for j in range(cfg.n_post)]
-        for si, syn in enumerate(self.synapses):
-            pre_i = si  # one synapse per pre, same ordering
-            if pre_i in pre_fired_set:
-                pj = self.syn_post[si]
-                slot_in = self.post_afferents[pj].index(si)
-                with _fault_context(f"slot 0, synapse {si}"):
-                    v_out = syn.transmit(cfg.v_cc, cfg.dt, duration=slot)
-                post_inputs[pj][slot_in] = v_out
-        for j, post in enumerate(self.posts):
-            post.integrate(post_inputs[j], slot)
-            post.trigger_tick(frame_edge=False)
+        post_inputs = [0.0] * cfg.n_pre
+        for si in pre_fired:
+            with _fault_context(f"slot 0, synapse {si}"):
+                post_inputs[si] = self.synapses[si].transmit(cfg.v_cc, cfg.dt, duration=slot)
+        post.integrate(post_inputs, slot)
+        post.trigger_tick(frame_edge=False)
         inject_loads(0)
 
-        # slots 1 and 2: programming segments; post membranes just leak.
+        # slots 1 and 2: programming segments; the post membrane just leaks.
         for slot_idx in (1, 2):
-            for si in range(len(self.synapses)):
-                segs = differential_frame(ports_a[si], ports_b[self.syn_post[si]], slot)[slot_idx]
-                self._step_synapse_segments(si, segs, slot_idx)
-            for j, post in enumerate(self.posts):
-                post.integrate([0.0] * max(1, len(self.post_afferents[j])), slot)
-                post.trigger_tick(frame_edge=False)
+            for si, segs in enumerate(drives):
+                self._step_synapse_segments(si, segs[slot_idx - 1], slot_idx)
+            post.integrate([0.0] * cfg.n_pre, slot)
+            post.trigger_tick(frame_edge=False)
             inject_loads(slot_idx)
 
         # traces: held at v_p through the owner's firing frame, else decay
         # across the whole frame width.
         frame_w = self.clock.frame_width
-        tp = cfg.trace
-        for i in range(cfg.n_pre):
-            self.pre_traces[i] = trace_step(tp, self.pre_traces[i], i in pre_fired_set, frame_w)
-        for j in range(cfg.n_post):
-            self.post_traces[j] = trace_step(tp, self.post_traces[j], j in post_fired_set, frame_w)
+        self.pre_traces = [trace_step(cfg.trace, v, si in fired, frame_w)
+                           for si, v in enumerate(self.pre_traces)]
+        self.post_trace = trace_step(cfg.trace, self.post_trace, post_fired, frame_w)
 
         for _ in range(FrameClock.SLOTS_PER_FRAME):
             self.clock.tick()
@@ -281,41 +238,33 @@ class SimulationResult:
     post_log: list                         # (frame, t, v_mp_at_edge, fired)
     first_fire_epoch: int | None
     final_weights: np.ndarray
-    frames_run: int
 
 
-def run_simulation(config: NetworkConfig, program: StimulusProgram,
-                   forced_post: dict[int, tuple[int, ...]] | None = None) -> SimulationResult:
+def run_simulation(config: NetworkConfig, program: StimulusProgram) -> SimulationResult:
     """Run a stimulus program to completion; deterministic for a config.
 
-    Returns the per-epoch weight series and the post-0 event log.
+    Returns the per-epoch weight series and the post event log.
     """
     program.validate()
-    net = Network(config)
-    return _run_program(net, program, forced_post or {})
+    return _run_program(Network(config), program)
 
 
-def _run_program(net: Network, program: StimulusProgram, forced_post) -> SimulationResult:
+def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
     n_syn = len(net.synapses)
     weights = np.empty((program.n_epochs, n_syn))
     post_log = []
     first_fire_epoch = None
-    frame_abs = 0
     for epoch in range(program.n_epochs):
         for ef in range(program.epoch_frames):
-            fp = forced_post.get(frame_abs, ())
-            report = net.run_frame(forced_pre=program.pres_firing(ef), forced_post=fp)
-            post_log.append((report.frame, report.t,
-                             report.post_v_mp_at_edge[0] if report.post_v_mp_at_edge else 0.0,
-                             1 if 0 in report.post_fired else 0))
+            report = net.run_frame(forced_pre=program.pres_firing(ef))
+            post_log.append((report.frame, report.t, report.post_v_mp_at_edge,
+                             1 if report.post_fired else 0))
             if report.post_fired and first_fire_epoch is None:
                 first_fire_epoch = epoch
-            frame_abs += 1
         weights[epoch] = net.weights()
     return SimulationResult(weights_per_epoch=weights, post_log=post_log,
                             first_fire_epoch=first_fire_epoch,
-                            final_weights=weights[-1] if program.n_epochs else np.zeros(n_syn),
-                            frames_run=frame_abs)
+                            final_weights=weights[-1] if program.n_epochs else np.zeros(n_syn))
 
 
 # -- timing-window experiment -------------------------------------------------
@@ -343,7 +292,7 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
     which must produce bit-identical windows (quantization in sub-frame
     phase).
     """
-    cfg = replace(config, n_pre=1, n_post=1, topology=None)
+    cfg = replace(config, n_pre=1)
     frame_w = FrameClock(base_freq=cfg.base_freq).frame_width
     sign = 1.0 if cfg.synapse.polarity == EXCITATORY else -1.0
     rows = []
@@ -356,11 +305,10 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
         for frame in range(horizon):
             if phase_slot is None:
                 net.run_frame(forced_pre=(0,) if frame == pre_frame else (),
-                              forced_post=(0,) if frame == post_frame else ())
+                              forced_post=frame == post_frame)
             else:
                 net.run_frame(load_pre=(0,) if frame == pre_frame - 1 else (),
-                              load_post=(0,) if frame == post_frame - 1 else (),
-                              load_slot=phase_slot)
+                              load_post=frame == post_frame - 1, load_slot=phase_slot)
         rows.append((off, off * frame_w, net.synapses[0].weight() - psi0))
     return rows
 
@@ -427,7 +375,7 @@ def pattern_learning(config: NetworkConfig, stimulus: StimulusProgram,
             syn.program_to_weight(sign * 0.5, tolerance=0.01, dt=config.dt)
     else:
         raise ConfigError(f"init must be zero or midpoint, got {init!r}")
-    result = _run_program(net, stimulus, {})
+    result = _run_program(net, stimulus)
     if stimulus.schedule:
         first_frame = min(f for f, _ in stimulus.schedule)
         pattern = tuple(sorted({p for f, p in stimulus.schedule if f == first_frame}))

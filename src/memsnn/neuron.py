@@ -57,10 +57,6 @@ class LifNeuron:
         self.params = params.validate()
         self.state = state if state is not None else LifState()
 
-    def copy(self) -> "LifNeuron":
-        s = self.state
-        return LifNeuron(self.params, LifState(s.v_mp, s.q1, s.q2, s.enabled, s.comp_prev))
-
     def integrate(self, inputs, dt: float):
         """Advance the membrane under inputs held constant for dt.
 

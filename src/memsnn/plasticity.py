@@ -1,4 +1,4 @@
-"""Spike traces, PWM encoding, and per-port slot waveform composition.
+"""Spike traces, PWM encoding, and the per-frame differential drive.
 
 Each neuron owns an RC trace: held charged at v_p while the neuron's spike
 pair is active, decaying exponentially afterwards.  At the start of timeslot
@@ -6,15 +6,18 @@ pair is active, decaying exponentially afterwards.  At the start of timeslot
 proportional to the sampled amplitude (full width during the owner's firing
 frame, where the charging switch is still closed).
 
-The two composers build the three per-slot waveforms each side drives onto
-its synapse terminal; their difference is the actual programming signal:
+Each side drives its synapse terminal slot by slot; their difference is the
+actual programming signal:
 
-    port A (sending side):  slot0 +rail | slot1 +PWM  | slot2 -rail
-    port B (receiving side): slot0 gnd  | slot1 -rail | slot2 +PWM
+    terminal A (sending side):   slot0 +rail | slot1 +PWM  | slot2 -rail
+    terminal B (receiving side): slot0 gnd   | slot1 -rail | slot2 +PWM
 
 so a causal pair overlaps +rail with -rail in slot 1 (potentiation at twice
 the rail amplitude for the encoded width) and an anti-causal pair overlaps in
-slot 2 (depression).  Rails appear only in the owner's firing frame.
+slot 2 (depression).  Rails appear only in the owner's firing frame.  Slot 0
+of terminal B is grounded, because the receiving side's spike only travels
+forward; slot 0 is therefore the sender's +rail alone, which the engine
+drives as the spike transmission.
 """
 from __future__ import annotations
 
@@ -74,20 +77,13 @@ class TraceParams:
         return self
 
 
-@dataclass
-class TraceState:
-    v_cp: float = 0.0
-    switch_on: bool = False
-
-
-def trace_step(params: TraceParams, state: TraceState,
-               owner_spiking: bool, dt: float) -> TraceState:
+def trace_step(params: TraceParams, v_cp: float, owner_spiking: bool, dt: float) -> float:
     """Hold at v_p while the owner spikes, exact exponential decay otherwise."""
     if dt < 0.0:
         raise ConfigError("dt >= 0")
     if owner_spiking:
-        return TraceState(v_cp=params.v_p, switch_on=True)
-    return TraceState(v_cp=state.v_cp * math.exp(-dt / params.tau), switch_on=False)
+        return params.v_p
+    return v_cp * math.exp(-dt / params.tau)
 
 
 def pwm_encode(params: TraceParams, sampled_v_cp: float,
@@ -104,69 +100,32 @@ def pwm_encode(params: TraceParams, sampled_v_cp: float,
     return (sampled_v_cp / params.v_p) * slot_width
 
 
-@dataclass(frozen=True)
-class SlotWaveform:
-    """One slot's drive: `level` volts for the leading `active_width`
-    seconds, zero for the remainder (pulses are left-aligned)."""
-
-    level: float
-    active_width: float
-
-
-def compose_pre_port(pre_fired: bool, pre_pwm_width: float,
-                     v_cc: float, slot_width: float) -> tuple[SlotWaveform, SlotWaveform, SlotWaveform]:
-    """Waveforms the sending side drives onto terminal A for one frame."""
-    slot0 = SlotWaveform(v_cc, slot_width) if pre_fired else SlotWaveform(0.0, 0.0)
-    slot1 = SlotWaveform(v_cc, pre_pwm_width) if pre_pwm_width > 0.0 else SlotWaveform(0.0, 0.0)
-    slot2 = SlotWaveform(-v_cc, slot_width) if pre_fired else SlotWaveform(0.0, 0.0)
-    return slot0, slot1, slot2
-
-
-def compose_post_port(post_fired: bool, post_pwm_width: float,
-                      v_cc: float, slot_width: float) -> tuple[SlotWaveform, SlotWaveform, SlotWaveform]:
-    """Waveforms the receiving side drives onto terminal B for one frame.
-
-    Slot 0 is grounded: the receiving side's positive spike only travels
-    forward, never back across the synapse.
-    """
-    slot0 = SlotWaveform(0.0, 0.0)
-    slot1 = SlotWaveform(-v_cc, slot_width) if post_fired else SlotWaveform(0.0, 0.0)
-    slot2 = SlotWaveform(v_cc, post_pwm_width) if post_pwm_width > 0.0 else SlotWaveform(0.0, 0.0)
-    return slot0, slot1, slot2
-
-
-def _slot_segments(a: SlotWaveform, b: SlotWaveform, slot_width: float):
-    """Piecewise-constant v_ab = a(t) - b(t) over one slot as (duration,
-    level) pairs; zero-voltage stretches are kept out."""
-    wa = min(a.active_width, slot_width)
-    wb = min(b.active_width, slot_width)
+def _slot_segments(level_a: float, width_a: float, level_b: float, width_b: float,
+                   slot_width: float):
+    """Piecewise-constant v_ab over one slot, where terminal A holds level_a
+    for the leading width_a seconds and terminal B level_b for the leading
+    width_b, as (duration, level) pairs; zero-voltage stretches are kept out."""
+    wa = min(width_a, slot_width)
+    wb = min(width_b, slot_width)
     cuts = sorted({0.0, wa, wb, slot_width})
     segments = []
     for lo, hi in zip(cuts, cuts[1:]):
         if hi <= lo:
             continue
-        v = (a.level if lo < wa else 0.0) - (b.level if lo < wb else 0.0)
+        v = (level_a if lo < wa else 0.0) - (level_b if lo < wb else 0.0)
         if v != 0.0:
             segments.append((hi - lo, v))
     return segments
 
 
-def differential_frame(port_a, port_b, slot_width: float):
-    """Per-slot piecewise differential drive for one frame.
+def differential_frame(pre_fired: bool, post_fired: bool, pre_pwm_width: float,
+                       post_pwm_width: float, v_cc: float, slot_width: float):
+    """The slot-1 and slot-2 (duration, v_ab) segments of one synapse's frame.
 
-    Returns three lists of (duration, v_ab) segments, one per slot.  Strong
-    (double-rail) segments can only arise where a PWM pulse overlaps an
-    opposing rail.
+    Strong (double-rail) segments only arise where a PWM pulse overlaps the
+    opposing side's firing rail.
     """
-    return [_slot_segments(a, b, slot_width) for a, b in zip(port_a, port_b)]
-
-
-def frame_debug_rows(frame: int, port_a, port_b, slot_width: float, v_cc: float):
-    """One diagnostic row per slot:
-    frame,slot,portA_level,portA_width,portB_level,portB_width,vab_strong_width."""
-    rows = []
-    segments = differential_frame(port_a, port_b, slot_width)
-    for slot, (a, b, segs) in enumerate(zip(port_a, port_b, segments)):
-        strong = sum(dur for dur, v in segs if abs(v) > v_cc + 1e-15)
-        rows.append((frame, slot, a.level, a.active_width, b.level, b.active_width, strong))
-    return rows
+    post_rail = slot_width if post_fired else 0.0
+    pre_rail = slot_width if pre_fired else 0.0
+    return (_slot_segments(v_cc, pre_pwm_width, -v_cc, post_rail, slot_width),
+            _slot_segments(-v_cc, pre_rail, v_cc, post_pwm_width, slot_width))

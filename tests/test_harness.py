@@ -1,4 +1,5 @@
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -162,6 +163,12 @@ BAD_VALUES = [
     ("pattern-learn", "network.n_pre=4", "every stimulus pre index in [0, network.n_pre)"),
     ("hysteresis", "hysteresis.w0=1", "hysteresis.w0 in the device state range [0, 1e-08]"),
     ("stdp-window", "stdp.settle_frames=-5", "stdp.settle_frames >= 0"),
+    ("switch-rate", "switchrate.points=-1", "switchrate.points >= 1"),
+    ("switch-rate", "switchrate.w_frac=2", "0 <= switchrate.w_frac <= 1"),
+    ("hysteresis", "hysteresis.pinched_freq=0", "hysteresis.pinched_freq > 0"),
+    ("hysteresis", "hysteresis.hard_freq=0", "hysteresis.hard_freq > 0"),
+    ("hysteresis", "hysteresis.pinched_cycles=-1", "hysteresis.pinched_cycles >= 0"),
+    ("weak-strong-calibration", "calibration.pulse_seconds=0", "calibration.pulse_seconds > 0"),
 ]
 
 
@@ -175,6 +182,13 @@ def test_cli_bad_value_exits_2_naming_rule(tmp_path, capsys, experiment, overrid
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"config error: {rule}")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_plot_without_matplotlib_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
+    assert main(["switch-rate", "--out", str(tmp_path), "--plot"]) == 2
+    assert capsys.readouterr().err.startswith("config error: plot output requires matplotlib")
     assert not list(tmp_path.glob("*.csv"))
 
 

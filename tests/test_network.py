@@ -20,11 +20,11 @@ def make_config(n_pre=1, polarity="excitatory", **kw):
 def test_idle_frames_leave_weights_bit_identical():
     net = Network(make_config(n_pre=3))
     w0 = net.weights()
-    net.posts[0].state.v_mp = -0.2
+    net.post.state.v_mp = -0.2
     for _ in range(4):
         net.run_frame()
     assert net.weights() == w0
-    assert net.posts[0].state.v_mp == pytest.approx(-0.2 * math.exp(-0.12 / 0.9), rel=1e-9)
+    assert net.post.state.v_mp == pytest.approx(-0.2 * math.exp(-0.12 / 0.9), rel=1e-9)
 
 
 def test_transmitted_spike_charges_membrane():
@@ -38,7 +38,7 @@ def test_transmitted_spike_charges_membrane():
     v_in = psi * 2.0
     after_slot = -9e5 * (v_in / 1e5) * (1 - math.exp(-0.01 / 0.9))
     expect = after_slot * math.exp(-0.02 / 0.9)
-    assert net.posts[0].state.v_mp == pytest.approx(expect, rel=1e-2)
+    assert net.post.state.v_mp == pytest.approx(expect, rel=1e-2)
 
 
 def test_lone_pre_spike_causes_weak_drift_only():
@@ -56,9 +56,9 @@ def test_lone_pre_spike_causes_weak_drift_only():
 
 def test_forced_post_fire_is_edge_synchronous():
     net = Network(make_config(n_pre=1))
-    rep = net.run_frame(forced_post=(0,))
-    assert rep.post_fired == (0,)
-    assert net.posts[0].state.q2
+    rep = net.run_frame(forced_post=True)
+    assert rep.post_fired
+    assert net.post.state.q2
 
 
 def test_run_simulation_empty_program():
@@ -97,11 +97,11 @@ def test_engine_matches_fixed_step_oracle(variant, monkeypatch):
     def run():
         net = Network(cfg)
         net.synapses[0].program_to_weight(0.5, tolerance=1e-3, dt=cfg.dt)
-        net.posts[0].state.v_mp = cfg.lif_v_th + 0.002  # one transmit from threshold
+        net.post.state.v_mp = cfg.lif_v_th + 0.002  # one transmit from threshold
         fires, weights = [], []
         for frame in range(12):
             rep = net.run_frame(forced_pre=(0,) if frame in (0, 7) else (),
-                                forced_post=(0,) if frame == 5 else ())
+                                forced_post=frame == 5)
             fires.append((rep.pre_fired, rep.post_fired))
             weights.append(rep.weights[0])
         return fires, np.array(weights)
@@ -170,22 +170,6 @@ def test_stability_epoch_detects_settling():
     assert stability_epoch(np.vstack([np.linspace(0, 5, 60), np.linspace(0, 5, 60)]).T) is None
 
 
-def test_debug_rows_strong_segments_only_in_programming_slots():
-    cfg = make_config(n_pre=1)
-    net = Network(cfg, collect_debug=True)
-    net.synapses[0].program_to_weight(0.5, 1e-3, dt=cfg.dt)
-    net.run_frame(forced_pre=(0,))
-    net.run_frame(forced_post=(0,))
-    net.run_frame()
-    assert len(net.debug_rows) == 9  # three slots per frame
-    for frame, slot, *_rest, strong in net.debug_rows:
-        if slot == 0:
-            assert strong == 0.0
-    # the causal pair put a strong stretch in slot 1 of the second frame
-    strong_slot1 = [r for r in net.debug_rows if r[0] == 1 and r[1] == 1][0][6]
-    assert strong_slot1 > 0.0
-
-
 def test_fault_reports_frame_context():
     from memsnn.errors import SimulationFault
     net = Network(make_config(n_pre=1))
@@ -220,6 +204,12 @@ def test_nan_state_under_drive_faults_promptly(forced_pre, where):
     with deadline(10.0), pytest.raises(SimulationFault,
                                        match=f"frame 1: {where}, synapse 0: non-finite"):
         net.run_frame(forced_pre=forced_pre)
+
+
+@pytest.mark.parametrize("forced_pre", [(1,), (-1,)])
+def test_pre_index_outside_network_rejected(forced_pre):
+    with pytest.raises(ConfigError, match=r"pre index outside \[0, 1\)"):
+        Network(make_config(n_pre=1)).run_frame(forced_pre=forced_pre)
 
 
 def test_config_validation():

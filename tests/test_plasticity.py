@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from memsnn.errors import ConfigError
-from memsnn.plasticity import (FrameClock, SlotWaveform, TraceParams, TraceState,
-                               compose_post_port, compose_pre_port,
-                               differential_frame, pwm_encode, trace_step)
+from memsnn.plasticity import (FrameClock, TraceParams, differential_frame, pwm_encode,
+                               trace_step)
 
 TP = TraceParams(v_p=2.0, tau=0.045)
 SLOT = 0.01
@@ -25,28 +24,24 @@ def test_clock_slot_and_frame_advance():
 
 
 def test_trace_held_while_spiking():
-    s = trace_step(TP, TraceState(v_cp=0.3), owner_spiking=True, dt=0.03)
-    assert s.v_cp == TP.v_p
-    assert s.switch_on
+    assert trace_step(TP, 0.3, owner_spiking=True, dt=0.03) == TP.v_p
 
 
 def test_trace_exponential_decay():
-    s = trace_step(TP, TraceState(v_cp=TP.v_p), owner_spiking=False, dt=TP.tau)
-    assert s.v_cp == pytest.approx(TP.v_p / math.e, rel=1e-12)
+    v = trace_step(TP, TP.v_p, owner_spiking=False, dt=TP.tau)
+    assert v == pytest.approx(TP.v_p / math.e, rel=1e-12)
 
 
 def test_trace_zero_stays_zero():
-    s = trace_step(TP, TraceState(v_cp=0.0), owner_spiking=False, dt=1.0)
-    assert s.v_cp == 0.0
+    assert trace_step(TP, 0.0, owner_spiking=False, dt=1.0) == 0.0
 
 
 def test_trace_monotone_between_spikes():
-    s = TraceState(v_cp=TP.v_p)
-    prev = s.v_cp
+    prev = TP.v_p
     for _ in range(50):
-        s = trace_step(TP, s, owner_spiking=False, dt=0.01)
-        assert 0.0 <= s.v_cp < prev
-        prev = s.v_cp
+        v = trace_step(TP, prev, owner_spiking=False, dt=0.01)
+        assert 0.0 <= v < prev
+        prev = v
 
 
 def test_pwm_endpoints():
@@ -68,71 +63,44 @@ def test_pwm_exact_proportionality():
         assert width / SLOT == pytest.approx(v / TP.v_p, rel=1e-12, abs=1e-15)
 
 
-def test_pre_port_firing_frame():
-    s0, s1, s2 = compose_pre_port(True, SLOT, VCC, SLOT)
-    assert (s0.level, s0.active_width) == (VCC, SLOT)
-    assert (s1.level, s1.active_width) == (VCC, SLOT)
-    assert (s2.level, s2.active_width) == (-VCC, SLOT)
+# (pre_fired, post_fired, pre PWM width, post PWM width) -> slot-1 and slot-2
+# (duration, v_ab) segments.  Terminal A (pre side) drives +PWM in slot 1 and
+# its -rail in slot 2; terminal B (post side) its -rail in slot 1 and +PWM in
+# slot 2.  A side's PWM is full width in its own firing frame.
+DIFFERENTIAL_FRAMES = {
+    "idle": ((False, False, 0.0, 0.0), [], []),
+    "pre_trace_only": ((False, False, 0.004, 0.0), [(0.004, VCC)], []),
+    "post_trace_only": ((False, False, 0.0, 0.0037), [], [(0.0037, -VCC)]),
+    "pre_fires": ((True, False, SLOT, 0.0), [(SLOT, VCC)], [(SLOT, -VCC)]),
+    "post_fires": ((False, True, 0.0, SLOT), [(SLOT, VCC)], [(SLOT, -VCC)]),
+    # the sending side fired last frame (trace width), the receiving side
+    # fires now: the strong overlap lasts exactly the PWM width
+    "ltp_overlap": ((False, True, 0.0072, SLOT),
+                    [(0.0072, 2 * VCC), (SLOT - 0.0072, VCC)], [(SLOT, -VCC)]),
+    "ltd_overlap": ((True, False, SLOT, 0.0028),
+                    [(SLOT, VCC)], [(0.0028, -2 * VCC), (SLOT - 0.0028, -VCC)]),
+    "same_frame_pair": ((True, True, SLOT, SLOT), [(SLOT, 2 * VCC)], [(SLOT, -2 * VCC)]),
+}
 
 
-def test_pre_port_trace_only():
-    w = 0.004
-    s0, s1, s2 = compose_pre_port(False, w, VCC, SLOT)
-    assert s0.active_width == 0.0
-    assert (s1.level, s1.active_width) == (VCC, w)
-    assert s2.active_width == 0.0
-
-
-def test_pre_port_idle():
-    waves = compose_pre_port(False, 0.0, VCC, SLOT)
-    assert all(w.active_width == 0.0 for w in waves)
-
-
-def test_post_port_firing_frame():
-    s0, s1, s2 = compose_post_port(True, SLOT, VCC, SLOT)
-    assert s0.active_width == 0.0  # slot 0 grounded: no backward spike
-    assert (s1.level, s1.active_width) == (-VCC, SLOT)
-    assert (s2.level, s2.active_width) == (VCC, SLOT)
-
-
-def test_post_port_trace_only():
-    w = 0.0037
-    s0, s1, s2 = compose_post_port(False, w, VCC, SLOT)
-    assert s0.active_width == 0.0
-    assert s1.active_width == 0.0
-    assert (s2.level, s2.active_width) == (VCC, w)
+@pytest.mark.parametrize("args, slot1, slot2", DIFFERENTIAL_FRAMES.values(),
+                         ids=DIFFERENTIAL_FRAMES.keys())
+def test_differential_frame(args, slot1, slot2):
+    got1, got2 = differential_frame(*args, VCC, SLOT)
+    assert got1 == [(pytest.approx(d), v) for d, v in slot1]
+    assert got2 == [(pytest.approx(d), v) for d, v in slot2]
 
 
 def test_differential_ltp_overlap():
-    # sending side fired last frame (trace width w), receiving side fires now
-    w = 0.0072
-    a = compose_pre_port(False, w, VCC, SLOT)
-    b = compose_post_port(True, SLOT, VCC, SLOT)
-    slots = differential_frame(a, b, SLOT)
-    assert slots[0] == []
-    assert slots[1][0] == (pytest.approx(w), pytest.approx(2 * VCC))
-    assert slots[1][1] == (pytest.approx(SLOT - w), pytest.approx(VCC))
+    # sending side fired last frame (trace width w), receiving side fires now:
+    # slot 1 is strong for exactly w and weak for the rest of the slot, and the
     # depressing slot carries only the receiver's full-width PWM at -v_cc
-    assert slots[2] == [(pytest.approx(SLOT), pytest.approx(-VCC))]
-
-
-def test_differential_ltd_overlap():
-    w = 0.0028
-    a = compose_pre_port(True, SLOT, VCC, SLOT)
-    b = compose_post_port(False, w, VCC, SLOT)
-    slots = differential_frame(a, b, SLOT)
-    assert slots[0] == [(pytest.approx(SLOT), pytest.approx(VCC))]
-    assert slots[1] == [(pytest.approx(SLOT), pytest.approx(VCC))]
-    assert slots[2][0] == (pytest.approx(w), pytest.approx(-2 * VCC))
-    assert slots[2][1] == (pytest.approx(SLOT - w), pytest.approx(-VCC))
-
-
-def test_differential_same_frame_cancellation_shape():
-    a = compose_pre_port(True, SLOT, VCC, SLOT)
-    b = compose_post_port(True, SLOT, VCC, SLOT)
-    slots = differential_frame(a, b, SLOT)
-    assert slots[1] == [(pytest.approx(SLOT), pytest.approx(2 * VCC))]
-    assert slots[2] == [(pytest.approx(SLOT), pytest.approx(-2 * VCC))]
+    for w in np.linspace(0.0005, SLOT - 0.0005, 19):
+        slot1, slot2 = differential_frame(False, True, w, SLOT, VCC, SLOT)
+        assert slot1 == [(pytest.approx(w), 2 * VCC), (pytest.approx(SLOT - w), VCC)]
+        strong = sum(d for d, v in slot1 if abs(v) > VCC + 1e-15)
+        assert strong == pytest.approx(w)
+        assert slot2 == [(pytest.approx(SLOT), -VCC)]
 
 
 def test_weak_only_frames_never_exceed_rail():
@@ -141,24 +109,9 @@ def test_weak_only_frames_never_exceed_rail():
         wa = float(rng.uniform(0.0, SLOT))
         wb = float(rng.uniform(0.0, SLOT))
         # neither side fires: only trace PWMs are active
-        a = compose_pre_port(False, wa, VCC, SLOT)
-        b = compose_post_port(False, wb, VCC, SLOT)
-        for segs in differential_frame(a, b, SLOT):
+        for segs in differential_frame(False, False, wa, wb, VCC, SLOT):
             for _, v in segs:
                 assert abs(v) <= VCC + 1e-15
-
-
-def test_frame_debug_rows():
-    from memsnn.plasticity import frame_debug_rows
-    w = 0.0072
-    a = compose_pre_port(False, w, VCC, SLOT)
-    b = compose_post_port(True, SLOT, VCC, SLOT)
-    rows = frame_debug_rows(7, a, b, SLOT, VCC)
-    assert [r[:2] for r in rows] == [(7, 0), (7, 1), (7, 2)]
-    # slot 1 carries the strong overlap for exactly the PWM width
-    assert rows[1][2:6] == (VCC, w, -VCC, SLOT)
-    assert rows[1][6] == pytest.approx(w)
-    assert rows[0][6] == 0.0 and rows[2][6] == 0.0
 
 
 def test_trace_params_validation():
