@@ -71,16 +71,20 @@ def _step_error(w, f, c, lo, hi):
 
     f is the unclamped full step, c the unclamped result of the two half
     steps.  A step that carries the device from inside [lo, hi] onto or past
-    a bound counts as an error of the whole range, so landing on a bound is
-    resolved down to the reference step dt.  Once the device sits on a bound
-    the clamped results are compared, so a device held there by the drive
-    does not force short steps.
+    a bound, or from one bound onto the other, counts as an error of the
+    whole range, so landing on a bound is resolved down to the reference
+    step dt.  Otherwise a device that starts on a bound is judged by the
+    clamped results, so a device held there by the drive does not force
+    short steps.
     """
     if lo < w < hi:
         if not (lo < c < hi):
             return hi - lo
         return abs(c - f) / 15.0
-    return abs(_clamp(c, lo, hi) - _clamp(f, lo, hi)) / 15.0
+    c = _clamp(c, lo, hi)
+    if c != w and not (lo < c < hi):
+        return hi - lo
+    return abs(c - _clamp(f, lo, hi)) / 15.0
 
 
 def _step_factor(err, tol):

@@ -258,6 +258,10 @@ def validate_config(cfg: Config):
     pres = (*cfg["stimulus.pattern_pres"], *(pre for pre, _ in cfg["stimulus.noise_map"]))
     if any(not 0 <= pre < cfg["network.n_pre"] for pre in pres):
         raise ConfigError("every stimulus pre index in [0, network.n_pre)")
+    if cfg["lif.v_cc"] <= 0.0:
+        raise ConfigError("lif.v_cc > 0")
+    if cfg["stdp.max_offset"] < 0:
+        raise ConfigError("stdp.max_offset >= 0")
     if cfg["stdp.settle_frames"] < 0:
         raise ConfigError("stdp.settle_frames >= 0")
     if not 0.0 < cfg["switchrate.i_min"] < cfg["switchrate.i_max"]:
@@ -377,7 +381,7 @@ def run_synapse_pd(cfg: Config, outdir: Path) -> list[Path]:
             elapsed = 0.0
             while elapsed < phase - 1e-12:
                 chunk = min(sample, phase - elapsed)
-                syn.apply_differential(v, dt, duration=chunk)
+                syn.drive(v, dt, duration=chunk)
                 elapsed += chunk
                 t += chunk
                 m1, m2, m3, m4 = syn.resistances()
@@ -396,7 +400,7 @@ def calibration_values(cfg: Config) -> tuple[float, float, float]:
     def pulse_delta(level):
         syn = SynapseAssembly.fresh(synapse_config(cfg))
         psi0 = syn.program_to_weight(0.5, tolerance=1e-3, dt=dt)
-        syn.apply_differential(level, dt, duration=pulse)
+        syn.drive(level, dt, duration=pulse)
         return syn.weight() - psi0
 
     d_strong = pulse_delta(strong)

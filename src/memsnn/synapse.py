@@ -200,8 +200,20 @@ class SynapseAssembly:
                           max_seconds: float = 5.0) -> float:
         """Closed-loop programming with +/-`level` micro-pulses of width dt.
 
-        Stops when within tolerance or when a range boundary stalls progress;
-        returns the achieved weight.
+        Pulses towards `target` until the weight is within `tolerance` of it,
+        a pulse moves it by less than 1e-15 (a range boundary stalls it) or
+        `max_seconds` of pulses have been applied; returns the achieved
+        weight.  A pulse that overshoots the band reverses the direction.
+
+        The pulses are event-located, not applied one by one.  Pulses in one
+        direction form one constant drive, along which the weight is
+        monotone.  So after a pulse that leaves the weight short of the band,
+        `drive` jumps to the last pulse count still short of it (see
+        _pulses_short_of), and the next `apply_differential` pulse meets the
+        band, stall and direction tests as in a pulse-wise loop.  The pulse
+        count matches that loop unless a band edge lies within the
+        integration error (SEGMENT_TOL) of a pulse edge.  A pulse that
+        overshoots a band narrower than one pulse costs no search.
         """
         if tolerance <= 0.0:
             raise ConfigError("tolerance > 0")
@@ -214,11 +226,38 @@ class SynapseAssembly:
         steps = 0
         max_steps = int(max_seconds / dt)
         while abs(psi - target) > tolerance and steps < max_steps:
-            v = level * sign_for_up * (1.0 if target > psi else -1.0)
+            up = 1.0 if target > psi else -1.0
+            v = level * sign_for_up * up
+            edge = up * target - tolerance  # up * psi below it: short of the band
             self.apply_differential(v, dt)
             new_psi = self.weight()
             if abs(new_psi - psi) < 1e-15:
                 break  # boundary stall
             psi = new_psi
             steps += 1
+            if up * psi < edge:
+                steps += self._pulses_short_of(edge, up, psi, v, dt, max_steps - steps)
+                psi = self.weight()
         return psi
+
+    def _pulses_short_of(self, edge, up, psi, v, dt, limit):
+        """Advance by the most pulses of `v` (at most `limit`) after which
+        up * weight stays below `edge`, and return that count.  Chunks of 1,
+        2, 4, ... pulses bracket the count, then bisection narrows the
+        bracket; each chunk starts from the last state short of the edge."""
+        short = list(self.w)  # the state after n pulses
+        n, far, k = 0, None, 1  # far: a pulse count known to reach the edge
+        while n < limit and (far is None or far - n > 1):
+            k = min(k, limit - n) if far is None else (far - n) // 2
+            self.drive(v, dt, k * dt)
+            new_psi = self.weight()
+            if up * new_psi >= edge:
+                far = n + k
+                self.w = list(short)
+            elif abs(new_psi - psi) < 1e-15:
+                self.w = short
+                break  # boundary stall: every pulse of the chunk would stall
+            else:
+                n, psi, short = n + k, new_psi, list(self.w)
+                k *= 2
+        return n

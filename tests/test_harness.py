@@ -169,6 +169,8 @@ BAD_VALUES = [
     ("hysteresis", "hysteresis.hard_freq=0", "hysteresis.hard_freq > 0"),
     ("hysteresis", "hysteresis.pinched_cycles=-1", "hysteresis.pinched_cycles >= 0"),
     ("weak-strong-calibration", "calibration.pulse_seconds=0", "calibration.pulse_seconds > 0"),
+    ("weak-strong-calibration", "lif.v_cc=0", "lif.v_cc > 0"),
+    ("stdp-window", "stdp.max_offset=-1", "stdp.max_offset >= 0"),
 ]
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from memsnn import _kernels as K
 from memsnn.device import MemristorParams
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
@@ -278,3 +279,87 @@ def test_drive_nonfinite_state_faults():
     syn.w[1] = float("nan")
     with pytest.raises(SimulationFault, match="non-finite device state"):
         syn.drive(4.0, DT, duration=0.01)
+
+
+def test_drive_from_bound_resolves_crossing_to_opposite_bound():
+    """A long first step from the fresh corner, where every device sits on a
+    bound, must not carry a device across its whole range in one accepted
+    step: its clamped result on the opposite bound once read as no error."""
+    for duration, dt in ((0.01, 1e-6), (0.05, 1e-6), (1.0, DT)):
+        ref = SynapseAssembly.fresh(CFG_VTEAM).apply_differential(4.0, dt, duration)
+        got = SynapseAssembly.fresh(CFG_VTEAM).drive(4.0, dt, duration)
+        assert abs(got.weight() - ref.weight()) < 1e-9, duration
+
+
+def pulsewise_program(syn, target, tolerance, dt, level=4.0, max_seconds=5.0):
+    """The closed-loop programming reference: one `apply_differential`
+    micro-pulse and one weight readout per step."""
+    sign_for_up = 1.0 if syn.config.polarity == EXCITATORY else -1.0
+    psi = syn.weight()
+    steps = 0
+    max_steps = int(max_seconds / dt)
+    while abs(psi - target) > tolerance and steps < max_steps:
+        syn.apply_differential(level * sign_for_up * (1.0 if target > psi else -1.0), dt)
+        new_psi = syn.weight()
+        if abs(new_psi - psi) < 1e-15:
+            break
+        psi = new_psi
+        steps += 1
+    return psi
+
+
+@pytest.mark.parametrize("polarity", [EXCITATORY, INHIBITORY])
+@pytest.mark.parametrize("kind", sorted(ENGINE_CONFIGS))
+def test_program_matches_pulsewise_oracle(kind, polarity):
+    """Event-located programming ends where the pulse-wise loop does: the
+    weights agree within 1e-9, far below the weight change of one pulse, so
+    the pulse counts agree.  The cases are programming up from the fresh
+    corner, a downward re-program, and programming to 0, which stalls at the
+    range floor.  max_seconds leaves room for the longest run (0.875) and
+    caps the VTEAM runs at tolerance 1e-5, whose band is narrower than one
+    pulse, so that they flip direction on every pulse until the cap."""
+    cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
+    sc = replace(cfg.synapse, polarity=polarity)
+    sign = 1.0 if polarity == EXCITATORY else -1.0
+    max_seconds = 0.15 if kind == "proposed" else 0.05
+    cases = [((), t, tol) for t in (0.25, 0.5, 0.875) for tol in (1e-2, 1e-3, 1e-5)]
+    cases += [((0.5,), 0.2, 1e-3), ((0.5,), 0.0, 1e-4)]
+    for before, target, tol in cases:
+        ref = SynapseAssembly.fresh(sc)
+        got = SynapseAssembly.fresh(sc)
+        for t in before:
+            pulsewise_program(ref, sign * t, 1e-3, cfg.dt, max_seconds=max_seconds)
+            got.program_to_weight(sign * t, 1e-3, dt=cfg.dt, max_seconds=max_seconds)
+        expected = pulsewise_program(ref, sign * target, tol, cfg.dt, max_seconds=max_seconds)
+        achieved = got.program_to_weight(sign * target, tol, dt=cfg.dt, max_seconds=max_seconds)
+        assert abs(achieved - expected) < 1e-9, (before, target, tol)
+        assert abs(got.weight() - ref.weight()) < 1e-9, (before, target, tol)
+
+
+def test_program_cost_is_a_fraction_of_the_pulses(monkeypatch):
+    """Programming a fresh synapse to 0.5 takes under a tenth of the branch
+    RK4 steps of the pulse-wise loop (two per pulse); a count, not a time."""
+    calls = [0]
+    rk4 = K.dopant_branch_rk4
+
+    def counted(*args):
+        calls[0] += 1
+        return rk4(*args)
+
+    monkeypatch.setattr(K, "dopant_branch_rk4", counted)
+    pulsewise_program(SynapseAssembly.fresh(CFG_EXC), 0.5, 1e-3, DT)
+    oracle, calls[0] = calls[0], 0
+    SynapseAssembly.fresh(CFG_EXC).program_to_weight(0.5, tolerance=1e-3, dt=DT)
+    assert oracle > 10000
+    assert calls[0] < oracle / 10
+
+
+def test_drive_error_falls_with_segment_tolerance(monkeypatch):
+    """The engine's error against the fixed-step reference shrinks as the
+    segment tolerance does: a +4 V, 50 ms drive from the fresh corner."""
+    ref = SynapseAssembly.fresh(CFG_EXC).apply_differential(4.0, DT, 0.05).weight()
+    errors = []
+    for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+        monkeypatch.setattr(K, "SEGMENT_TOL", tol)
+        errors.append(abs(SynapseAssembly.fresh(CFG_EXC).drive(4.0, DT, 0.05).weight() - ref))
+    assert all(b < a for a, b in zip(errors, errors[1:])), errors
