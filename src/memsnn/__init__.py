@@ -2,8 +2,7 @@
 network with frame-synchronous, multiple-step-quantized STDP."""
 
 from .device import (MemristorParams, MemristorState, SineDrive, VteamParams,
-                     WindowSpec, dwdt, hysteresis_sweep, joule_g, memristance,
-                     window_value)
+                     WindowSpec, dwdt, hysteresis_sweep)
 from .errors import ConfigError, SimulationFault
 from .network import (Network, NetworkConfig, PatternResult, StimulusProgram,
                       default_pattern_stimulus, pattern_learning, run_simulation,

@@ -139,22 +139,6 @@ class MemristorState:
     orientation: int = 1
 
 
-def memristance(params: MemristorParams, state: MemristorState) -> float:
-    """Total device resistance R_ON*(w/D) + R_OFF*(1 - w/D)."""
-    x = state.w / params.d
-    return params.r_on * x + params.r_off * (1.0 - x)
-
-
-def joule_g(params: MemristorParams, i: float) -> float:
-    """Self-heating drive a0*(i/i0)^(2q-1); odd, continuous through i=0."""
-    return K.joule_current(params.a0, params.i0, params.q, i)
-
-
-def window_value(spec: WindowSpec, w: float, d: float, i: float) -> float:
-    """Window factor for a device at depth w being driven by current i."""
-    return K.window_factor(spec.code, spec.p, spec.j, w / d, i)
-
-
 def dwdt(params: MemristorParams, state: MemristorState, i: float) -> float:
     """Switching rate mu_v*(R_ON/D)*g(i_dev)*f(w), where the wiring
     orientation maps the terminal current into the device frame."""
@@ -163,13 +147,6 @@ def dwdt(params: MemristorParams, state: MemristorState, i: float) -> float:
         state.w, i_dev, params.r_on, params.d, params.mu_v,
         params.a0, params.i0, params.q,
         params.window.code, params.window.p, params.window.j)
-
-
-def _check_drive(v: float, dt: float):
-    if not math.isfinite(v):
-        raise SimulationFault(f"non-finite drive voltage {v!r}")
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise SimulationFault(f"bad timestep {dt!r}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +181,10 @@ def hysteresis_sweep(params, state: MemristorState, drive: SineDrive,
     The drive is evaluated at the RK4 stage times; results are deterministic
     for a given configuration.
     """
-    _check_drive(drive.amplitude, dt)
+    if not math.isfinite(drive.amplitude):
+        raise SimulationFault(f"non-finite drive voltage {drive.amplitude!r}")
+    if not math.isfinite(dt) or dt <= 0.0:
+        raise SimulationFault(f"bad timestep {dt!r}")
     if sample_every < 1 or int(sample_every) != sample_every:
         raise ConfigError("sample_every must be a positive integer")
     n_steps = int(round(duration / dt))

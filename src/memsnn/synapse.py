@@ -11,8 +11,12 @@ the resistors sit:
   the exact negative of the excitatory trajectory under the same drive.
 
 Programming and transmitted spikes both move the devices (reads are not
-free): each branch is integrated as a coupled two-state ODE with the branch
-current recomputed at every RK4 stage.
+free): a branch is integrated as a coupled two-state ODE with the branch
+current recomputed at every RK4 stage.  Only branch 1 (M1, M2) is
+integrated.  Because r1 = r2 and the orientation tables are mirrored, the
+M3-M4 branch is branch 1 with its devices swapped, so its state is written
+as the mirror M3 = M2, M4 = M1, a checked invariant of every stepped state.
+The weight readout stays general over any four device states.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ EXCITATORY = "excitatory"
 INHIBITORY = "inhibitory"
 
 # device orientations (M1, M2, M3, M4) making a positive A->B voltage raise
-# the excitatory weight; inverted wholesale for the inhibitory synapse
+# the excitatory weight; inverted wholesale for the inhibitory synapse.
+# Mirrored (o3 = o2, o4 = o1): SynapseAssembly._integrate relies on it.
 _DOPANT_EXC = (1.0, -1.0, -1.0, 1.0)
 _VTEAM_EXC = (-1.0, 1.0, 1.0, -1.0)  # voltage-controlled convention: v <= v_on sets
 
@@ -136,11 +141,11 @@ class SynapseAssembly:
     def apply_differential(self, v_ab: float, dt: float, duration: float | None = None):
         """Drive terminals A-B with a constant differential voltage.
 
-        Each branch (M1-M2 plus series resistor; M3-M4 plus series resistor)
-        integrates as a coupled pair sharing its branch current, with
-        fixed-step RK4 substeps of at most dt.  `duration` defaults to one dt
-        step.  This is the reference integrator that `drive` is checked
-        against.
+        The M1-M2 branch with its series resistor integrates as a coupled
+        pair sharing its branch current, with fixed-step RK4 substeps of at
+        most dt; M3-M4 follow as its mirror (see _integrate).  `duration`
+        defaults to one dt step.  This is the reference integrator that
+        `drive` is checked against.
         """
         return self._integrate(v_ab, dt, duration, adaptive=False)
 
@@ -149,11 +154,20 @@ class SynapseAssembly:
 
         Agrees with `apply_differential` to within the kernels' SEGMENT_TOL
         per step; dt is the smallest step taken.  A non-finite error
-        estimate (e.g. a NaN device state) raises SimulationFault.
+        estimate raises SimulationFault.
         """
         return self._integrate(v_ab, dt, duration, adaptive=True)
 
     def _integrate(self, v_ab, dt, duration, adaptive):
+        """Integrate branch 1 (M1, M2, r1) and write branch 2 as its mirror.
+
+        With r1 = r2 (SynapseConfig.validate) and mirrored orientation
+        tables (o3 = o2, o4 = o1), branch 2 solves branch 1's ODE with its
+        two devices swapped, so a mirrored state (w3 = w2, w4 = w1) stays
+        mirrored bit for bit.  `fresh` and the far corner of `weight_range`
+        are mirrored.  The mirror is a checked invariant: a non-finite state,
+        then an unmirrored one, raises SimulationFault before integrating.
+        """
         if not math.isfinite(v_ab):
             raise SimulationFault(f"non-finite drive voltage {v_ab!r}")
         if not math.isfinite(dt) or dt <= 0.0:
@@ -162,10 +176,17 @@ class SynapseAssembly:
             duration = dt
         if duration <= 0.0 or v_ab == 0.0:
             return self
+        w1, w2, w3, w4 = self.w
+        if not all(map(math.isfinite, self.w)):
+            raise SimulationFault(f"non-finite device state under {v_ab!r} V drive")
+        if w3 != w2 or w4 != w1:
+            raise SimulationFault(
+                f"unmirrored bridge state {tuple(self.w)}: "
+                "the integrator needs M3 = M2 and M4 = M1")
         c = self.config
         dev = c.device
         wk, wp, wj = dev.window.code, dev.window.p, dev.window.j
-        o1, o2, o3, o4 = self._orient
+        o1, o2 = self._orient[:2]
         if c.is_vteam:
             rk4 = K.vteam_branch_rk4
             params = (dev.v_on, dev.v_off, dev.k_on, dev.k_off,
@@ -175,13 +196,11 @@ class SynapseAssembly:
             rk4 = K.dopant_branch_rk4
             params = (dev.r_on, dev.r_off, dev.d, dev.mu_v, dev.a0, dev.i0, dev.q, wk, wp, wj)
         branch = K.branch_segment if adaptive else K.branch_step
-        lo, hi = self._lo, self._hi
-        self.w[0], self.w[1] = branch(rk4, self.w[0], self.w[1], lo, hi, duration, dt,
-                                      o1, o2, c.r1, v_ab, *params)
-        self.w[2], self.w[3] = branch(rk4, self.w[2], self.w[3], lo, hi, duration, dt,
-                                      o3, o4, c.r2, v_ab, *params)
-        if adaptive and not all(math.isfinite(wi) for wi in self.w):
+        w1, w2 = branch(rk4, w1, w2, self._lo, self._hi, duration, dt,
+                        o1, o2, c.r1, v_ab, *params)
+        if adaptive and not (math.isfinite(w1) and math.isfinite(w2)):
             raise SimulationFault(f"non-finite device state under {v_ab!r} V drive")
+        self.w = [w1, w2, w2, w1]
         return self
 
     def transmit(self, v_in: float, dt: float, duration: float | None = None) -> float:

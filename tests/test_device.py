@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from memsnn import _kernels as K
 from memsnn.device import (MemristorParams, MemristorState, SineDrive, VteamParams,
-                           WindowSpec, dwdt, hysteresis_sweep, joule_g, memristance,
-                           window_value)
+                           WindowSpec, dwdt, hysteresis_sweep)
 from memsnn.errors import ConfigError
 from memsnn.synapse import SynapseAssembly, SynapseConfig
 from test_synapse import DRIVERS
@@ -14,22 +14,31 @@ P = MemristorParams()
 D = P.d
 
 
+def joule(params, i):
+    return K.joule_current(params.a0, params.i0, params.q, i)
+
+
+def window(spec, x, i):
+    """Window factor at normalized state x = w/D under current i."""
+    return K.window_factor(spec.code, spec.p, spec.j, x, i)
+
+
 def test_memristance_boundaries():
-    assert memristance(P, MemristorState(w=0.0)) == 16000.0
-    assert memristance(P, MemristorState(w=D)) == 100.0
-    assert memristance(P, MemristorState(w=D / 2)) == pytest.approx(8050.0, rel=1e-12)
+    assert K._memristance(0.0, D, P.r_on, P.r_off) == 16000.0
+    assert K._memristance(D, D, P.r_on, P.r_off) == 100.0
+    assert K._memristance(D / 2, D, P.r_on, P.r_off) == pytest.approx(8050.0, rel=1e-12)
 
 
 def test_joule_values():
-    assert joule_g(P, 0.0) == 0.0
-    assert joule_g(P, 1e-3) == pytest.approx(40.0, rel=1e-12)
-    assert joule_g(P, -2e-3) == pytest.approx(-1280.0, rel=1e-12)
+    assert joule(P, 0.0) == 0.0
+    assert joule(P, 1e-3) == pytest.approx(40.0, rel=1e-12)
+    assert joule(P, -2e-3) == pytest.approx(-1280.0, rel=1e-12)
 
 
 def test_joule_exactly_odd():
     rng = np.random.default_rng(0)
     for i in rng.uniform(-5e-3, 5e-3, 200):
-        assert joule_g(P, -i) == -joule_g(P, i)
+        assert joule(P, -i) == -joule(P, i)
 
 
 @pytest.mark.parametrize("kind", WindowSpec.KINDS)
@@ -37,7 +46,7 @@ def test_window_range(kind):
     spec = WindowSpec(kind=kind, p=4, j=0.8)
     for x in np.linspace(0.0, 1.0, 41):
         for i in (1e-3, -1e-3):
-            f = window_value(spec, x * D, D, i)
+            f = window(spec, x, i)
             assert -1e-15 <= f <= spec.j + 1e-15
 
 
@@ -45,16 +54,16 @@ def test_window_boundary_stopping():
     for kind in ("zha", "biolek"):
         spec = WindowSpec(kind=kind, p=10, j=1.0)
         # motion into the approached boundary is blocked exactly
-        assert window_value(spec, D, D, 1e-3) == 0.0
-        assert window_value(spec, 0.0, D, -1e-3) == 0.0
+        assert window(spec, 1.0, 1e-3) == 0.0
+        assert window(spec, 0.0, -1e-3) == 0.0
         # the opposite boundary stays unlocked
-        assert window_value(spec, 0.0, D, 1e-3) > 0.0
-        assert window_value(spec, D, D, -1e-3) > 0.0
+        assert window(spec, 0.0, 1e-3) > 0.0
+        assert window(spec, 1.0, -1e-3) > 0.0
 
 
 def test_window_joglekar_midpoint_maximal():
     spec = WindowSpec(kind="joglekar", p=10, j=1.0)
-    assert window_value(spec, D / 2, D, 1e-3) == 1.0
+    assert window(spec, 0.5, 1e-3) == 1.0
 
 
 def test_window_unknown_kind_rejected_at_build():
@@ -70,8 +79,8 @@ def test_dwdt_matches_composition():
     # rate = mu_v * (R_ON / D) * g(i) * f(w) with the reference window
     params = MemristorParams(window=WindowSpec(kind="zha", p=10, j=1.0))
     i = 1e-3
-    expected = params.mu_v * (params.r_on / params.d) * joule_g(params, i) \
-        * window_value(params.window, D / 2, D, i)
+    expected = params.mu_v * (params.r_on / params.d) * joule(params, i) \
+        * window(params.window, 0.5, i)
     assert dwdt(params, MemristorState(w=D / 2), i) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(4e-3 * (1.0 - (0.25 * 0.25 + 0.75) ** 10), rel=1e-9)
 

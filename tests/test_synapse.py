@@ -9,7 +9,8 @@ from memsnn.device import MemristorParams
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
 from memsnn.plasticity import pwm_encode
-from memsnn.synapse import EXCITATORY, INHIBITORY, SynapseAssembly, SynapseConfig
+from memsnn.synapse import (EXCITATORY, INHIBITORY, SynapseAssembly, SynapseConfig,
+                            _orientations)
 
 CFG_EXC = SynapseConfig(polarity=EXCITATORY)
 CFG_INH = SynapseConfig(polarity=INHIBITORY)
@@ -274,6 +275,61 @@ def test_drive_matches_fixed_step_oracle(kind, polarity):
         assert abs(got.weight() - ref.weight()) < 1e-9, (v, duration)
 
 
+@pytest.mark.parametrize("polarity", [EXCITATORY, INHIBITORY])
+@pytest.mark.parametrize("kind", sorted(ENGINE_CONFIGS))
+def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
+    """M3, M4 written as the mirror of branch 1 are bit for bit what
+    integrating branch 2 (w3, w4, o3, o4, r2) through the same kernel driver
+    gives: both drivers, weak +-v_cc and strong +-2*v_cc drives over a slot,
+    and a 10 ms -4 V drive back toward the fresh corner, which lands the
+    VTEAM devices that were off their bounds onto them (the dopant window
+    keeps its devices inside)."""
+    cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
+    sc = replace(cfg.synapse, polarity=polarity)
+    sign = 1.0 if polarity == EXCITATORY else -1.0
+    o3, o4 = _orientations(sc)[2:]
+    lo, hi = sc.device.state_range
+    calls = []
+    for name in ("branch_step", "branch_segment"):
+        def recorded(*args, _driver=getattr(K, name)):
+            calls.append((_driver, args))
+            return _driver(*args)
+        monkeypatch.setattr(K, name, recorded)
+    base = SynapseAssembly.fresh(sc)
+    base.program_to_weight(sign * 0.5, tolerance=1e-3, dt=cfg.dt)
+    slot = 1.0 / cfg.base_freq
+    v_cc = cfg.v_cc
+    segments = [(v, slot) for v in (v_cc, -v_cc, 2 * v_cc, -2 * v_cc)] + [(-4.0, 0.01)]
+    landed = 0
+    for step in DRIVERS:
+        for v, duration in segments:
+            syn = base.copy()
+            w = tuple(syn.w)
+            calls.clear()
+            step(syn, v, cfg.dt, duration)
+            [(driver, args)] = calls
+            params = args[11:]  # device constants after (..., o1, o2, r1, v)
+            expected = driver(args[0], w[2], w[3], lo, hi, duration, cfg.dt,
+                              o3, o4, sc.r2, v, *params)
+            assert tuple(syn.w[2:]) == expected, (step.__name__, v, duration)
+            assert syn.w[2:] != list(w[2:])
+            landed += any(not (lo < a < hi) and lo < b < hi for a, b in zip(syn.w, w))
+    assert landed == (len(DRIVERS) if kind == "vteam" else 0)
+
+
+@pytest.mark.parametrize("config", [CFG_EXC, CFG_INH, CFG_VTEAM])
+def test_unmirrored_state_faults(config):
+    span = config.device.state_range[1] - config.device.state_range[0]
+    for step in DRIVERS:
+        syn = SynapseAssembly.fresh(config)
+        syn.program_to_weight(0.5 if config.polarity == EXCITATORY else -0.5, dt=1e-6)
+        syn.w[3] += 1e-12 * span
+        w = tuple(syn.w)
+        with pytest.raises(SimulationFault, match="unmirrored bridge state"):
+            step(syn, 4.0, 1e-6, 1e-3)
+        assert tuple(syn.w) == w
+
+
 def test_drive_nonfinite_state_faults():
     syn = SynapseAssembly.fresh(CFG_EXC)
     syn.w[1] = float("nan")
@@ -338,19 +394,27 @@ def test_program_matches_pulsewise_oracle(kind, polarity):
 
 def test_program_cost_is_a_fraction_of_the_pulses(monkeypatch):
     """Programming a fresh synapse to 0.5 takes under a tenth of the branch
-    RK4 steps of the pulse-wise loop (two per pulse); a count, not a time."""
+    RK4 steps of the pulse-wise loop, which takes exactly one per pulse
+    (branch 2 is the mirror of branch 1); a count, not a time."""
     calls = [0]
+    pulses = [0]
     rk4 = K.dopant_branch_rk4
+    pulse = SynapseAssembly.apply_differential
 
     def counted(*args):
         calls[0] += 1
         return rk4(*args)
 
+    def counted_pulse(*args):
+        pulses[0] += 1
+        return pulse(*args)
+
     monkeypatch.setattr(K, "dopant_branch_rk4", counted)
+    monkeypatch.setattr(SynapseAssembly, "apply_differential", counted_pulse)
     pulsewise_program(SynapseAssembly.fresh(CFG_EXC), 0.5, 1e-3, DT)
-    oracle, calls[0] = calls[0], 0
+    oracle, n_pulses, calls[0] = calls[0], pulses[0], 0
     SynapseAssembly.fresh(CFG_EXC).program_to_weight(0.5, tolerance=1e-3, dt=DT)
-    assert oracle > 10000
+    assert oracle == n_pulses
     assert calls[0] < oracle / 10
 
 
