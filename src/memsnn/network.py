@@ -20,7 +20,6 @@ configurations give bit-identical results.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,15 +28,6 @@ from .errors import ConfigError, SimulationFault
 from .neuron import LifNeuron, LifParams
 from .plasticity import FrameClock, TraceParams, differential_frame, pwm_encode, trace_step
 from .synapse import EXCITATORY, SynapseAssembly, SynapseConfig
-
-
-@contextmanager
-def _fault_context(where: str):
-    """Prefix any SimulationFault raised inside with `where`."""
-    try:
-        yield
-    except SimulationFault as exc:
-        raise SimulationFault(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -136,11 +126,13 @@ class Network:
 
     def _step_synapse_segments(self, si: int, segments, slot_idx: int):
         v_cc = self.config.v_cc
-        with _fault_context(f"slot {slot_idx}, synapse {si}"):
+        try:
             for duration, v in segments:
                 if abs(v) > 2.0 * v_cc + 1e-9:
                     raise SimulationFault(f"differential drive {v} exceeds 2*v_cc")
                 self.synapses[si].drive(v, self.config.dt, duration)
+        except SimulationFault as exc:
+            raise SimulationFault(f"slot {slot_idx}, synapse {si}: {exc}") from None
 
     # -- frame execution ----------------------------------------------------
 
@@ -158,8 +150,11 @@ class Network:
         Faults abort the run annotated with the frame (and slot and synapse)
         they hit.
         """
-        with _fault_context(f"frame {self.clock.frame}"):
+        frame = self.clock.frame
+        try:
             return self._run_frame(forced_pre, forced_post, load_pre, load_post, load_slot)
+        except SimulationFault as exc:
+            raise SimulationFault(f"frame {frame}: {exc}") from None
 
     def _run_frame(self, forced_pre, forced_post, load_pre, load_post,
                    load_slot) -> FrameReport:
@@ -198,8 +193,10 @@ class Network:
         # entry weights, then the spike biases the synapse for the slot.
         post_inputs = [0.0] * cfg.n_pre
         for si in pre_fired:
-            with _fault_context(f"slot 0, synapse {si}"):
+            try:
                 post_inputs[si] = self.synapses[si].transmit(cfg.v_cc, cfg.dt, duration=slot)
+            except SimulationFault as exc:
+                raise SimulationFault(f"slot 0, synapse {si}: {exc}") from None
         post.integrate(post_inputs, slot)
         post.trigger_tick(frame_edge=False)
         inject_loads(0)
@@ -366,11 +363,13 @@ def pattern_learning(config: NetworkConfig, stimulus: StimulusProgram,
     or 'midpoint' (every weight programmed to half range)."""
     stimulus.validate()
     net = Network(config)
-    sign = 1.0 if config.synapse.polarity == EXCITATORY else -1.0
     if init == "zero":
+        # -4 V drives either polarity toward its zero-weight corner: the
+        # inhibitory weight is the negated excitatory one under one drive
         for syn in net.synapses:
-            syn.drive(-sign * 4.0, config.dt, duration=1.0)
+            syn.drive(-4.0, config.dt, duration=1.0)
     elif init == "midpoint":
+        sign = 1.0 if config.synapse.polarity == EXCITATORY else -1.0
         for syn in net.synapses:
             syn.program_to_weight(sign * 0.5, tolerance=0.01, dt=config.dt)
     else:

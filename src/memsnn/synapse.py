@@ -17,9 +17,17 @@ integrated.  Because r1 = r2 and the orientation tables are mirrored, the
 M3-M4 branch is branch 1 with its devices swapped, so its state is written
 as the mirror M3 = M2, M4 = M1, a checked invariant of every stepped state.
 The weight readout stays general over any four device states.
+
+Identical branch integrations run once.  Synapses that fire together hold
+the same state and receive the same drives, and fresh synapses programmed to
+one target take the same pulses, so the driver call is memoized in a bounded
+LRU cache (`_branch`).  Its key holds every input of the drivers, which are
+pure functions of their arguments, so a hit is bit for bit what integrating
+again would give (see SynapseAssembly._integrate).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -69,6 +77,25 @@ def _orientations(config: SynapseConfig) -> tuple[float, float, float, float]:
     return tuple(-o for o in base)
 
 
+@functools.lru_cache(maxsize=256)
+def _branch(driver, rk4, tol, *args):
+    """driver(rk4, *args), memoized.  `tol` is K.SEGMENT_TOL, which the
+    error-controlled driver reads itself; it is passed only to be keyed on.
+    256 entries (about 0.1 MB) catch every repeat of the 3x3 pattern runs."""
+    return driver(rk4, *args)
+
+
+def _device_args(device) -> tuple:
+    """The device constants in the order the branch RK4 step takes them."""
+    wk, wp, wj = device.window.code, device.window.p, device.window.j
+    if isinstance(device, VteamParams):
+        return (device.v_on, device.v_off, device.k_on, device.k_off,
+                float(device.alpha_on), float(device.alpha_off),
+                device.w_on, device.w_off, device.r_on, device.r_off, wk, wp, wj)
+    return (device.r_on, device.r_off, device.d, device.mu_v, device.a0, device.i0,
+            device.q, wk, wp, wj)
+
+
 def _corner_states(device) -> tuple[float, float]:
     """(w at R_OFF, w at R_ON) - the two models map w to R oppositely."""
     if isinstance(device, VteamParams):
@@ -83,13 +110,17 @@ class SynapseAssembly:
     single thread.
     """
 
-    __slots__ = ("config", "w", "_orient", "_lo", "_hi")
+    __slots__ = ("config", "w", "_lo", "_hi", "_vteam", "_o1", "_o2", "_r1", "_device_args")
 
     def __init__(self, config: SynapseConfig, w: tuple[float, float, float, float]):
         self.config = config
         self.w = list(float(x) for x in w)
-        self._orient = _orientations(config)
         self._lo, self._hi = config.device.state_range
+        # branch-1 kernel arguments, bound once (see _integrate)
+        self._vteam = config.is_vteam
+        self._o1, self._o2 = _orientations(config)[:2]
+        self._r1 = config.r1
+        self._device_args = _device_args(config.device)
         for wi in self.w:
             if not (self._lo <= wi <= self._hi):
                 raise ConfigError(f"device state {wi} outside [{self._lo}, {self._hi}]")
@@ -167,6 +198,14 @@ class SynapseAssembly:
         mirrored bit for bit.  `fresh` and the far corner of `weight_range`
         are mirrored.  The mirror is a checked invariant: a non-finite state,
         then an unmirrored one, raises SimulationFault before integrating.
+
+        The driver call goes through the `_branch` cache.  Its key holds the
+        driver and the RK4 step as `_kernels` holds them at this call (so
+        patched or wrapped kernels never share an entry with the originals),
+        SEGMENT_TOL, w1, w2, the bounds, duration, dt, o1, o2, r1, v_ab and
+        the device constants.  The drivers are pure functions of exactly
+        these, so a repeated drive returns what integrating it again would,
+        bit for bit.
         """
         if not math.isfinite(v_ab):
             raise SimulationFault(f"non-finite drive voltage {v_ab!r}")
@@ -183,21 +222,10 @@ class SynapseAssembly:
             raise SimulationFault(
                 f"unmirrored bridge state {tuple(self.w)}: "
                 "the integrator needs M3 = M2 and M4 = M1")
-        c = self.config
-        dev = c.device
-        wk, wp, wj = dev.window.code, dev.window.p, dev.window.j
-        o1, o2 = self._orient[:2]
-        if c.is_vteam:
-            rk4 = K.vteam_branch_rk4
-            params = (dev.v_on, dev.v_off, dev.k_on, dev.k_off,
-                      float(dev.alpha_on), float(dev.alpha_off),
-                      dev.w_on, dev.w_off, dev.r_on, dev.r_off, wk, wp, wj)
-        else:
-            rk4 = K.dopant_branch_rk4
-            params = (dev.r_on, dev.r_off, dev.d, dev.mu_v, dev.a0, dev.i0, dev.q, wk, wp, wj)
-        branch = K.branch_segment if adaptive else K.branch_step
-        w1, w2 = branch(rk4, w1, w2, self._lo, self._hi, duration, dt,
-                        o1, o2, c.r1, v_ab, *params)
+        w1, w2 = _branch(K.branch_segment if adaptive else K.branch_step,
+                         K.vteam_branch_rk4 if self._vteam else K.dopant_branch_rk4,
+                         K.SEGMENT_TOL, w1, w2, self._lo, self._hi, duration, dt,
+                         self._o1, self._o2, self._r1, v_ab, *self._device_args)
         if adaptive and not (math.isfinite(w1) and math.isfinite(w2)):
             raise SimulationFault(f"non-finite device state under {v_ab!r} V drive")
         self.w = [w1, w2, w2, w1]

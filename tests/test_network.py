@@ -5,6 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from memsnn import _kernels as K
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
 from memsnn.network import (Network, NetworkConfig, StimulusProgram,
@@ -153,6 +154,46 @@ def test_post_fires_frame_after_pattern_once_trained():
     assert fires, "trained network must fire"
     for frame in fires:
         assert frame % stim.epoch_frames == 1  # frame right after the pattern
+
+
+def test_zero_init_zeroes_either_polarity():
+    """The zero init drives both polarities toward their zero-weight corner:
+    the inhibitory weights are the exact negatives of the excitatory ones."""
+    stim = StimulusProgram.empty(n_epochs=1)
+    exc = pattern_learning(make_config(n_pre=2), stim, init="zero").final_weights
+    inh = pattern_learning(make_config(n_pre=2, polarity="inhibitory"), stim,
+                           init="zero").final_weights
+    assert np.all(exc > 0.0) and np.all(exc < 0.01)
+    assert list(inh) == list(-exc)
+
+
+def test_lockstep_synapses_integrate_once(monkeypatch):
+    """Two pres that always fire together keep bitwise-equal weights, and
+    every drive of the second synapse is a cache hit: it costs no RK4 step."""
+    steps = {}
+    current = [None]
+    rk4, drive = K.dopant_branch_rk4, SynapseAssembly.drive
+
+    def counted_rk4(*args):
+        steps[current[0]] = steps.get(current[0], 0) + 1
+        return rk4(*args)
+
+    def tagged_drive(syn, *args, **kwargs):
+        current[0] = net.synapses.index(syn)
+        return drive(syn, *args, **kwargs)
+
+    monkeypatch.setattr(K, "dopant_branch_rk4", counted_rk4)
+    monkeypatch.setattr(SynapseAssembly, "drive", tagged_drive)
+    net = Network(make_config(n_pre=2))
+    for syn in net.synapses:
+        syn.program_to_weight(0.3, tolerance=1e-3, dt=net.config.dt)
+    psi0 = net.weights()
+    steps.clear()
+    for frame in range(30):
+        rep = net.run_frame(forced_pre=(0, 1) if frame % 3 == 0 else ())
+        assert rep.weights[0] == rep.weights[1]
+    assert rep.weights != psi0
+    assert steps.get(0, 0) > 0 and steps.get(1, 0) == 0
 
 
 def test_pattern_learning_rejects_bad_init():

@@ -10,7 +10,7 @@ from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
 from memsnn.plasticity import pwm_encode
 from memsnn.synapse import (EXCITATORY, INHIBITORY, SynapseAssembly, SynapseConfig,
-                            _orientations)
+                            _branch, _orientations)
 
 CFG_EXC = SynapseConfig(polarity=EXCITATORY)
 CFG_INH = SynapseConfig(polarity=INHIBITORY)
@@ -306,6 +306,7 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
             syn = base.copy()
             w = tuple(syn.w)
             calls.clear()
+            _branch.cache_clear()  # (-2 * v_cc, slot) may repeat (-4 V, 10 ms)
             step(syn, v, cfg.dt, duration)
             [(driver, args)] = calls
             params = args[11:]  # device constants after (..., o1, o2, r1, v)
@@ -427,3 +428,78 @@ def test_drive_error_falls_with_segment_tolerance(monkeypatch):
         monkeypatch.setattr(K, "SEGMENT_TOL", tol)
         errors.append(abs(SynapseAssembly.fresh(CFG_EXC).drive(4.0, DT, 0.05).weight() - ref))
     assert all(b < a for a, b in zip(errors, errors[1:])), errors
+
+
+def counting(monkeypatch):
+    """Replace the dopant branch RK4 step with a counting wrapper."""
+    calls = [0]
+    rk4 = K.dopant_branch_rk4
+
+    def counted(*args):
+        calls[0] += 1
+        return rk4(*args)
+
+    monkeypatch.setattr(K, "dopant_branch_rk4", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_CONFIGS))
+def test_cached_drive_is_the_integrated_drive(kind):
+    """A drive from a cold cache, its cached replay and a direct driver call
+    on branch 1 are bitwise equal, for both device kinds and both drivers."""
+    cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
+    sc = cfg.synapse
+    dev = sc.device
+    lo, hi = dev.state_range
+    o1, o2 = _orientations(sc)[:2]
+    window = (dev.window.code, dev.window.p, dev.window.j)
+    if kind == "vteam":
+        constants = (dev.v_on, dev.v_off, dev.k_on, dev.k_off, float(dev.alpha_on),
+                     float(dev.alpha_off), dev.w_on, dev.w_off, dev.r_on, dev.r_off) + window
+    else:
+        constants = (dev.r_on, dev.r_off, dev.d, dev.mu_v, dev.a0, dev.i0, dev.q) + window
+    rk4 = K.vteam_branch_rk4 if kind == "vteam" else K.dopant_branch_rk4
+    base = SynapseAssembly.fresh(sc)
+    base.program_to_weight(0.5, tolerance=1e-3, dt=cfg.dt)
+    slot = 1.0 / cfg.base_freq
+    for step, driver in zip(DRIVERS, ("branch_step", "branch_segment")):
+        _branch.cache_clear()
+        cold = base.copy()
+        step(cold, 2 * cfg.v_cc, cfg.dt, slot)
+        hits = _branch.cache_info().hits
+        warm = base.copy()
+        step(warm, 2 * cfg.v_cc, cfg.dt, slot)
+        assert _branch.cache_info().hits == hits + 1
+        w1, w2 = getattr(K, driver)(rk4, base.w[0], base.w[1], lo, hi, slot, cfg.dt,
+                                    o1, o2, sc.r1, 2 * cfg.v_cc, *constants)
+        assert cold.w == warm.w == [w1, w2, w2, w1], step.__name__
+        assert cold.w != base.w
+
+
+def test_cache_key_covers_every_input(monkeypatch):
+    """Changing any one input of a cached drive integrates again: the
+    segment tolerance, the RK4 step, dt, duration, the voltage, the polarity
+    (orientations) and a device constant each give a miss."""
+    calls = counting(monkeypatch)
+    fresh = SynapseAssembly.fresh(CFG_EXC)
+
+    def cost(config=CFG_EXC, v=4.0, dt=DT, duration=1e-3):
+        calls[0] = 0
+        SynapseAssembly(config, fresh.w).drive(v, dt, duration)
+        return calls[0]
+
+    assert cost() > 0
+    assert cost() == 0
+    other_device = replace(CFG_EXC, device=replace(CFG_EXC.device, mu_v=1.01e-14))
+    assert cost(dt=DT / 2) > 0
+    assert cost(duration=2e-3) > 0
+    assert cost(v=3.5) > 0
+    assert cost(config=replace(CFG_EXC, polarity=INHIBITORY)) > 0
+    assert cost(config=other_device) > 0
+    monkeypatch.setattr(K, "SEGMENT_TOL", 1e-10)
+    assert cost() > 0
+    monkeypatch.setattr(K, "SEGMENT_TOL", 1e-12)
+    assert cost() == 0
+    repatched = counting(monkeypatch)
+    cost()
+    assert repatched[0] > 0
