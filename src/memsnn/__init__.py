@@ -4,11 +4,10 @@ network with frame-synchronous, multiple-step-quantized STDP."""
 from .device import (MemristorParams, MemristorState, SineDrive, VteamParams,
                      WindowSpec, dwdt, hysteresis_sweep)
 from .errors import ConfigError, SimulationFault
-from .network import (Network, NetworkConfig, PatternResult, StimulusProgram,
-                      default_pattern_stimulus, pattern_learning, run_simulation,
-                      stdp_window)
+from .network import (Network, NetworkConfig, PatternResult, StimulusParams,
+                      StimulusProgram, pattern_learning, run_simulation, stdp_window)
 from .neuron import LifNeuron, LifParams, LifState
-from .plasticity import (FrameClock, TraceParams, differential_frame, pwm_encode,
+from .plasticity import (ClockParams, TraceParams, differential_frame, pwm_encode,
                          trace_step)
 from .synapse import SynapseAssembly, SynapseConfig
 

@@ -24,27 +24,18 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ConfigError, SimulationFault
+from .params import EXPONENT, POSITIVE, Params, key, one_of
 
 
 @dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(Params):
     """Boundary window selection; value lies in [0, j] for w in [0, D]."""
-
-    kind: str = "zha"
-    p: int = 4
-    j: float = 1.0
 
     KINDS = ("zha", "joglekar", "prodromakis", "biolek", "strukov", "none")
 
-    def validate(self):
-        if self.kind not in self.KINDS:
-            raise ConfigError(
-                f"unknown window kind {self.kind!r}; expected one of {', '.join(self.KINDS)}")
-        if not (isinstance(self.p, int) and self.p >= 1):
-            raise ConfigError("window p must be an integer >= 1")
-        if not (0.0 < self.j <= 1.0):
-            raise ConfigError("window j must satisfy 0 < j <= 1")
-        return self
+    kind: str = key("zha", one_of(*KINDS))
+    p: int = key(4, EXPONENT)
+    j: float = key(1.0, (lambda j: 0.0 < j <= 1.0, "0 < {} <= 1"))
 
     @property
     def code(self) -> int:
@@ -56,32 +47,23 @@ class WindowSpec:
 
 
 @dataclass(frozen=True)
-class MemristorParams:
+class MemristorParams(Params):
     """Constants of the dopant-drift device."""
 
-    r_on: float = 100.0        # ohm
-    r_off: float = 16000.0     # ohm
-    d: float = 1e-8            # film thickness, m
-    mu_v: float = 1e-14        # dopant mobility, m^2 s^-1 V^-1
-    a0: float = 40.0           # drive amplitude, A
-    i0: float = 1e-3           # reference current, A
-    q: int = 3                 # positive integer exponent (rate ~ i^(2q-1))
+    r_on: float = 100.0                 # ohm
+    r_off: float = 16000.0              # ohm
+    d: float = key(1e-8, POSITIVE)      # film thickness, m
+    mu_v: float = key(1e-14, POSITIVE)  # dopant mobility, m^2 s^-1 V^-1
+    a0: float = key(40.0, POSITIVE)     # drive amplitude, A
+    i0: float = key(1e-3, POSITIVE)     # reference current, A
+    q: int = key(3, EXPONENT)           # rate ~ i^(2q-1)
     window: WindowSpec = field(default_factory=WindowSpec)
 
-    def validate(self):
+    def validate(self, prefix: str = ""):
         if not (0.0 < self.r_on < self.r_off):
             raise ConfigError("0 < r_on < r_off")
-        if self.d <= 0.0:
-            raise ConfigError("d > 0")
-        if self.mu_v <= 0.0:
-            raise ConfigError("mu_v > 0")
-        if self.a0 <= 0.0:
-            raise ConfigError("a0 > 0")
-        if self.i0 <= 0.0:
-            raise ConfigError("i0 > 0")
-        if not (isinstance(self.q, int) and self.q >= 1):
-            raise ConfigError("q must be an integer >= 1")
-        self.window.validate()
+        super().validate(prefix)
+        self.window.validate(prefix + "window.")
         return self
 
     @property
@@ -90,7 +72,7 @@ class MemristorParams:
 
 
 @dataclass(frozen=True)
-class VteamParams:
+class VteamParams(Params):
     """Constants of the threshold (voltage-controlled) device.
 
     Sign convention of the rate law: k_on < 0 < k_off, v_on < 0 < v_off;
@@ -102,15 +84,15 @@ class VteamParams:
     v_off: float = 0.7         # V
     k_on: float = -1e-7        # m/s
     k_off: float = 1e-7        # m/s
-    alpha_on: int = 3
-    alpha_off: int = 3
+    alpha_on: int = key(3, EXPONENT)
+    alpha_off: int = key(3, EXPONENT)
     w_on: float = 0.0          # m
     w_off: float = 3e-9        # m
     r_on: float = 1000.0       # ohm
     r_off: float = 8000.0      # ohm
     window: WindowSpec = field(default_factory=lambda: WindowSpec(kind="none", p=1, j=1.0))
 
-    def validate(self):
+    def validate(self, prefix: str = ""):
         if not (self.v_on < 0.0 < self.v_off):
             raise ConfigError("v_on < 0 < v_off")
         if not (self.k_on < 0.0 < self.k_off):
@@ -119,7 +101,8 @@ class VteamParams:
             raise ConfigError("w_on < w_off")
         if not (0.0 < self.r_on < self.r_off):
             raise ConfigError("0 < r_on < r_off")
-        self.window.validate()
+        super().validate(prefix)
+        self.window.validate(prefix + "window.")
         return self
 
     @property
@@ -195,22 +178,20 @@ def hysteresis_sweep(params, state: MemristorState, drive: SineDrive,
     w = np.empty(n_samples)
     r = np.empty(n_samples)
     if isinstance(params, VteamParams):
-        count = K.vteam_sine_sweep(
-            state.w, float(state.orientation), drive.amplitude, drive.freq,
-            duration, dt, sample_every,
+        sweep, constants = K.vteam_sine_sweep, (
             params.v_on, params.v_off, params.k_on, params.k_off,
             float(params.alpha_on), float(params.alpha_off),
-            params.w_on, params.w_off, params.r_on, params.r_off,
-            params.window.code, params.window.p, params.window.j,
-            t, v, i, w, r)
+            params.w_on, params.w_off, params.r_on, params.r_off)
     else:
-        count = K.dopant_sine_sweep(
-            state.w, float(state.orientation), drive.amplitude, drive.freq,
-            duration, dt, sample_every,
+        sweep, constants = K.dopant_sine_sweep, (
             params.r_on, params.r_off, params.d, params.mu_v,
-            params.a0, params.i0, params.q,
-            params.window.code, params.window.p, params.window.j,
-            t, v, i, w, r)
+            params.a0, params.i0, params.q)
+    try:
+        count = sweep(state.w, float(state.orientation), drive.amplitude, drive.freq,
+                      duration, dt, sample_every, *constants,
+                      params.window.code, params.window.p, params.window.j, t, v, i, w, r)
+    except OverflowError:
+        raise SimulationFault("device rate overflow during sweep") from None
     if not np.all(np.isfinite(w[:count])):
         raise SimulationFault("non-finite state during sweep")
     return SweepSeries(t[:count], v[:count], i[:count], w[:count], r[:count])

@@ -5,6 +5,11 @@ line, `#` comments, blank lines ignored.  Every key has a default, so an
 empty (or absent) file yields the stock device / neuron constants.  CLI
 overrides use the same dotted paths (`--set key=value`).
 
+The keys are the fields of the frozen config dataclasses in `GROUPS`: a
+field's default is the key's default, its type picks the parser, and its
+rule (`params.key`), or for a rule across fields the class's `validate()`,
+states the key's valid range.  `SCHEMA` lists the keys.
+
 Each experiment writes its CSVs plus a `manifest` recording the fully
 resolved configuration and a content hash of every output, so any CSV can be
 re-derived from its manifest alone.
@@ -13,34 +18,106 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .device import (MemristorParams, MemristorState, SineDrive, VteamParams,
-                     WindowSpec, dwdt, hysteresis_sweep)
+from .device import (MemristorParams, MemristorState, SineDrive, VteamParams, dwdt,
+                     hysteresis_sweep)
 from .errors import ConfigError, SimulationFault
-from .network import (NetworkConfig, default_pattern_stimulus, pattern_learning,
-                      stdp_window)
-from .plasticity import TraceParams
+from .network import NetworkConfig, StimulusParams, pattern_learning, stdp_window
+from .neuron import LifParams
+from .params import AT_LEAST_ONE, NONNEGATIVE, POSITIVE, Params, key, one_of
+from .plasticity import ClockParams, TraceParams
 from .synapse import SynapseAssembly, SynapseConfig
 
 EXPERIMENTS = ("hysteresis", "switch-rate", "synapse-pd", "weak-strong-calibration",
                "stdp-window", "stdp-window-vteam", "pattern-learn")
 
 
-def _parse_int(s):
-    return int(s)
+# -- config groups of the circuit as a whole and of the experiments ----------
+
+
+@dataclass(frozen=True)
+class DeviceKind(Params):
+    kind: str = key("proposed", one_of("proposed", "vteam"))  # the device.* or vteam.* model
+
+
+@dataclass(frozen=True)
+class NetworkParams(Params):
+    n_pre: int = key(9, AT_LEAST_ONE)
+
+
+@dataclass(frozen=True)
+class PatternParams(Params):
+    epochs: int = key(300, NONNEGATIVE)
+    init: str = key("zero", one_of("zero", "midpoint"))
+
+
+@dataclass(frozen=True)
+class StdpParams(Params):
+    max_offset: int = key(6, NONNEGATIVE)
+    settle_frames: int = key(10, NONNEGATIVE)
+
+
+@dataclass(frozen=True)
+class HysteresisParams(Params):
+    w0: float = 5e-9  # its range is the selected device's (see run_hysteresis)
+    pinched_amplitude: float = 1.0
+    pinched_freq: float = key(10.0, POSITIVE)
+    pinched_cycles: int = key(2, NONNEGATIVE)
+    hard_amplitude: float = 2.0
+    hard_freq: float = key(1.0, POSITIVE)
+    hard_cycles: int = key(2, NONNEGATIVE)
+    sample_every: int = key(10, AT_LEAST_ONE)
+
+
+@dataclass(frozen=True)
+class SwitchRateParams(Params):
+    i_min: float = 1e-4
+    i_max: float = 3e-3
+    points: int = key(61, AT_LEAST_ONE)
+    w_frac: float = key(0.5, (lambda x: 0.0 <= x <= 1.0, "0 <= {} <= 1"))
+
+    def validate(self, prefix: str = ""):
+        if not 0.0 < self.i_min < self.i_max:
+            raise ConfigError(f"0 < {prefix}i_min < {prefix}i_max")
+        return super().validate(prefix)
+
+
+@dataclass(frozen=True)
+class PdParams(Params):
+    phase_seconds: float = key(0.15, POSITIVE)
+    cycles: int = key(2, NONNEGATIVE)
+    sample_dt: float = key(1e-3, POSITIVE)
+
+
+@dataclass(frozen=True)
+class CalibrationParams(Params):
+    pulse_seconds: float = key(0.01, POSITIVE)
+
+
+# -- the key tree ---------------------------------------------------------------
+
+# config dataclass -> the key prefix of its fields, in validation order
+GROUPS = {
+    ClockParams: "clock", DeviceKind: "device", MemristorParams: "device",
+    VteamParams: "vteam", SynapseConfig: "synapse", LifParams: "lif", TraceParams: "trace",
+    NetworkParams: "network", StimulusParams: "stimulus", PatternParams: "pattern",
+    StdpParams: "stdp", HysteresisParams: "hysteresis", SwitchRateParams: "switchrate",
+    PdParams: "pd", CalibrationParams: "calibration",
+}
 
 
 def _parse_float(s):
-    return float(s)
-
-
-def _parse_str(s):
-    return str(s)
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError("not finite")
+    return x
 
 
 def _parse_int_list(s):
@@ -62,91 +139,65 @@ def _parse_pair_list(s):
     return tuple(out)
 
 
-# key -> (default, parser).  Dotted paths mirror the module structure.
-DEFAULTS = {
-    "clock.base_freq": (100.0, _parse_float),
-    "clock.dt": (1e-5, _parse_float),
-    "device.kind": ("proposed", _parse_str),
-    "device.r_on": (100.0, _parse_float),
-    "device.r_off": (16000.0, _parse_float),
-    "device.d": (1e-8, _parse_float),
-    "device.mu_v": (1e-14, _parse_float),
-    "device.a0": (40.0, _parse_float),
-    "device.i0": (1e-3, _parse_float),
-    "device.q": (3, _parse_int),
-    "device.window.kind": ("zha", _parse_str),
-    "device.window.p": (4, _parse_int),
-    "device.window.j": (1.0, _parse_float),
-    "vteam.v_on": (-0.7, _parse_float),
-    "vteam.v_off": (0.7, _parse_float),
-    "vteam.k_on": (-1e-7, _parse_float),
-    "vteam.k_off": (1e-7, _parse_float),
-    "vteam.alpha_on": (3, _parse_int),
-    "vteam.alpha_off": (3, _parse_int),
-    "vteam.w_on": (0.0, _parse_float),
-    "vteam.w_off": (3e-9, _parse_float),
-    "vteam.r_on": (1000.0, _parse_float),
-    "vteam.r_off": (8000.0, _parse_float),
-    "vteam.window.kind": ("none", _parse_str),
-    "vteam.window.p": (1, _parse_int),
-    "vteam.window.j": (1.0, _parse_float),
-    "synapse.polarity": ("excitatory", _parse_str),
-    "synapse.r1": (16000.0, _parse_float),
-    "synapse.r2": (16000.0, _parse_float),
-    "synapse.gain_a": (1.1, _parse_float),
-    "lif.r_in": (100e3, _parse_float),
-    "lif.r_ref": (900e3, _parse_float),
-    "lif.c": (1e-6, _parse_float),
-    "lif.v_th": (-0.45, _parse_float),
-    "lif.v_cc": (2.0, _parse_float),
-    "trace.v_p": (2.0, _parse_float),
-    "trace.tau": (0.045, _parse_float),
-    "network.n_pre": (9, _parse_int),
-    "stimulus.epoch_frames": (10, _parse_int),
-    "stimulus.pattern_frame": (0, _parse_int),
-    "stimulus.pattern_pres": ((0, 2, 3, 5, 7), _parse_int_list),
-    "stimulus.noise_map": ((((1, 2), (4, 3), (6, 4), (8, 5))), _parse_pair_list),
-    "pattern.epochs": (300, _parse_int),
-    "pattern.init": ("zero", _parse_str),
-    "stdp.max_offset": (6, _parse_int),
-    "stdp.settle_frames": (10, _parse_int),
-    "hysteresis.w0": (5e-9, _parse_float),
-    "hysteresis.pinched_amplitude": (1.0, _parse_float),
-    "hysteresis.pinched_freq": (10.0, _parse_float),
-    "hysteresis.pinched_cycles": (2, _parse_int),
-    "hysteresis.hard_amplitude": (2.0, _parse_float),
-    "hysteresis.hard_freq": (1.0, _parse_float),
-    "hysteresis.hard_cycles": (2, _parse_int),
-    "hysteresis.sample_every": (10, _parse_int),
-    "switchrate.i_min": (1e-4, _parse_float),
-    "switchrate.i_max": (3e-3, _parse_float),
-    "switchrate.points": (61, _parse_int),
-    "switchrate.w_frac": (0.5, _parse_float),
-    "pd.phase_seconds": (0.15, _parse_float),
-    "pd.cycles": (2, _parse_int),
-    "pd.sample_dt": (1e-3, _parse_float),
-    "calibration.pulse_seconds": (0.01, _parse_float),
-}
+PARSERS = {float: _parse_float, int: int, str: str,
+           tuple[int, ...]: _parse_int_list, tuple[tuple[int, int], ...]: _parse_pair_list}
+
+
+SCHEMA = {}  # key -> (default, parser), filled by _plan
+
+
+def _plan(cls, prefix: str, default):
+    """How to build `cls` from flat values: (cls, [(field, key)], [(field,
+    nested plan)]).  Adds its keys to SCHEMA, with defaults read off
+    `default`, an instance, so a nested group takes its parent's default (the
+    vteam window is not WindowSpec()).  A field of any other type (the
+    synapse's device, picked by device.kind) is not a key."""
+    hints = typing.get_type_hints(cls)
+    leaves, nested = [], []
+    for f in fields(cls):
+        dotted, tp, value = f"{prefix}.{f.name}", hints[f.name], getattr(default, f.name)
+        if is_dataclass(tp):
+            nested.append((f.name, _plan(tp, dotted, value)))
+        elif tp in PARSERS:
+            leaves.append((f.name, dotted))
+            SCHEMA[dotted] = (value, PARSERS[tp])
+    return cls, leaves, nested
+
+
+PLANS = {cls: _plan(cls, prefix, cls()) for cls, prefix in GROUPS.items()}
+
+
+def _build(plan, values, given):
+    cls, leaves, nested = plan
+    kwargs = {name: values[dotted] for name, dotted in leaves}
+    for name, sub in nested:
+        kwargs[name] = _build(sub, values, {})
+    return cls(**kwargs, **given)
 
 
 @dataclass
 class Config:
     """Fully resolved flat configuration."""
 
-    values: dict = field(default_factory=dict)
+    values: dict = field(default_factory=lambda: {k: d for k, (d, _) in SCHEMA.items()})
 
     def __getitem__(self, key):
         return self.values[key]
 
     def set(self, key: str, raw):
-        if key not in DEFAULTS:
+        if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        default, parser = DEFAULTS[key]
+        default, parser = SCHEMA[key]
         try:
             self.values[key] = parser(raw) if isinstance(raw, str) else raw
         except (ValueError, TypeError) as exc:
             raise ConfigError(
                 f"bad value for {key!r}: {raw!r} (default {format_value(default)}; {exc})") from exc
+
+    def group(self, cls, **given):
+        """The config dataclass `cls` (a key of GROUPS) holding these values;
+        `given` fills its fields that are not keys."""
+        return _build(PLANS[cls], self.values, given)
 
     def lines(self):
         return [f"{k} = {format_value(self.values[k])}" for k in sorted(self.values)]
@@ -154,7 +205,8 @@ class Config:
 
 def format_value(v) -> str:
     if isinstance(v, float):
-        return f"{v:.9g}"
+        s = f"{v:.9g}"
+        return s if float(s) == v else repr(v)  # a manifest reproduces its run
     if isinstance(v, tuple):
         if v and isinstance(v[0], tuple):
             return ",".join(f"{a}:{b}" for a, b in v)
@@ -181,7 +233,7 @@ def load_config(path: str | Path | None = None, overrides=()) -> Config:
     Every embedded parameter invariant is checked here; violations raise
     ConfigError quoting the violated rule.
     """
-    cfg = Config({k: v for k, (v, _) in DEFAULTS.items()})
+    cfg = Config()
     if path is not None:
         p = Path(path)
         if not p.exists():
@@ -197,88 +249,27 @@ def load_config(path: str | Path | None = None, overrides=()) -> Config:
     return cfg
 
 
-def device_params(cfg: Config) -> MemristorParams:
-    return MemristorParams(
-        r_on=cfg["device.r_on"], r_off=cfg["device.r_off"], d=cfg["device.d"],
-        mu_v=cfg["device.mu_v"], a0=cfg["device.a0"], i0=cfg["device.i0"],
-        q=cfg["device.q"],
-        window=WindowSpec(kind=cfg["device.window.kind"], p=cfg["device.window.p"],
-                          j=cfg["device.window.j"]))
-
-
-def vteam_params(cfg: Config) -> VteamParams:
-    return VteamParams(
-        v_on=cfg["vteam.v_on"], v_off=cfg["vteam.v_off"],
-        k_on=cfg["vteam.k_on"], k_off=cfg["vteam.k_off"],
-        alpha_on=cfg["vteam.alpha_on"], alpha_off=cfg["vteam.alpha_off"],
-        w_on=cfg["vteam.w_on"], w_off=cfg["vteam.w_off"],
-        r_on=cfg["vteam.r_on"], r_off=cfg["vteam.r_off"],
-        window=WindowSpec(kind=cfg["vteam.window.kind"], p=cfg["vteam.window.p"],
-                          j=cfg["vteam.window.j"]))
-
-
 def selected_device(cfg: Config) -> MemristorParams | VteamParams:
-    return vteam_params(cfg) if cfg["device.kind"] == "vteam" else device_params(cfg)
+    return cfg.group(VteamParams if cfg["device.kind"] == "vteam" else MemristorParams)
 
 
 def synapse_config(cfg: Config) -> SynapseConfig:
-    return SynapseConfig(polarity=cfg["synapse.polarity"], r1=cfg["synapse.r1"],
-                         r2=cfg["synapse.r2"], gain_a=cfg["synapse.gain_a"],
-                         device=selected_device(cfg))
+    return cfg.group(SynapseConfig, device=selected_device(cfg))
 
 
 def network_config(cfg: Config, n_pre: int | None = None) -> NetworkConfig:
-    return NetworkConfig(
-        n_pre=n_pre if n_pre is not None else cfg["network.n_pre"],
-        base_freq=cfg["clock.base_freq"], dt=cfg["clock.dt"],
-        synapse=synapse_config(cfg),
-        lif_r_in=cfg["lif.r_in"], lif_r_ref=cfg["lif.r_ref"], lif_c=cfg["lif.c"],
-        lif_v_th=cfg["lif.v_th"], v_cc=cfg["lif.v_cc"],
-        trace=TraceParams(v_p=cfg["trace.v_p"], tau=cfg["trace.tau"]))
+    return NetworkConfig(n_pre=cfg["network.n_pre"] if n_pre is None else n_pre,
+                         clock=cfg.group(ClockParams), synapse=synapse_config(cfg),
+                         lif=cfg.group(LifParams), trace=cfg.group(TraceParams))
 
 
 def validate_config(cfg: Config):
-    if cfg["device.kind"] not in ("proposed", "vteam"):
-        raise ConfigError("device.kind must be proposed or vteam")
-    device_params(cfg).validate()
-    vteam_params(cfg).validate()
-    synapse_config(cfg).validate()
-    TraceParams(v_p=cfg["trace.v_p"], tau=cfg["trace.tau"]).validate()
-    if cfg["clock.base_freq"] <= 0.0:
-        raise ConfigError("base_freq > 0")
-    if cfg["clock.dt"] <= 0.0:
-        raise ConfigError("dt > 0")
-    slot = 1.0 / cfg["clock.base_freq"]
-    if abs(slot / cfg["clock.dt"] - round(slot / cfg["clock.dt"])) > 1e-9:
-        raise ConfigError("dt must divide the slot width")
-    if cfg["pattern.init"] not in ("zero", "midpoint"):
-        raise ConfigError("pattern.init must be zero or midpoint")
-    if cfg["pattern.epochs"] < 0:
-        raise ConfigError("pattern.epochs >= 0")
+    """Each group's own rules, then the one rule across groups."""
+    for cls, prefix in GROUPS.items():
+        cfg.group(cls).validate(prefix + ".")
     pres = (*cfg["stimulus.pattern_pres"], *(pre for pre, _ in cfg["stimulus.noise_map"]))
     if any(not 0 <= pre < cfg["network.n_pre"] for pre in pres):
         raise ConfigError("every stimulus pre index in [0, network.n_pre)")
-    if cfg["lif.v_cc"] <= 0.0:
-        raise ConfigError("lif.v_cc > 0")
-    if cfg["stdp.max_offset"] < 0:
-        raise ConfigError("stdp.max_offset >= 0")
-    if cfg["stdp.settle_frames"] < 0:
-        raise ConfigError("stdp.settle_frames >= 0")
-    if not 0.0 < cfg["switchrate.i_min"] < cfg["switchrate.i_max"]:
-        raise ConfigError("0 < switchrate.i_min < switchrate.i_max")
-    if cfg["switchrate.points"] < 1:
-        raise ConfigError("switchrate.points >= 1")
-    if not 0.0 <= cfg["switchrate.w_frac"] <= 1.0:
-        raise ConfigError("0 <= switchrate.w_frac <= 1")
-    for series in ("pinched", "hard"):
-        if cfg[f"hysteresis.{series}_freq"] <= 0.0:
-            raise ConfigError(f"hysteresis.{series}_freq > 0")
-        if cfg[f"hysteresis.{series}_cycles"] < 0:
-            raise ConfigError(f"hysteresis.{series}_cycles >= 0")
-    if cfg["pd.sample_dt"] <= 0.0:
-        raise ConfigError("pd.sample_dt > 0")
-    if cfg["calibration.pulse_seconds"] <= 0.0:
-        raise ConfigError("calibration.pulse_seconds > 0")
 
 
 def vteam_variant(cfg: Config) -> Config:
@@ -329,23 +320,18 @@ def write_manifest(outdir: Path, name: str, cfg: Config, files: list[Path]):
 
 def run_hysteresis(cfg: Config, outdir: Path) -> list[Path]:
     params = selected_device(cfg)
-    # checked here, not in validate_config: the stock w0 lies outside the
-    # threshold device's range, which every other experiment may select
+    h = cfg.group(HysteresisParams)
+    # checked here, not at load: the stock w0 lies outside the threshold
+    # device's range, which every other experiment may select
     lo, hi = params.state_range
-    if not lo <= cfg["hysteresis.w0"] <= hi:
+    if not lo <= h.w0 <= hi:
         raise ConfigError(f"hysteresis.w0 in the device state range [{lo:.9g}, {hi:.9g}]")
-    dt = cfg["clock.dt"]
-    every = cfg["hysteresis.sample_every"]
     files = []
-    for tag, amp_key, freq_key, cyc_key in (
-            ("pinched", "hysteresis.pinched_amplitude", "hysteresis.pinched_freq",
-             "hysteresis.pinched_cycles"),
-            ("hard", "hysteresis.hard_amplitude", "hysteresis.hard_freq",
-             "hysteresis.hard_cycles")):
-        drive = SineDrive(amplitude=cfg[amp_key], freq=cfg[freq_key])
-        duration = cfg[cyc_key] / drive.freq
-        series = hysteresis_sweep(params, MemristorState(w=cfg["hysteresis.w0"]),
-                                  drive, duration, dt, every)
+    for tag, amplitude, freq, cycles in (
+            ("pinched", h.pinched_amplitude, h.pinched_freq, h.pinched_cycles),
+            ("hard", h.hard_amplitude, h.hard_freq, h.hard_cycles)):
+        series = hysteresis_sweep(params, MemristorState(w=h.w0), SineDrive(amplitude, freq),
+                                  cycles / freq, cfg["clock.dt"], h.sample_every)
         files.append(write_csv(outdir / f"hysteresis_{tag}.csv", series.HEADER, series.rows()))
     return files
 
@@ -353,10 +339,10 @@ def run_hysteresis(cfg: Config, outdir: Path) -> list[Path]:
 def run_switch_rate(cfg: Config, outdir: Path) -> list[Path]:
     if cfg["device.kind"] != "proposed":
         raise ConfigError("switch-rate models the current-driven device: device.kind = proposed")
-    params = device_params(cfg)
-    w = cfg["switchrate.w_frac"] * params.d
-    currents = np.geomspace(cfg["switchrate.i_min"], cfg["switchrate.i_max"],
-                            cfg["switchrate.points"])
+    params = cfg.group(MemristorParams)
+    sr = cfg.group(SwitchRateParams)
+    w = sr.w_frac * params.d
+    currents = np.geomspace(sr.i_min, sr.i_max, sr.points)
     rows = [(i, dwdt(params, MemristorState(w=w), i)) for i in currents]
     files = [write_csv(outdir / "switch_rate.csv", "i,rate", rows)]
     # rate surface over the state range, both current signs
@@ -371,16 +357,15 @@ def run_switch_rate(cfg: Config, outdir: Path) -> list[Path]:
 def run_synapse_pd(cfg: Config, outdir: Path) -> list[Path]:
     syn = SynapseAssembly.fresh(synapse_config(cfg))
     dt = cfg["clock.dt"]
-    phase = cfg["pd.phase_seconds"]
-    sample = cfg["pd.sample_dt"]
+    pd = cfg.group(PdParams)
     rows = []
     t = 0.0
     level = 2.0 * cfg["lif.v_cc"]
-    for _ in range(cfg["pd.cycles"]):
+    for _ in range(pd.cycles):
         for v in (level, -level):
             elapsed = 0.0
-            while elapsed < phase - 1e-12:
-                chunk = min(sample, phase - elapsed)
+            while elapsed < pd.phase_seconds - 1e-12:
+                chunk = min(pd.sample_dt, pd.phase_seconds - elapsed)
                 syn.drive(v, dt, duration=chunk)
                 elapsed += chunk
                 t += chunk
@@ -405,6 +390,8 @@ def calibration_values(cfg: Config) -> tuple[float, float, float]:
 
     d_strong = pulse_delta(strong)
     d_weak = pulse_delta(weak)
+    if d_strong == 0.0:
+        raise SimulationFault("the strong pulse left the weight unchanged: no weak/strong ratio")
     return d_strong, d_weak, d_weak / d_strong
 
 
@@ -416,12 +403,11 @@ def run_calibration(cfg: Config, outdir: Path) -> list[Path]:
 
 def _window_files(cfg: Config, outdir: Path, suffix: str) -> list[Path]:
     offsets = list(range(-cfg["stdp.max_offset"], cfg["stdp.max_offset"] + 1))
-    settle = cfg["stdp.settle_frames"]
     files = []
     for polarity in ("excitatory", "inhibitory"):
         ncfg = network_config(cfg, n_pre=1)
         ncfg = replace(ncfg, synapse=replace(ncfg.synapse, polarity=polarity))
-        rows = stdp_window(ncfg, offsets, settle_frames=settle)
+        rows = stdp_window(ncfg, offsets, settle_frames=cfg["stdp.settle_frames"])
         files.append(write_csv(outdir / f"stdp_window_{polarity}{suffix}.csv",
                                "dt_frames,dt_seconds,dpsi", rows))
     return files
@@ -439,12 +425,7 @@ def run_stdp_window_vteam(cfg: Config, outdir: Path) -> list[Path]:
 
 
 def run_pattern_learn(cfg: Config, outdir: Path) -> list[Path]:
-    stim = default_pattern_stimulus(
-        n_epochs=cfg["pattern.epochs"],
-        pattern_pres=cfg["stimulus.pattern_pres"],
-        pattern_frame=cfg["stimulus.pattern_frame"],
-        noise_map=cfg["stimulus.noise_map"],
-        epoch_frames=cfg["stimulus.epoch_frames"])
+    stim = cfg.group(StimulusParams).program(cfg["pattern.epochs"])
     result = pattern_learning(network_config(cfg), stim, init=cfg["pattern.init"])
     n_syn = result.weights_per_epoch.shape[1]
     header = "epoch," + ",".join(f"psi_{i + 1}" for i in range(n_syn))

@@ -26,7 +26,9 @@ import numpy as np
 
 from .errors import ConfigError, SimulationFault
 from .neuron import LifNeuron, LifParams
-from .plasticity import FrameClock, TraceParams, differential_frame, pwm_encode, trace_step
+from .params import Params
+from .plasticity import (ClockParams, TraceParams, differential_frame, pwm_encode,
+                         trace_step)
 from .synapse import EXCITATORY, SynapseAssembly, SynapseConfig
 
 
@@ -59,25 +61,18 @@ class StimulusProgram:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    n_pre: int = 1
-    base_freq: float = 100.0
-    dt: float = 1e-5  # micro-pulse width, reference RK4 step, shortest drive step
+    n_pre: int
+    clock: ClockParams = field(default_factory=ClockParams)
     synapse: SynapseConfig = field(default_factory=SynapseConfig)
-    lif_r_in: float = 100e3
-    lif_r_ref: float = 900e3
-    lif_c: float = 1e-6
-    lif_v_th: float = -0.45
-    v_cc: float = 2.0
+    lif: LifParams = field(default_factory=LifParams)  # the post neuron; v_cc is the rail
     trace: TraceParams = field(default_factory=TraceParams)
 
     def validate(self):
         if self.n_pre < 1:
             raise ConfigError("need at least one pre")
-        slot = 1.0 / self.base_freq
-        steps = slot / self.dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
-            raise ConfigError("dt must divide the slot width")
+        self.clock.validate()
         self.synapse.validate()
+        self.lif.validate()
         self.trace.validate()
         return self
 
@@ -101,11 +96,9 @@ class Network:
 
     def __init__(self, config: NetworkConfig):
         self.config = config.validate()
-        self.clock = FrameClock(base_freq=config.base_freq).validate()
+        self.frame = 0  # the next frame's number
         self.synapses = [SynapseAssembly.fresh(config.synapse) for _ in range(config.n_pre)]
-        self.post = LifNeuron(LifParams(
-            r_in=(config.lif_r_in,) * config.n_pre, r_ref=config.lif_r_ref, c=config.lif_c,
-            v_th=config.lif_v_th, v_cc=config.v_cc))
+        self.post = LifNeuron(config.lif, n_inputs=config.n_pre)
         self.pre_loaded: set[int] = set()
         self.pre_traces = [0.0] * config.n_pre
         self.post_trace = 0.0
@@ -118,19 +111,19 @@ class Network:
     def _sample_width(self, v_cp: float, fired: bool) -> float:
         """PWM width for this frame: trace sampled at the slot-1 start."""
         tp = self.config.trace
-        slot = self.clock.slot_width
+        slot = self.config.clock.slot_width
         if fired:
             return pwm_encode(tp, tp.v_p, slot, True)
         sampled = v_cp * math.exp(-slot / tp.tau)
         return pwm_encode(tp, sampled, slot, False)
 
     def _step_synapse_segments(self, si: int, segments, slot_idx: int):
-        v_cc = self.config.v_cc
+        v_cc = self.config.lif.v_cc
         try:
             for duration, v in segments:
                 if abs(v) > 2.0 * v_cc + 1e-9:
                     raise SimulationFault(f"differential drive {v} exceeds 2*v_cc")
-                self.synapses[si].drive(v, self.config.dt, duration)
+                self.synapses[si].drive(v, self.config.clock.dt, duration)
         except SimulationFault as exc:
             raise SimulationFault(f"slot {slot_idx}, synapse {si}: {exc}") from None
 
@@ -150,7 +143,7 @@ class Network:
         Faults abort the run annotated with the frame (and slot and synapse)
         they hit.
         """
-        frame = self.clock.frame
+        frame = self.frame
         try:
             return self._run_frame(forced_pre, forced_post, load_pre, load_post, load_slot)
         except SimulationFault as exc:
@@ -159,9 +152,9 @@ class Network:
     def _run_frame(self, forced_pre, forced_post, load_pre, load_post,
                    load_slot) -> FrameReport:
         cfg = self.config
-        slot = self.clock.slot_width
-        frame_idx = self.clock.frame
-        t0 = self.clock.t
+        dt, slot, v_cc = cfg.clock.dt, cfg.clock.slot_width, cfg.lif.v_cc
+        frame_idx = self.frame
+        t0 = frame_idx * cfg.clock.frame_width
         post = self.post
 
         def inject_loads(after_slot: int):
@@ -186,7 +179,7 @@ class Network:
         width_b = self._sample_width(self.post_trace, post_fired)
         drives = [differential_frame(si in fired, post_fired,
                                      self._sample_width(self.pre_traces[si], si in fired),
-                                     width_b, cfg.v_cc, slot)
+                                     width_b, v_cc, slot)
                   for si in range(cfg.n_pre)]
 
         # slot 0: transmission.  Weighted outputs are evaluated from the
@@ -194,7 +187,7 @@ class Network:
         post_inputs = [0.0] * cfg.n_pre
         for si in pre_fired:
             try:
-                post_inputs[si] = self.synapses[si].transmit(cfg.v_cc, cfg.dt, duration=slot)
+                post_inputs[si] = self.synapses[si].transmit(v_cc, dt, duration=slot)
             except SimulationFault as exc:
                 raise SimulationFault(f"slot 0, synapse {si}: {exc}") from None
         post.integrate(post_inputs, slot)
@@ -211,13 +204,12 @@ class Network:
 
         # traces: held at v_p through the owner's firing frame, else decay
         # across the whole frame width.
-        frame_w = self.clock.frame_width
+        frame_w = cfg.clock.frame_width
         self.pre_traces = [trace_step(cfg.trace, v, si in fired, frame_w)
                            for si, v in enumerate(self.pre_traces)]
         self.post_trace = trace_step(cfg.trace, self.post_trace, post_fired, frame_w)
 
-        for _ in range(FrameClock.SLOTS_PER_FRAME):
-            self.clock.tick()
+        self.frame += 1
 
         weights = self.weights()
         if not all(math.isfinite(w) for w in weights):
@@ -270,7 +262,7 @@ def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
 def _programmed_network(config: NetworkConfig, target: float) -> Network:
     net = Network(config)
     for syn in net.synapses:
-        syn.program_to_weight(target, tolerance=1e-3, dt=config.dt)
+        syn.program_to_weight(target, tolerance=1e-3, dt=config.clock.dt)
     return net
 
 
@@ -290,7 +282,7 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
     phase).
     """
     cfg = replace(config, n_pre=1)
-    frame_w = FrameClock(base_freq=cfg.base_freq).frame_width
+    frame_w = cfg.clock.frame_width
     sign = 1.0 if cfg.synapse.polarity == EXCITATORY else -1.0
     rows = []
     for off in offsets:
@@ -313,17 +305,26 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
 # -- pattern learning ---------------------------------------------------------
 
 
-def default_pattern_stimulus(n_epochs: int,
-                             pattern_pres=(0, 2, 3, 5, 7),
-                             pattern_frame: int = 0,
-                             noise_map=((1, 2), (4, 3), (6, 4), (8, 5)),
-                             epoch_frames: int = 10) -> StimulusProgram:
-    """3x3 input schedule: the pattern group fires together in one frame and
-    each noise input fires alone in a later frame.  Indices are 0-based."""
-    schedule = [(pattern_frame, p) for p in pattern_pres]
-    schedule += [(frame, pre) for pre, frame in noise_map]
-    return StimulusProgram(schedule=tuple(schedule), epoch_frames=epoch_frames,
-                           n_epochs=n_epochs)
+@dataclass(frozen=True)
+class StimulusParams(Params):
+    """The 3x3 input schedule: the pattern group fires together in one frame
+    and each noise input fires alone in a later frame.  Indices are 0-based;
+    noise_map holds (pre, frame) pairs."""
+
+    epoch_frames: int = 10
+    pattern_frame: int = 0
+    pattern_pres: tuple[int, ...] = (0, 2, 3, 5, 7)
+    noise_map: tuple[tuple[int, int], ...] = ((1, 2), (4, 3), (6, 4), (8, 5))
+
+    def validate(self, prefix: str = ""):
+        self.program(0).validate()
+        return self
+
+    def program(self, n_epochs: int) -> StimulusProgram:
+        schedule = [(self.pattern_frame, p) for p in self.pattern_pres]
+        schedule += [(frame, pre) for pre, frame in self.noise_map]
+        return StimulusProgram(schedule=tuple(schedule), epoch_frames=self.epoch_frames,
+                               n_epochs=n_epochs)
 
 
 @dataclass
@@ -367,11 +368,11 @@ def pattern_learning(config: NetworkConfig, stimulus: StimulusProgram,
         # -4 V drives either polarity toward its zero-weight corner: the
         # inhibitory weight is the negated excitatory one under one drive
         for syn in net.synapses:
-            syn.drive(-4.0, config.dt, duration=1.0)
+            syn.drive(-4.0, config.clock.dt, duration=1.0)
     elif init == "midpoint":
         sign = 1.0 if config.synapse.polarity == EXCITATORY else -1.0
         for syn in net.synapses:
-            syn.program_to_weight(sign * 0.5, tolerance=0.01, dt=config.dt)
+            syn.program_to_weight(sign * 0.5, tolerance=0.01, dt=config.clock.dt)
     else:
         raise ConfigError(f"init must be zero or midpoint, got {init!r}")
     result = _run_program(net, stimulus)

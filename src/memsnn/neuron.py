@@ -13,28 +13,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, SimulationFault
+from .params import POSITIVE, Params, key
 
 
 @dataclass(frozen=True)
-class LifParams:
-    r_in: tuple[float, ...] = (100e3,)  # per-afferent input resistance, ohm
-    r_ref: float = 900e3                # leak/feedback resistance, ohm
-    c: float = 1e-6                     # integration capacitance, F
-    v_th: float = -0.45                 # firing threshold, V (negative)
-    v_cc: float = 2.0                   # spike rail amplitude, V
-
-    def validate(self):
-        if not self.r_in or any(r <= 0.0 for r in self.r_in):
-            raise ConfigError("every r_in > 0")
-        if self.r_ref <= 0.0:
-            raise ConfigError("r_ref > 0")
-        if self.c <= 0.0:
-            raise ConfigError("c > 0")
-        if self.v_th >= 0.0:
-            raise ConfigError("v_th < 0")
-        if self.v_cc <= 0.0:
-            raise ConfigError("v_cc > 0")
-        return self
+class LifParams(Params):
+    r_in: float = key(100e3, POSITIVE)   # input resistance of every afferent, ohm
+    r_ref: float = key(900e3, POSITIVE)  # leak/feedback resistance, ohm
+    c: float = key(1e-6, POSITIVE)       # integration capacitance, F
+    v_th: float = key(-0.45, (lambda v: v < 0.0, "{} < 0"))  # firing threshold, V
+    v_cc: float = key(2.0, POSITIVE)     # spike rail amplitude, V
 
     @property
     def tau(self) -> float:
@@ -51,33 +39,35 @@ class LifState:
 
 
 class LifNeuron:
-    """Params + state bundle with the three stepping operations."""
+    """Params + state bundle with the three stepping operations; n_inputs
+    afferents feed the integrator."""
 
-    def __init__(self, params: LifParams, state: LifState | None = None):
+    def __init__(self, params: LifParams, state: LifState | None = None, n_inputs: int = 1):
         self.params = params.validate()
         self.state = state if state is not None else LifState()
+        self.n_inputs = n_inputs
 
     def integrate(self, inputs, dt: float):
         """Advance the membrane under inputs held constant for dt.
 
-        dV/dt = -(sum_j v_j / R_in_j + V / R_ref) / C, solved exactly for the
+        dV/dt = -(sum_j v_j / R_in + V / R_ref) / C, solved exactly for the
         constant-input interval; while the neuron is firing the membrane is
         held at zero (the reset switch stays closed for the whole frame).
         """
         if dt <= 0.0 or not math.isfinite(dt):
             raise SimulationFault(f"bad timestep {dt!r}")
-        if len(inputs) != len(self.params.r_in):
-            raise ConfigError(
-                f"got {len(inputs)} inputs for {len(self.params.r_in)} input resistors")
+        if len(inputs) != self.n_inputs:
+            raise ConfigError(f"got {len(inputs)} inputs for {self.n_inputs} afferents")
         s = self.state
         if s.q2:
             s.v_mp = 0.0
             return s
+        r_in = self.params.r_in
         total = 0.0
-        for v, r in zip(inputs, self.params.r_in):
+        for v in inputs:  # summed input by input: the fire log depends on the order
             if not math.isfinite(v):
                 raise SimulationFault(f"non-finite neuron input {v!r}")
-            total += v / r
+            total += v / r_in
         v_inf = -self.params.r_ref * total
         s.v_mp = v_inf + (s.v_mp - v_inf) * math.exp(-dt / self.params.tau)
         return s

@@ -25,21 +25,23 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .params import POSITIVE, Params, key
+
+SLOTS_PER_FRAME = 3
 
 
-@dataclass
-class FrameClock:
-    """Global timeslot/frame bookkeeping; three slots per frame."""
+@dataclass(frozen=True)
+class ClockParams(Params):
+    """Timeslot rate and the shortest integration step; three slots per frame."""
 
-    base_freq: float = 100.0  # timeslot rate, Hz
-    slot: int = 0
-    frame: int = 0
+    base_freq: float = key(100.0, POSITIVE)  # timeslot rate, Hz
+    dt: float = key(1e-5, POSITIVE)  # micro-pulse width, reference RK4 step, shortest drive step, s
 
-    SLOTS_PER_FRAME = 3
-
-    def validate(self):
-        if self.base_freq <= 0.0:
-            raise ConfigError("base_freq > 0")
+    def validate(self, prefix: str = ""):
+        super().validate(prefix)  # positive before the division
+        steps = self.slot_width / self.dt
+        if abs(steps - round(steps)) > 1e-9:
+            raise ConfigError("dt must divide the slot width")
         return self
 
     @property
@@ -48,33 +50,13 @@ class FrameClock:
 
     @property
     def frame_width(self) -> float:
-        return self.SLOTS_PER_FRAME * self.slot_width
-
-    @property
-    def t(self) -> float:
-        return self.frame * self.frame_width + self.slot * self.slot_width
-
-    def tick(self) -> bool:
-        """Advance one slot; True when a new frame starts."""
-        self.slot += 1
-        if self.slot == self.SLOTS_PER_FRAME:
-            self.slot = 0
-            self.frame += 1
-            return True
-        return False
+        return SLOTS_PER_FRAME * self.slot_width
 
 
 @dataclass(frozen=True)
-class TraceParams:
-    v_p: float = 2.0    # charged trace potential, V
-    tau: float = 0.045  # decay time constant, s
-
-    def validate(self):
-        if self.v_p <= 0.0:
-            raise ConfigError("v_p > 0")
-        if self.tau <= 0.0:
-            raise ConfigError("tau > 0")
-        return self
+class TraceParams(Params):
+    v_p: float = key(2.0, POSITIVE)    # charged trace potential, V
+    tau: float = key(0.045, POSITIVE)  # decay time constant, s
 
 
 def trace_step(params: TraceParams, v_cp: float, owner_spiking: bool, dt: float) -> float:

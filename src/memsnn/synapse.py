@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from . import _kernels as K
 from .device import MemristorParams, VteamParams
 from .errors import ConfigError, SimulationFault
+from .params import POSITIVE, Params, key, one_of
 
 EXCITATORY = "excitatory"
 INHIBITORY = "inhibitory"
@@ -46,22 +47,18 @@ _VTEAM_EXC = (-1.0, 1.0, 1.0, -1.0)  # voltage-controlled convention: v <= v_on 
 
 
 @dataclass(frozen=True)
-class SynapseConfig:
-    polarity: str = EXCITATORY
-    r1: float = 16000.0
+class SynapseConfig(Params):
+    polarity: str = key(EXCITATORY, one_of(EXCITATORY, INHIBITORY))
+    r1: float = key(16000.0, POSITIVE)
     r2: float = 16000.0
-    gain_a: float = 1.1
+    gain_a: float = key(1.1, POSITIVE)
+    # picked by device.kind; the device.* or vteam.* keys
     device: MemristorParams | VteamParams = field(default_factory=MemristorParams)
 
-    def validate(self):
-        if self.polarity not in (EXCITATORY, INHIBITORY):
-            raise ConfigError(f"polarity must be excitatory or inhibitory, got {self.polarity!r}")
+    def validate(self, prefix: str = ""):
+        super().validate(prefix)
         if self.r1 != self.r2:
             raise ConfigError("r1 = r2")
-        if self.r1 <= 0.0:
-            raise ConfigError("r1 > 0")
-        if self.gain_a <= 0.0:
-            raise ConfigError("gain_a > 0")
         self.device.validate()
         return self
 
@@ -222,10 +219,13 @@ class SynapseAssembly:
             raise SimulationFault(
                 f"unmirrored bridge state {tuple(self.w)}: "
                 "the integrator needs M3 = M2 and M4 = M1")
-        w1, w2 = _branch(K.branch_segment if adaptive else K.branch_step,
-                         K.vteam_branch_rk4 if self._vteam else K.dopant_branch_rk4,
-                         K.SEGMENT_TOL, w1, w2, self._lo, self._hi, duration, dt,
-                         self._o1, self._o2, self._r1, v_ab, *self._device_args)
+        try:
+            w1, w2 = _branch(K.branch_segment if adaptive else K.branch_step,
+                             K.vteam_branch_rk4 if self._vteam else K.dopant_branch_rk4,
+                             K.SEGMENT_TOL, w1, w2, self._lo, self._hi, duration, dt,
+                             self._o1, self._o2, self._r1, v_ab, *self._device_args)
+        except OverflowError:
+            raise SimulationFault(f"device rate overflow under {v_ab!r} V drive") from None
         if adaptive and not (math.isfinite(w1) and math.isfinite(w2)):
             raise SimulationFault(f"non-finite device state under {v_ab!r} V drive")
         self.w = [w1, w2, w2, w1]

@@ -10,9 +10,8 @@ import pytest
 from memsnn.device import (MemristorParams, MemristorState, SineDrive,
                            dwdt, hysteresis_sweep)
 from memsnn.harness import calibration_values, load_config, network_config, vteam_variant
-from memsnn.network import (NetworkConfig, default_pattern_stimulus,
-                            pattern_learning, run_simulation, stdp_window,
-                            StimulusProgram)
+from memsnn.network import (NetworkConfig, StimulusParams, pattern_learning,
+                            run_simulation, stdp_window, StimulusProgram)
 from memsnn.synapse import SynapseAssembly, SynapseConfig
 
 from test_device import lobe_area
@@ -37,7 +36,7 @@ def window_rows():
 @pytest.fixture(scope="module")
 def pattern_runs():
     cfg = network_config(CFG, n_pre=9)
-    stim = default_pattern_stimulus(n_epochs=300)
+    stim = StimulusParams().program(n_epochs=300)
     t0 = time.perf_counter()
     zero = pattern_learning(cfg, stim, init="zero")
     t_zero = time.perf_counter() - t0
@@ -262,7 +261,7 @@ def test_criterion_9_engine_properties():
 
     # dt halving moves every logged weight by < 0.1% absolute
     from dataclasses import replace
-    c = run_simulation(replace(cfg, dt=cfg.dt / 2), stim)
+    c = run_simulation(replace(cfg, clock=replace(cfg.clock, dt=cfg.clock.dt / 2)), stim)
     dt_shift = np.max(np.abs(a.weights_per_epoch - c.weights_per_epoch))
     assert dt_shift < 1e-3
 

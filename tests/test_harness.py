@@ -94,6 +94,18 @@ def test_csv_format(tmp_path):
     assert len(digits) <= 10  # 9 significant digits plus exponent bookkeeping
 
 
+def test_manifest_config_reproduces_the_run(tmp_path):
+    # at 9 significant digits the manifest would record 0.15: 601 rows, not 605
+    assert main(["synapse-pd", "--out", str(tmp_path / "a"),
+                 "--set", "pd.phase_seconds=0.1500000001"]) == 0
+    manifest = (tmp_path / "a" / "manifest").read_text()
+    assert "pd.phase_seconds = 0.1500000001\n" in manifest
+    (tmp_path / "run.cfg").write_text(manifest.split("\n\n")[1])  # the config lines
+    assert main(["synapse-pd", "--out", str(tmp_path / "b"),
+                 "--config", str(tmp_path / "run.cfg")]) == 0
+    assert (tmp_path / "b" / "manifest").read_text() == manifest
+
+
 def test_manifest_lists_resolved_config_and_hashes(tmp_path):
     run_experiment(ExperimentSpec(name="switch-rate", out_dir=str(tmp_path)))
     manifest = (tmp_path / "manifest").read_text()
@@ -171,6 +183,19 @@ BAD_VALUES = [
     ("weak-strong-calibration", "calibration.pulse_seconds=0", "calibration.pulse_seconds > 0"),
     ("weak-strong-calibration", "lif.v_cc=0", "lif.v_cc > 0"),
     ("stdp-window", "stdp.max_offset=-1", "stdp.max_offset >= 0"),
+    # non-finite floats are refused by the parser, naming the key
+    ("synapse-pd", "pd.sample_dt=nan", "bad value for 'pd.sample_dt': 'nan'"),
+    ("switch-rate", "clock.dt=nan", "bad value for 'clock.dt': 'nan'"),
+    ("switch-rate", "clock.base_freq=nan", "bad value for 'clock.base_freq': 'nan'"),
+    ("synapse-pd", "pd.cycles=-1", "pd.cycles >= 0"),
+    ("synapse-pd", "pd.phase_seconds=-1", "pd.phase_seconds > 0"),
+    # every group is checked at load, whichever experiment runs
+    ("switch-rate", "lif.c=0", "lif.c > 0"),
+    ("switch-rate", "lif.v_th=0.5", "lif.v_th < 0"),
+    ("switch-rate", "vteam.alpha_on=0", "vteam.alpha_on must be an integer >= 1"),
+    ("switch-rate", "hysteresis.sample_every=0", "hysteresis.sample_every >= 1"),
+    ("switch-rate", "stimulus.pattern_frame=10", "scheduled frame 10 outside epoch of 10"),
+    ("stdp-window", "network.n_pre=0", "network.n_pre >= 1"),
 ]
 
 

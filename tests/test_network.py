@@ -8,14 +8,21 @@ import pytest
 from memsnn import _kernels as K
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
-from memsnn.network import (Network, NetworkConfig, StimulusProgram,
-                            default_pattern_stimulus, pattern_learning,
-                            run_simulation, stability_epoch, stdp_window)
+from memsnn.network import (Network, NetworkConfig, StimulusParams, StimulusProgram,
+                            pattern_learning, run_simulation, stability_epoch, stdp_window)
+from memsnn.plasticity import ClockParams
 from memsnn.synapse import SynapseAssembly, SynapseConfig
 
 
 def make_config(n_pre=1, polarity="excitatory", **kw):
     return NetworkConfig(n_pre=n_pre, synapse=SynapseConfig(polarity=polarity), **kw)
+
+
+def test_frames_advance_one_frame_width_each():
+    net = Network(make_config(n_pre=1, clock=ClockParams(base_freq=100.0)))
+    reports = [net.run_frame() for _ in range(3)]
+    assert [r.frame for r in reports] == [0, 1, 2]
+    assert [r.t for r in reports] == pytest.approx([0.0, 0.03, 0.06])
 
 
 def test_idle_frames_leave_weights_bit_identical():
@@ -31,7 +38,7 @@ def test_idle_frames_leave_weights_bit_identical():
 def test_transmitted_spike_charges_membrane():
     cfg = make_config(n_pre=1)
     net = Network(cfg)
-    net.synapses[0].program_to_weight(0.5, 1e-3, dt=cfg.dt)
+    net.synapses[0].program_to_weight(0.5, 1e-3, dt=cfg.clock.dt)
     psi = net.synapses[0].weight()
     rep = net.run_frame(forced_pre=(0,))
     assert rep.pre_fired == (0,)
@@ -45,7 +52,7 @@ def test_transmitted_spike_charges_membrane():
 def test_lone_pre_spike_causes_weak_drift_only():
     cfg = make_config(n_pre=1)
     net = Network(cfg)
-    net.synapses[0].program_to_weight(0.5, 1e-3, dt=cfg.dt)
+    net.synapses[0].program_to_weight(0.5, 1e-3, dt=cfg.clock.dt)
     psi0 = net.synapses[0].weight()
     net.run_frame(forced_pre=(0,))
     for _ in range(10):
@@ -81,8 +88,8 @@ def test_run_simulation_deterministic():
 
 def test_dt_halving_changes_weights_below_tenth_percent():
     stim = StimulusProgram(schedule=((0, 0), (2, 1)), epoch_frames=4, n_epochs=6)
-    a = run_simulation(make_config(n_pre=2, dt=1e-5), stim)
-    b = run_simulation(make_config(n_pre=2, dt=5e-6), stim)
+    a = run_simulation(make_config(n_pre=2, clock=ClockParams(dt=1e-5)), stim)
+    b = run_simulation(make_config(n_pre=2, clock=ClockParams(dt=5e-6)), stim)
     assert np.max(np.abs(a.weights_per_epoch - b.weights_per_epoch)) < 1e-3
 
 
@@ -97,8 +104,8 @@ def test_engine_matches_fixed_step_oracle(variant, monkeypatch):
 
     def run():
         net = Network(cfg)
-        net.synapses[0].program_to_weight(0.5, tolerance=1e-3, dt=cfg.dt)
-        net.post.state.v_mp = cfg.lif_v_th + 0.002  # one transmit from threshold
+        net.synapses[0].program_to_weight(0.5, tolerance=1e-3, dt=cfg.clock.dt)
+        net.post.state.v_mp = cfg.lif.v_th + 0.002  # one transmit from threshold
         fires, weights = [], []
         for frame in range(12):
             rep = net.run_frame(forced_pre=(0,) if frame in (0, 7) else (),
@@ -148,7 +155,7 @@ def test_window_antihebbian_exact_mirror():
 
 def test_post_fires_frame_after_pattern_once_trained():
     cfg = make_config(n_pre=9)
-    stim = default_pattern_stimulus(n_epochs=40)
+    stim = StimulusParams().program(n_epochs=40)
     res = pattern_learning(cfg, stim, init="midpoint")
     fires = [row[0] for row in res.post_log if row[3] == 1]
     assert fires, "trained network must fire"
@@ -186,7 +193,7 @@ def test_lockstep_synapses_integrate_once(monkeypatch):
     monkeypatch.setattr(SynapseAssembly, "drive", tagged_drive)
     net = Network(make_config(n_pre=2))
     for syn in net.synapses:
-        syn.program_to_weight(0.3, tolerance=1e-3, dt=net.config.dt)
+        syn.program_to_weight(0.3, tolerance=1e-3, dt=net.config.clock.dt)
     psi0 = net.weights()
     steps.clear()
     for frame in range(30):
@@ -198,7 +205,7 @@ def test_lockstep_synapses_integrate_once(monkeypatch):
 
 def test_pattern_learning_rejects_bad_init():
     with pytest.raises(ConfigError):
-        pattern_learning(make_config(n_pre=9), default_pattern_stimulus(1), init="random")
+        pattern_learning(make_config(n_pre=9), StimulusParams().program(1), init="random")
 
 
 def test_stability_epoch_detects_settling():
@@ -257,4 +264,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         NetworkConfig(n_pre=0).validate()
     with pytest.raises(ConfigError):
-        NetworkConfig(dt=3e-5).validate()  # does not divide the 10 ms slot
+        NetworkConfig(n_pre=1, clock=ClockParams(dt=3e-5)).validate()  # does not divide 10 ms
+    # the positivity rules come before the slot division
+    with pytest.raises(ConfigError, match="base_freq > 0"):
+        NetworkConfig(n_pre=1, clock=ClockParams(base_freq=0.0)).validate()
+    with pytest.raises(ConfigError, match="dt > 0"):
+        NetworkConfig(n_pre=1, clock=ClockParams(dt=0.0)).validate()

@@ -5,13 +5,13 @@ import pytest
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.neuron import LifNeuron, LifParams, LifState
 
-PARAMS = LifParams(r_in=(100e3,))
+PARAMS = LifParams()
 
 
 def fine_euler(v0, inputs_v, r_in, r_ref, c, duration, h=1e-6):
     """Independent integrator for the membrane ODE."""
     v = v0
-    s = sum(vi / ri for vi, ri in zip(inputs_v, r_in))
+    s = sum(vi / r_in for vi in inputs_v)
     n = int(round(duration / h))
     for _ in range(n):
         v += h * (-(s + v / r_ref) / c)
@@ -119,6 +119,6 @@ def test_subthreshold_inputs_never_fire():
 
 def test_params_validation():
     with pytest.raises(ConfigError):
-        LifParams(r_in=(0.0,)).validate()
+        LifParams(r_in=0.0).validate()
     with pytest.raises(ConfigError):
-        LifParams(r_in=(1e5,), v_th=0.1).validate()
+        LifParams(v_th=0.1).validate()

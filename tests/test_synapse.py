@@ -258,15 +258,15 @@ def test_drive_matches_fixed_step_oracle(kind, polarity):
     cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
     sc = replace(cfg.synapse, polarity=polarity)
     sign = 1.0 if polarity == EXCITATORY else -1.0
-    slot = 1.0 / cfg.base_freq
+    slot = 1.0 / cfg.clock.base_freq
     tp = cfg.trace
     width = pwm_encode(tp, tp.v_p * math.exp(-slot / tp.tau), slot, False)
-    v_cc = cfg.v_cc
-    segments = [(v_cc, slot, cfg.dt), (-v_cc, slot, cfg.dt),
-                (2 * v_cc, width, cfg.dt), (-2 * v_cc, width, cfg.dt),
-                (-sign * 4.0, 1.0, network_config(STOCK).dt)]
+    v_cc = cfg.lif.v_cc
+    segments = [(v_cc, slot, cfg.clock.dt), (-v_cc, slot, cfg.clock.dt),
+                (2 * v_cc, width, cfg.clock.dt), (-2 * v_cc, width, cfg.clock.dt),
+                (-4.0, 1.0, network_config(STOCK).clock.dt)]
     base = SynapseAssembly.fresh(sc)
-    base.program_to_weight(sign * 0.5, tolerance=1e-3, dt=cfg.dt)
+    base.program_to_weight(sign * 0.5, tolerance=1e-3, dt=cfg.clock.dt)
     psi0 = base.weight()
     for v, duration, dt in segments:
         ref = base.copy().apply_differential(v, dt, duration)
@@ -296,9 +296,9 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
             return _driver(*args)
         monkeypatch.setattr(K, name, recorded)
     base = SynapseAssembly.fresh(sc)
-    base.program_to_weight(sign * 0.5, tolerance=1e-3, dt=cfg.dt)
-    slot = 1.0 / cfg.base_freq
-    v_cc = cfg.v_cc
+    base.program_to_weight(sign * 0.5, tolerance=1e-3, dt=cfg.clock.dt)
+    slot = 1.0 / cfg.clock.base_freq
+    v_cc = cfg.lif.v_cc
     segments = [(v, slot) for v in (v_cc, -v_cc, 2 * v_cc, -2 * v_cc)] + [(-4.0, 0.01)]
     landed = 0
     for step in DRIVERS:
@@ -307,10 +307,10 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
             w = tuple(syn.w)
             calls.clear()
             _branch.cache_clear()  # (-2 * v_cc, slot) may repeat (-4 V, 10 ms)
-            step(syn, v, cfg.dt, duration)
+            step(syn, v, cfg.clock.dt, duration)
             [(driver, args)] = calls
             params = args[11:]  # device constants after (..., o1, o2, r1, v)
-            expected = driver(args[0], w[2], w[3], lo, hi, duration, cfg.dt,
+            expected = driver(args[0], w[2], w[3], lo, hi, duration, cfg.clock.dt,
                               o3, o4, sc.r2, v, *params)
             assert tuple(syn.w[2:]) == expected, (step.__name__, v, duration)
             assert syn.w[2:] != list(w[2:])
@@ -381,14 +381,15 @@ def test_program_matches_pulsewise_oracle(kind, polarity):
     max_seconds = 0.15 if kind == "proposed" else 0.05
     cases = [((), t, tol) for t in (0.25, 0.5, 0.875) for tol in (1e-2, 1e-3, 1e-5)]
     cases += [((0.5,), 0.2, 1e-3), ((0.5,), 0.0, 1e-4)]
+    dt = cfg.clock.dt
     for before, target, tol in cases:
         ref = SynapseAssembly.fresh(sc)
         got = SynapseAssembly.fresh(sc)
         for t in before:
-            pulsewise_program(ref, sign * t, 1e-3, cfg.dt, max_seconds=max_seconds)
-            got.program_to_weight(sign * t, 1e-3, dt=cfg.dt, max_seconds=max_seconds)
-        expected = pulsewise_program(ref, sign * target, tol, cfg.dt, max_seconds=max_seconds)
-        achieved = got.program_to_weight(sign * target, tol, dt=cfg.dt, max_seconds=max_seconds)
+            pulsewise_program(ref, sign * t, 1e-3, dt, max_seconds=max_seconds)
+            got.program_to_weight(sign * t, 1e-3, dt=dt, max_seconds=max_seconds)
+        expected = pulsewise_program(ref, sign * target, tol, dt, max_seconds=max_seconds)
+        achieved = got.program_to_weight(sign * target, tol, dt=dt, max_seconds=max_seconds)
         assert abs(achieved - expected) < 1e-9, (before, target, tol)
         assert abs(got.weight() - ref.weight()) < 1e-9, (before, target, tol)
 
@@ -460,18 +461,18 @@ def test_cached_drive_is_the_integrated_drive(kind):
         constants = (dev.r_on, dev.r_off, dev.d, dev.mu_v, dev.a0, dev.i0, dev.q) + window
     rk4 = K.vteam_branch_rk4 if kind == "vteam" else K.dopant_branch_rk4
     base = SynapseAssembly.fresh(sc)
-    base.program_to_weight(0.5, tolerance=1e-3, dt=cfg.dt)
-    slot = 1.0 / cfg.base_freq
+    base.program_to_weight(0.5, tolerance=1e-3, dt=cfg.clock.dt)
+    slot = 1.0 / cfg.clock.base_freq
     for step, driver in zip(DRIVERS, ("branch_step", "branch_segment")):
         _branch.cache_clear()
         cold = base.copy()
-        step(cold, 2 * cfg.v_cc, cfg.dt, slot)
+        step(cold, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
         hits = _branch.cache_info().hits
         warm = base.copy()
-        step(warm, 2 * cfg.v_cc, cfg.dt, slot)
+        step(warm, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
         assert _branch.cache_info().hits == hits + 1
-        w1, w2 = getattr(K, driver)(rk4, base.w[0], base.w[1], lo, hi, slot, cfg.dt,
-                                    o1, o2, sc.r1, 2 * cfg.v_cc, *constants)
+        w1, w2 = getattr(K, driver)(rk4, base.w[0], base.w[1], lo, hi, slot, cfg.clock.dt,
+                                    o1, o2, sc.r1, 2 * cfg.lif.v_cc, *constants)
         assert cold.w == warm.w == [w1, w2, w2, w1], step.__name__
         assert cold.w != base.w
 
