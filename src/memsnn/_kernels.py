@@ -14,13 +14,10 @@ import math
 # which backend ran (bench/worker.py reads it).
 HAVE_NUMBA = False
 
-# window kinds (keep in sync with device.WindowSpec.KINDS)
-WIN_ZHA = 0
-WIN_JOGLEKAR = 1
-WIN_PRODROMAKIS = 2
-WIN_BIOLEK = 3
-WIN_STRUKOV = 4
-WIN_NONE = 5
+# window kinds; a kind's code is its index (device.WindowSpec.code)
+WINDOW_KINDS = ("zha", "joglekar", "prodromakis", "biolek", "strukov", "none")
+(WIN_ZHA, WIN_JOGLEKAR, WIN_PRODROMAKIS, WIN_BIOLEK, WIN_STRUKOV,
+ WIN_NONE) = range(len(WINDOW_KINDS))
 
 
 def window_factor(kind, p, j, x, direction):

@@ -11,9 +11,11 @@ Two device models are provided:
   and polynomial rate law above each threshold.
 
 State is a single scalar per device.  This module holds the device constants,
-the rate law and the single-device sine sweep of the hysteresis experiment;
-devices wired into a synapse are integrated branch by branch through
-`synapse.SynapseAssembly` (kernels in `_kernels`).
+the rate law and the single-device sine sweep of the hysteresis experiment,
+and decides the model once: each constants class states its synapse wiring,
+corner states, kernel constants, resistance law and kernels (in `_kernels`).
+Devices wired into a synapse are integrated branch by branch through
+`synapse.SynapseAssembly`.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .params import EXPONENT, POSITIVE, Params, key, one_of
 class WindowSpec(Params):
     """Boundary window selection; value lies in [0, j] for w in [0, D]."""
 
-    KINDS = ("zha", "joglekar", "prodromakis", "biolek", "strukov", "none")
+    KINDS = K.WINDOW_KINDS
 
     kind: str = key("zha", one_of(*KINDS))
     p: int = key(4, EXPONENT)
@@ -49,6 +51,10 @@ class WindowSpec(Params):
 @dataclass(frozen=True)
 class MemristorParams(Params):
     """Constants of the dopant-drift device."""
+
+    # M1..M4 wiring that makes a positive A->B voltage raise the excitatory
+    # weight; mirrored (o3 = o2, o4 = o1), which SynapseAssembly._integrate needs
+    EXCITATORY_ORIENTATIONS = (1.0, -1.0, -1.0, 1.0)
 
     r_on: float = 100.0                 # ohm
     r_off: float = 16000.0              # ohm
@@ -70,6 +76,23 @@ class MemristorParams(Params):
     def state_range(self) -> tuple[float, float]:
         return 0.0, self.d
 
+    @property
+    def corner_states(self) -> tuple[float, float]:
+        """(w at R_OFF, w at R_ON)."""
+        return 0.0, self.d
+
+    @property
+    def kernel_constants(self) -> tuple:
+        return (self.r_on, self.r_off, self.d, self.mu_v, self.a0, self.i0, self.q,
+                self.window.code, self.window.p, self.window.j)
+
+    def resistance(self, w: float) -> float:
+        return K._memristance(w, self.d, self.r_on, self.r_off)
+
+    # looked up at each call, so a patched or wrapped kernel is the one that runs
+    branch_rk4 = property(lambda self: K.dopant_branch_rk4)
+    sine_sweep = property(lambda self: K.dopant_sine_sweep)
+
 
 @dataclass(frozen=True)
 class VteamParams(Params):
@@ -79,6 +102,9 @@ class VteamParams(Params):
     voltages at or below v_on move w toward w_on (the low-resistance bound),
     voltages at or above v_off move it toward w_off.
     """
+
+    # the dopant table negated: in the voltage-controlled convention v <= v_on sets
+    EXCITATORY_ORIENTATIONS = (-1.0, 1.0, 1.0, -1.0)
 
     v_on: float = -0.7         # V
     v_off: float = 0.7         # V
@@ -109,6 +135,23 @@ class VteamParams(Params):
     def state_range(self) -> tuple[float, float]:
         return self.w_on, self.w_off
 
+    @property
+    def corner_states(self) -> tuple[float, float]:
+        """(w at R_OFF, w at R_ON): w maps to R the other way round."""
+        return self.w_off, self.w_on
+
+    @property
+    def kernel_constants(self) -> tuple:
+        return (self.v_on, self.v_off, self.k_on, self.k_off, float(self.alpha_on),
+                float(self.alpha_off), self.w_on, self.w_off, self.r_on, self.r_off,
+                self.window.code, self.window.p, self.window.j)
+
+    def resistance(self, w: float) -> float:
+        return K._vteam_resistance(w, self.w_on, self.w_off, self.r_on, self.r_off)
+
+    branch_rk4 = property(lambda self: K.vteam_branch_rk4)
+    sine_sweep = property(lambda self: K.vteam_sine_sweep)
+
 
 @dataclass(frozen=True)
 class MemristorState:
@@ -126,10 +169,16 @@ def dwdt(params: MemristorParams, state: MemristorState, i: float) -> float:
     """Switching rate mu_v*(R_ON/D)*g(i_dev)*f(w), where the wiring
     orientation maps the terminal current into the device frame."""
     i_dev = state.orientation * i
-    return K.dopant_rate(
-        state.w, i_dev, params.r_on, params.d, params.mu_v,
-        params.a0, params.i0, params.q,
-        params.window.code, params.window.p, params.window.j)
+    try:
+        rate = K.dopant_rate(
+            state.w, i_dev, params.r_on, params.d, params.mu_v,
+            params.a0, params.i0, params.q,
+            params.window.code, params.window.p, params.window.j)
+    except OverflowError:
+        raise SimulationFault(f"device rate overflow at {i!r} A") from None
+    if not math.isfinite(rate):  # a product of finite constants can overflow
+        raise SimulationFault(f"non-finite device rate at {i!r} A")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -177,19 +226,10 @@ def hysteresis_sweep(params, state: MemristorState, drive: SineDrive,
     i = np.empty(n_samples)
     w = np.empty(n_samples)
     r = np.empty(n_samples)
-    if isinstance(params, VteamParams):
-        sweep, constants = K.vteam_sine_sweep, (
-            params.v_on, params.v_off, params.k_on, params.k_off,
-            float(params.alpha_on), float(params.alpha_off),
-            params.w_on, params.w_off, params.r_on, params.r_off)
-    else:
-        sweep, constants = K.dopant_sine_sweep, (
-            params.r_on, params.r_off, params.d, params.mu_v,
-            params.a0, params.i0, params.q)
     try:
-        count = sweep(state.w, float(state.orientation), drive.amplitude, drive.freq,
-                      duration, dt, sample_every, *constants,
-                      params.window.code, params.window.p, params.window.j, t, v, i, w, r)
+        count = params.sine_sweep(state.w, float(state.orientation), drive.amplitude,
+                                  drive.freq, duration, dt, sample_every,
+                                  *params.kernel_constants, t, v, i, w, r)
     except OverflowError:
         raise SimulationFault("device rate overflow during sweep") from None
     if not np.all(np.isfinite(w[:count])):

@@ -35,9 +35,6 @@ from .params import AT_LEAST_ONE, NONNEGATIVE, POSITIVE, Params, key, one_of
 from .plasticity import ClockParams, TraceParams
 from .synapse import SynapseAssembly, SynapseConfig
 
-EXPERIMENTS = ("hysteresis", "switch-rate", "synapse-pd", "weak-strong-calibration",
-               "stdp-window", "stdp-window-vteam", "pattern-learn")
-
 
 # -- config groups of the circuit as a whole and of the experiments ----------
 
@@ -342,13 +339,14 @@ def run_switch_rate(cfg: Config, outdir: Path) -> list[Path]:
     params = cfg.group(MemristorParams)
     sr = cfg.group(SwitchRateParams)
     w = sr.w_frac * params.d
+    # Python floats, whose power law raises OverflowError where numpy's gives inf
     currents = np.geomspace(sr.i_min, sr.i_max, sr.points)
-    rows = [(i, dwdt(params, MemristorState(w=w), i)) for i in currents]
+    rows = [(i, dwdt(params, MemristorState(w=w), i)) for i in currents.tolist()]
     files = [write_csv(outdir / "switch_rate.csv", "i,rate", rows)]
     # rate surface over the state range, both current signs
     surf = []
     for frac in np.linspace(0.0, 1.0, 21):
-        for i in np.concatenate([-currents[::6][::-1], currents[::6]]):
+        for i in np.concatenate([-currents[::6][::-1], currents[::6]]).tolist():
             surf.append((frac, i, dwdt(params, MemristorState(w=frac * params.d), i)))
     files.append(write_csv(outdir / "switch_rate_surface.csv", "w_over_d,i,rate", surf))
     return files
@@ -358,6 +356,10 @@ def run_synapse_pd(cfg: Config, outdir: Path) -> list[Path]:
     syn = SynapseAssembly.fresh(synapse_config(cfg))
     dt = cfg["clock.dt"]
     pd = cfg.group(PdParams)
+    # checked here, not at load, where it would refuse clock.dt values for
+    # runs that never read pd.*; each sample is one drive (1.5e11 at 1e-12 s)
+    if pd.sample_dt < dt:
+        raise ConfigError("pd.sample_dt >= clock.dt")
     rows = []
     t = 0.0
     level = 2.0 * cfg["lif.v_cc"]
@@ -450,6 +452,7 @@ RUNNERS = {
     "stdp-window-vteam": run_stdp_window_vteam,
     "pattern-learn": run_pattern_learn,
 }
+EXPERIMENTS = tuple(RUNNERS)
 
 # experiments that run a derived configuration; the manifest records it
 VARIANTS = {"stdp-window-vteam": vteam_variant}

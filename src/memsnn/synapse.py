@@ -39,12 +39,6 @@ from .params import POSITIVE, Params, key, one_of
 EXCITATORY = "excitatory"
 INHIBITORY = "inhibitory"
 
-# device orientations (M1, M2, M3, M4) making a positive A->B voltage raise
-# the excitatory weight; inverted wholesale for the inhibitory synapse.
-# Mirrored (o3 = o2, o4 = o1): SynapseAssembly._integrate relies on it.
-_DOPANT_EXC = (1.0, -1.0, -1.0, 1.0)
-_VTEAM_EXC = (-1.0, 1.0, 1.0, -1.0)  # voltage-controlled convention: v <= v_on sets
-
 
 @dataclass(frozen=True)
 class SynapseConfig(Params):
@@ -62,13 +56,10 @@ class SynapseConfig(Params):
         self.device.validate()
         return self
 
-    @property
-    def is_vteam(self) -> bool:
-        return isinstance(self.device, VteamParams)
-
 
 def _orientations(config: SynapseConfig) -> tuple[float, float, float, float]:
-    base = _VTEAM_EXC if config.is_vteam else _DOPANT_EXC
+    """The device's excitatory table, inverted wholesale for the inhibitory synapse."""
+    base = config.device.EXCITATORY_ORIENTATIONS
     if config.polarity == EXCITATORY:
         return base
     return tuple(-o for o in base)
@@ -82,24 +73,6 @@ def _branch(driver, rk4, tol, *args):
     return driver(rk4, *args)
 
 
-def _device_args(device) -> tuple:
-    """The device constants in the order the branch RK4 step takes them."""
-    wk, wp, wj = device.window.code, device.window.p, device.window.j
-    if isinstance(device, VteamParams):
-        return (device.v_on, device.v_off, device.k_on, device.k_off,
-                float(device.alpha_on), float(device.alpha_off),
-                device.w_on, device.w_off, device.r_on, device.r_off, wk, wp, wj)
-    return (device.r_on, device.r_off, device.d, device.mu_v, device.a0, device.i0,
-            device.q, wk, wp, wj)
-
-
-def _corner_states(device) -> tuple[float, float]:
-    """(w at R_OFF, w at R_ON) - the two models map w to R oppositely."""
-    if isinstance(device, VteamParams):
-        return device.w_off, device.w_on
-    return 0.0, device.d
-
-
 class SynapseAssembly:
     """Mutable bridge state: four doping depths plus the shared config.
 
@@ -107,17 +80,16 @@ class SynapseAssembly:
     single thread.
     """
 
-    __slots__ = ("config", "w", "_lo", "_hi", "_vteam", "_o1", "_o2", "_r1", "_device_args")
+    __slots__ = ("config", "w", "_lo", "_hi", "_o1", "_o2", "_r1", "_constants")
 
     def __init__(self, config: SynapseConfig, w: tuple[float, float, float, float]):
         self.config = config
         self.w = list(float(x) for x in w)
         self._lo, self._hi = config.device.state_range
         # branch-1 kernel arguments, bound once (see _integrate)
-        self._vteam = config.is_vteam
         self._o1, self._o2 = _orientations(config)[:2]
         self._r1 = config.r1
-        self._device_args = _device_args(config.device)
+        self._constants = config.device.kernel_constants
         for wi in self.w:
             if not (self._lo <= wi <= self._hi):
                 raise ConfigError(f"device state {wi} outside [{self._lo}, {self._hi}]")
@@ -127,7 +99,7 @@ class SynapseAssembly:
         """Lowest-|weight| corner: M1, M4 at R_OFF and M2, M3 at R_ON for the
         excitatory synapse; the mirrored corner for the inhibitory one."""
         config.validate()
-        w_roff, w_ron = _corner_states(config.device)
+        w_roff, w_ron = config.device.corner_states
         if config.polarity == EXCITATORY:
             return cls(config, (w_roff, w_ron, w_ron, w_roff))
         return cls(config, (w_ron, w_roff, w_roff, w_ron))
@@ -136,13 +108,7 @@ class SynapseAssembly:
         return SynapseAssembly(self.config, tuple(self.w))
 
     def resistances(self) -> tuple[float, float, float, float]:
-        dev = self.config.device
-        if self.config.is_vteam:
-            span = dev.w_off - dev.w_on
-            return tuple(dev.r_on + (dev.r_off - dev.r_on) * (wi - dev.w_on) / span
-                         for wi in self.w)
-        return tuple(dev.r_on * (wi / dev.d) + dev.r_off * (1.0 - wi / dev.d)
-                     for wi in self.w)
+        return tuple(map(self.config.device.resistance, self.w))
 
     def weight(self) -> float:
         """Gain-scaled difference of the two divider taps."""
@@ -154,9 +120,11 @@ class SynapseAssembly:
 
     def weight_range(self) -> tuple[float, float]:
         """Closed target interval for programming: the saturated-corner value
-        on the far side, 0 on the near side (the resting corner sits slightly
-        inside it)."""
-        w_roff, w_ron = _corner_states(self.config.device)
+        on the far side, 0 on the near side.  The resting corner of `fresh`
+        lies inside it, not at 0: |weight| 0.0034 in [0, 1.093] for the stock
+        dopant circuit, 0.100 in [0, 1.5] for the VTEAM variant.  Programming
+        toward a target nearer 0 stalls at that corner."""
+        w_roff, w_ron = self.config.device.corner_states
         far = self.copy()
         if self.config.polarity == EXCITATORY:
             far.w = [w_ron, w_roff, w_roff, w_ron]
@@ -221,9 +189,9 @@ class SynapseAssembly:
                 "the integrator needs M3 = M2 and M4 = M1")
         try:
             w1, w2 = _branch(K.branch_segment if adaptive else K.branch_step,
-                             K.vteam_branch_rk4 if self._vteam else K.dopant_branch_rk4,
+                             self.config.device.branch_rk4,
                              K.SEGMENT_TOL, w1, w2, self._lo, self._hi, duration, dt,
-                             self._o1, self._o2, self._r1, v_ab, *self._device_args)
+                             self._o1, self._o2, self._r1, v_ab, *self._constants)
         except OverflowError:
             raise SimulationFault(f"device rate overflow under {v_ab!r} V drive") from None
         if adaptive and not (math.isfinite(w1) and math.isfinite(w2)):

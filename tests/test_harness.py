@@ -135,6 +135,15 @@ def test_cli_simulation_fault_exit_code(tmp_path, monkeypatch):
     assert main(["switch-rate", "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("override", ["switchrate.i_max=1e300", "device.mu_v=1e300"])
+def test_switch_rate_rate_overflow_exits_3(tmp_path, capsys, override):
+    # the power law, or a product of finite constants, overflows; both once
+    # wrote inf / nan rates with exit 0
+    assert main(["switch-rate", "--out", str(tmp_path), "--set", override]) == 3
+    assert capsys.readouterr().err.startswith("simulation fault: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_pattern_learn_cli_short_run(tmp_path):
     rc = main(["pattern-learn", "--out", str(tmp_path), "--epochs", "3"])
     assert rc == 0
@@ -189,6 +198,7 @@ BAD_VALUES = [
     ("switch-rate", "clock.base_freq=nan", "bad value for 'clock.base_freq': 'nan'"),
     ("synapse-pd", "pd.cycles=-1", "pd.cycles >= 0"),
     ("synapse-pd", "pd.phase_seconds=-1", "pd.phase_seconds > 0"),
+    ("synapse-pd", "pd.sample_dt=1e-12", "pd.sample_dt >= clock.dt"),  # once hung
     # every group is checked at load, whichever experiment runs
     ("switch-rate", "lif.c=0", "lif.c > 0"),
     ("switch-rate", "lif.v_th=0.5", "lif.v_th < 0"),

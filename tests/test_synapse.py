@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from memsnn import _kernels as K
-from memsnn.device import MemristorParams
+from memsnn.device import MemristorParams, MemristorState, SineDrive, hysteresis_sweep
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
 from memsnn.plasticity import pwm_encode
@@ -316,6 +316,36 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
             assert syn.w[2:] != list(w[2:])
             landed += any(not (lo < a < hi) and lo < b < hi for a, b in zip(syn.w, w))
     assert landed == (len(DRIVERS) if kind == "vteam" else 0)
+
+
+@pytest.mark.parametrize("polarity", [EXCITATORY, INHIBITORY])
+@pytest.mark.parametrize("kind", sorted(ENGINE_CONFIGS))
+def test_device_members_set_corners_and_kernel_constants(kind, polarity, monkeypatch):
+    """A fresh synapse reads exactly (R_OFF, R_ON, R_ON, R_OFF), mirrored
+    for the inhibitory one, and the sine sweep and a drive hand the device's
+    kernels the same constant tuple."""
+    cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
+    sc = replace(cfg.synapse, polarity=polarity)
+    dev = sc.device
+    syn = SynapseAssembly.fresh(sc)
+    if polarity == EXCITATORY:
+        assert syn.resistances() == (dev.r_off, dev.r_on, dev.r_on, dev.r_off)
+    else:
+        assert syn.resistances() == (dev.r_on, dev.r_off, dev.r_off, dev.r_on)
+    model = "vteam" if kind == "vteam" else "dopant"
+    seen = {"branch_rk4": set(), "sine_sweep": set()}
+    # the constants follow (w1, w2, h, o1, o2, r1, v) or (w0, ..., sample_every),
+    # and the sweep's five output arrays follow them
+    for name, end in (("branch_rk4", None), ("sine_sweep", -5)):
+        def recorded(*args, _kernel=getattr(K, f"{model}_{name}"), _seen=seen[name], _end=end):
+            _seen.add(args[7:_end])
+            return _kernel(*args)
+        monkeypatch.setattr(K, f"{model}_{name}", recorded)
+    syn.drive(2 * cfg.lif.v_cc, cfg.clock.dt, 1.0 / cfg.clock.base_freq)
+    lo, hi = dev.state_range
+    hysteresis_sweep(dev, MemristorState(w=0.5 * (lo + hi)), SineDrive(1.0, 10.0),
+                     1e-3, 1e-5, 10)
+    assert seen["branch_rk4"] == seen["sine_sweep"] == {dev.kernel_constants}
 
 
 @pytest.mark.parametrize("config", [CFG_EXC, CFG_INH, CFG_VTEAM])
