@@ -10,15 +10,17 @@ Two device models are provided:
 * a threshold (voltage-controlled) model with a true sub-threshold dead zone
   and polynomial rate law above each threshold.
 
-State is a single scalar per device.  This module holds the device constants,
-the rate law and the single-device sine sweep of the hysteresis experiment,
-and decides the model once: each constants class states its synapse wiring,
-corner states, kernel constants, resistance law and kernels (in `_kernels`).
-Devices wired into a synapse are integrated branch by branch through
-`synapse.SynapseAssembly`.
+State is a single scalar per device.  This module holds the device constants
+and the single-device sine sweep of the hysteresis experiment, and decides
+the model once: each constants class states its synapse wiring, corner
+states and kernels, and builds its rate law (`_kernels.dopant_law` /
+`vteam_law`) once per distinct set of constant values.  That one law is
+what `dwdt`, the sine sweep, the resistance readout and the branch RK4 step
+of `synapse.SynapseAssembly` all evaluate.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,13 +41,12 @@ class WindowSpec(Params):
     p: int = key(4, EXPONENT)
     j: float = key(1.0, (lambda j: 0.0 < j <= 1.0, "0 < {} <= 1"))
 
-    @property
-    def code(self) -> int:
-        try:
-            return self.KINDS.index(self.kind)
-        except ValueError:
-            raise ConfigError(
-                f"unknown window kind {self.kind!r}; expected one of {', '.join(self.KINDS)}") from None
+
+@functools.lru_cache(maxsize=16)
+def _law(params):
+    """params.build_law(), once per distinct set of constant values: equal
+    params (frozen, so hashed by value) share one law object."""
+    return params.build_law()
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,11 @@ class MemristorParams(Params):
         """(w at R_OFF, w at R_ON)."""
         return 0.0, self.d
 
-    @property
-    def kernel_constants(self) -> tuple:
-        return (self.r_on, self.r_off, self.d, self.mu_v, self.a0, self.i0, self.q,
-                self.window.code, self.window.p, self.window.j)
+    def build_law(self) -> K.Law:
+        return K.dopant_law(self.r_on, self.r_off, self.d, self.mu_v, self.a0, self.i0,
+                            self.q, K.window(self.window.kind, self.window.p, self.window.j))
 
-    def resistance(self, w: float) -> float:
-        return K._memristance(w, self.d, self.r_on, self.r_off)
+    law = property(_law)
 
     # looked up at each call, so a patched or wrapped kernel is the one that runs
     branch_rk4 = property(lambda self: K.dopant_branch_rk4)
@@ -140,14 +139,12 @@ class VteamParams(Params):
         """(w at R_OFF, w at R_ON): w maps to R the other way round."""
         return self.w_off, self.w_on
 
-    @property
-    def kernel_constants(self) -> tuple:
-        return (self.v_on, self.v_off, self.k_on, self.k_off, float(self.alpha_on),
-                float(self.alpha_off), self.w_on, self.w_off, self.r_on, self.r_off,
-                self.window.code, self.window.p, self.window.j)
+    def build_law(self) -> K.Law:
+        return K.vteam_law(self.v_on, self.v_off, self.k_on, self.k_off, float(self.alpha_on),
+                           float(self.alpha_off), self.w_on, self.w_off, self.r_on, self.r_off,
+                           K.window(self.window.kind, self.window.p, self.window.j))
 
-    def resistance(self, w: float) -> float:
-        return K._vteam_resistance(w, self.w_on, self.w_off, self.r_on, self.r_off)
+    law = property(_law)
 
     branch_rk4 = property(lambda self: K.vteam_branch_rk4)
     sine_sweep = property(lambda self: K.vteam_sine_sweep)
@@ -168,12 +165,8 @@ class MemristorState:
 def dwdt(params: MemristorParams, state: MemristorState, i: float) -> float:
     """Switching rate mu_v*(R_ON/D)*g(i_dev)*f(w), where the wiring
     orientation maps the terminal current into the device frame."""
-    i_dev = state.orientation * i
     try:
-        rate = K.dopant_rate(
-            state.w, i_dev, params.r_on, params.d, params.mu_v,
-            params.a0, params.i0, params.q,
-            params.window.code, params.window.p, params.window.j)
+        rate = params.law.rate(state.w, state.orientation * i)
     except OverflowError:
         raise SimulationFault(f"device rate overflow at {i!r} A") from None
     if not math.isfinite(rate):  # a product of finite constants can overflow
@@ -229,7 +222,7 @@ def hysteresis_sweep(params, state: MemristorState, drive: SineDrive,
     try:
         count = params.sine_sweep(state.w, float(state.orientation), drive.amplitude,
                                   drive.freq, duration, dt, sample_every,
-                                  *params.kernel_constants, t, v, i, w, r)
+                                  params.law, *params.state_range, t, v, i, w, r)
     except OverflowError:
         raise SimulationFault("device rate overflow during sweep") from None
     if not np.all(np.isfinite(w[:count])):

@@ -63,6 +63,7 @@ class StdpParams(Params):
 
 @dataclass(frozen=True)
 class HysteresisParams(Params):
+    MAX_STEPS = 10_000_000  # per sweep, about 45 s; the stock hard sweep takes 200 000
     w0: float = 5e-9  # its range is the selected device's (see run_hysteresis)
     pinched_amplitude: float = 1.0
     pinched_freq: float = key(10.0, POSITIVE)
@@ -323,12 +324,17 @@ def run_hysteresis(cfg: Config, outdir: Path) -> list[Path]:
     lo, hi = params.state_range
     if not lo <= h.w0 <= hi:
         raise ConfigError(f"hysteresis.w0 in the device state range [{lo:.9g}, {hi:.9g}]")
+    sweeps = (("pinched", h.pinched_amplitude, h.pinched_freq, h.pinched_cycles),
+              ("hard", h.hard_amplitude, h.hard_freq, h.hard_cycles))
+    dt = cfg["clock.dt"]
+    for tag, _, freq, cycles in sweeps:  # before a sweep sizes its arrays from the count
+        if cycles / freq / dt > h.MAX_STEPS:
+            raise ConfigError(f"hysteresis.{tag}_cycles / hysteresis.{tag}_freq / clock.dt"
+                              f" <= {h.MAX_STEPS}")
     files = []
-    for tag, amplitude, freq, cycles in (
-            ("pinched", h.pinched_amplitude, h.pinched_freq, h.pinched_cycles),
-            ("hard", h.hard_amplitude, h.hard_freq, h.hard_cycles)):
+    for tag, amplitude, freq, cycles in sweeps:
         series = hysteresis_sweep(params, MemristorState(w=h.w0), SineDrive(amplitude, freq),
-                                  cycles / freq, cfg["clock.dt"], h.sample_every)
+                                  cycles / freq, dt, h.sample_every)
         files.append(write_csv(outdir / f"hysteresis_{tag}.csv", series.HEADER, series.rows()))
     return files
 

@@ -80,7 +80,7 @@ class SynapseAssembly:
     single thread.
     """
 
-    __slots__ = ("config", "w", "_lo", "_hi", "_o1", "_o2", "_r1", "_constants")
+    __slots__ = ("config", "w", "_lo", "_hi", "_o1", "_o2", "_r1", "_resistance", "_rates")
 
     def __init__(self, config: SynapseConfig, w: tuple[float, float, float, float]):
         self.config = config
@@ -89,7 +89,8 @@ class SynapseAssembly:
         # branch-1 kernel arguments, bound once (see _integrate)
         self._o1, self._o2 = _orientations(config)[:2]
         self._r1 = config.r1
-        self._constants = config.device.kernel_constants
+        law = config.device.law
+        self._resistance, self._rates = law.resistance, law.branch_rates
         for wi in self.w:
             if not (self._lo <= wi <= self._hi):
                 raise ConfigError(f"device state {wi} outside [{self._lo}, {self._hi}]")
@@ -108,7 +109,7 @@ class SynapseAssembly:
         return SynapseAssembly(self.config, tuple(self.w))
 
     def resistances(self) -> tuple[float, float, float, float]:
-        return tuple(map(self.config.device.resistance, self.w))
+        return tuple(map(self._resistance, self.w))
 
     def weight(self) -> float:
         """Gain-scaled difference of the two divider taps."""
@@ -168,9 +169,10 @@ class SynapseAssembly:
         driver and the RK4 step as `_kernels` holds them at this call (so
         patched or wrapped kernels never share an entry with the originals),
         SEGMENT_TOL, w1, w2, the bounds, duration, dt, o1, o2, r1, v_ab and
-        the device constants.  The drivers are pure functions of exactly
-        these, so a repeated drive returns what integrating it again would,
-        bit for bit.
+        the device law's `branch_rates`, one object per distinct set of
+        device constants (see device._law).  The drivers are pure functions
+        of exactly these, so a repeated drive returns what integrating it
+        again would, bit for bit.
         """
         if not math.isfinite(v_ab):
             raise SimulationFault(f"non-finite drive voltage {v_ab!r}")
@@ -191,7 +193,7 @@ class SynapseAssembly:
             w1, w2 = _branch(K.branch_segment if adaptive else K.branch_step,
                              self.config.device.branch_rk4,
                              K.SEGMENT_TOL, w1, w2, self._lo, self._hi, duration, dt,
-                             self._o1, self._o2, self._r1, v_ab, *self._constants)
+                             self._o1, self._o2, self._r1, v_ab, self._rates)
         except OverflowError:
             raise SimulationFault(f"device rate overflow under {v_ab!r} V drive") from None
         if adaptive and not (math.isfinite(w1) and math.isfinite(w2)):
@@ -216,9 +218,12 @@ class SynapseAssembly:
         """Closed-loop programming with +/-`level` micro-pulses of width dt.
 
         Pulses towards `target` until the weight is within `tolerance` of it,
-        a pulse moves it by less than 1e-15 (a range boundary stalls it) or
-        `max_seconds` of pulses have been applied; returns the achieved
-        weight.  A pulse that overshoots the band reverses the direction.
+        a pulse moves it by less than 1e-15 (a range boundary stalls it), a
+        pulse crosses the whole band or `max_seconds` of pulses have been
+        applied; returns the achieved weight.  The weight is monotone along
+        pulses of one direction, so once a pulse crosses the band no count
+        of them lands in it: the synapse ends at the nearer of the weights
+        before and after that pulse (the earlier on a tie), out of the band.
 
         The pulses are event-located, not applied one by one.  Pulses in one
         direction form one constant drive, along which the weight is
@@ -227,8 +232,7 @@ class SynapseAssembly:
         _pulses_short_of), and the next `apply_differential` pulse meets the
         band, stall and direction tests as in a pulse-wise loop.  The pulse
         count matches that loop unless a band edge lies within the
-        integration error (SEGMENT_TOL) of a pulse edge.  A pulse that
-        overshoots a band narrower than one pulse costs no search.
+        integration error (SEGMENT_TOL) of a pulse edge.
         """
         if tolerance <= 0.0:
             raise ConfigError("tolerance > 0")
@@ -244,10 +248,16 @@ class SynapseAssembly:
             up = 1.0 if target > psi else -1.0
             v = level * sign_for_up * up
             edge = up * target - tolerance  # up * psi below it: short of the band
+            before = list(self.w)
             self.apply_differential(v, dt)
             new_psi = self.weight()
             if abs(new_psi - psi) < 1e-15:
                 break  # boundary stall
+            if up * new_psi > up * target + tolerance:  # crossed the band
+                if abs(new_psi - target) < abs(psi - target):
+                    return new_psi
+                self.w = before
+                return psi
             psi = new_psi
             steps += 1
             if up * psi < edge:

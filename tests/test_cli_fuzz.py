@@ -73,10 +73,9 @@ def test_cli_exits_0_2_or_3_without_traceback(key, data):
     for item in [f"{k}={v}" for k, v in BUDGET.items()] + [f"{key}={value}"]:
         argv += ["--set", item]
     err = io.StringIO()
-    # 30 s: at device.q = 1 one pulse overshoots the calibration's tolerance
-    # band, so closed-loop programming pulses back and forth until its 5 s
-    # of pulses run out, twice (about 5 s of wall time); valid, if slow
-    with tempfile.TemporaryDirectory() as out, deadline(30.0), \
+    # 5 s: every drawn run takes well under 1 s, so a hang or a loop that
+    # runs out its budget (closed-loop programming has 5 s of pulses) fails
+    with tempfile.TemporaryDirectory() as out, deadline(5.0), \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(argv + ["--out", out])
     hypothesis.event(f"exit {rc}")

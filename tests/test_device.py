@@ -15,18 +15,22 @@ D = P.d
 
 
 def joule(params, i):
-    return K.joule_current(params.a0, params.i0, params.q, i)
+    """The power-law drive g(i) of the rate law: its rate with a unit
+    prefactor (mu_v = 1, R_ON = D) and the window open (kind none, j = 1)."""
+    law = K.dopant_law(params.d, params.r_off, params.d, 1.0, params.a0, params.i0, params.q,
+                       K.window("none", 1, 1.0))
+    return law.rate(0.5 * params.d, i)
 
 
 def window(spec, x, i):
     """Window factor at normalized state x = w/D under current i."""
-    return K.window_factor(spec.code, spec.p, spec.j, x, i)
+    return K.window(spec.kind, spec.p, spec.j)(x, i)
 
 
 def test_memristance_boundaries():
-    assert K._memristance(0.0, D, P.r_on, P.r_off) == 16000.0
-    assert K._memristance(D, D, P.r_on, P.r_off) == 100.0
-    assert K._memristance(D / 2, D, P.r_on, P.r_off) == pytest.approx(8050.0, rel=1e-12)
+    assert P.law.resistance(0.0) == 16000.0
+    assert P.law.resistance(D) == 100.0
+    assert P.law.resistance(D / 2) == pytest.approx(8050.0, rel=1e-12)
 
 
 def test_joule_values():

@@ -189,6 +189,9 @@ BAD_VALUES = [
     ("hysteresis", "hysteresis.pinched_freq=0", "hysteresis.pinched_freq > 0"),
     ("hysteresis", "hysteresis.hard_freq=0", "hysteresis.hard_freq > 0"),
     ("hysteresis", "hysteresis.pinched_cycles=-1", "hysteresis.pinched_cycles >= 0"),
+    # once a numpy MemoryError traceback (149 GiB of sweep samples)
+    ("hysteresis", "hysteresis.pinched_freq=1e-6",
+     "hysteresis.pinched_cycles / hysteresis.pinched_freq / clock.dt <= 10000000"),
     ("weak-strong-calibration", "calibration.pulse_seconds=0", "calibration.pulse_seconds > 0"),
     ("weak-strong-calibration", "lif.v_cc=0", "lif.v_cc > 0"),
     ("stdp-window", "stdp.max_offset=-1", "stdp.max_offset >= 0"),

@@ -227,6 +227,29 @@ def test_program_within_tolerance_verified_by_weight():
     assert syn.weight() == achieved
 
 
+def test_program_ends_at_a_pulse_that_crosses_the_band(monkeypatch):
+    """At q = 1 one 10 us pulse moves the weight further than the 2e-3 wide
+    band, so no pulse count lands in it.  Programming stops at the first
+    pulse that crosses the band, keeps the side nearer the target, and the
+    synapse holds that weight; it once pulsed back and forth for 5 s."""
+    cfg = replace(CFG_EXC, device=replace(CFG_EXC.device, q=1))
+    pulses = [0]
+    pulse = SynapseAssembly.apply_differential
+
+    def counted_pulse(*args):
+        pulses[0] += 1
+        return pulse(*args)
+
+    monkeypatch.setattr(SynapseAssembly, "apply_differential", counted_pulse)
+    syn = SynapseAssembly.fresh(cfg)
+    achieved = syn.program_to_weight(0.5, tolerance=1e-3, dt=DT)
+    assert pulses[0] == 2  # one short of the band, a jump to its edge, one across it
+    assert syn.weight() == achieved
+    crossed = syn.copy().apply_differential(4.0, DT).weight()
+    assert achieved < 0.5 - 1e-3 and crossed > 0.5 + 1e-3
+    assert abs(achieved - 0.5) <= abs(crossed - 0.5)
+
+
 def test_program_unreachable_target_names_range():
     syn = SynapseAssembly.fresh(CFG_EXC)
     with pytest.raises(ConfigError, match="reachable range"):
@@ -323,7 +346,7 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
 def test_device_members_set_corners_and_kernel_constants(kind, polarity, monkeypatch):
     """A fresh synapse reads exactly (R_OFF, R_ON, R_ON, R_OFF), mirrored
     for the inhibitory one, and the sine sweep and a drive hand the device's
-    kernels the same constant tuple."""
+    kernels the same rate law: one object, shared by equal device params."""
     cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
     sc = replace(cfg.synapse, polarity=polarity)
     dev = sc.device
@@ -334,8 +357,8 @@ def test_device_members_set_corners_and_kernel_constants(kind, polarity, monkeyp
         assert syn.resistances() == (dev.r_on, dev.r_off, dev.r_off, dev.r_on)
     model = "vteam" if kind == "vteam" else "dopant"
     seen = {"branch_rk4": set(), "sine_sweep": set()}
-    # the constants follow (w1, w2, h, o1, o2, r1, v) or (w0, ..., sample_every),
-    # and the sweep's five output arrays follow them
+    # the law follows (w1, w2, h, o1, o2, r1, v) or (w0, ..., sample_every),
+    # and the sweep's bounds and five output arrays follow it
     for name, end in (("branch_rk4", None), ("sine_sweep", -5)):
         def recorded(*args, _kernel=getattr(K, f"{model}_{name}"), _seen=seen[name], _end=end):
             _seen.add(args[7:_end])
@@ -345,7 +368,10 @@ def test_device_members_set_corners_and_kernel_constants(kind, polarity, monkeyp
     lo, hi = dev.state_range
     hysteresis_sweep(dev, MemristorState(w=0.5 * (lo + hi)), SineDrive(1.0, 10.0),
                      1e-3, 1e-5, 10)
-    assert seen["branch_rk4"] == seen["sine_sweep"] == {dev.kernel_constants}
+    [(rates,)] = seen["branch_rk4"]
+    [(law, lo_seen, hi_seen)] = seen["sine_sweep"]
+    assert rates is law.branch_rates and law is dev.law is replace(dev).law
+    assert (lo_seen, hi_seen) == (lo, hi)
 
 
 @pytest.mark.parametrize("config", [CFG_EXC, CFG_INH, CFG_VTEAM])
@@ -380,16 +406,23 @@ def test_drive_from_bound_resolves_crossing_to_opposite_bound():
 
 def pulsewise_program(syn, target, tolerance, dt, level=4.0, max_seconds=5.0):
     """The closed-loop programming reference: one `apply_differential`
-    micro-pulse and one weight readout per step."""
+    micro-pulse and one weight readout per step, ending at the nearer side
+    of a pulse that crosses the band."""
     sign_for_up = 1.0 if syn.config.polarity == EXCITATORY else -1.0
     psi = syn.weight()
     steps = 0
     max_steps = int(max_seconds / dt)
     while abs(psi - target) > tolerance and steps < max_steps:
+        before = list(syn.w)
         syn.apply_differential(level * sign_for_up * (1.0 if target > psi else -1.0), dt)
         new_psi = syn.weight()
         if abs(new_psi - psi) < 1e-15:
             break
+        if abs(new_psi - target) > tolerance and (new_psi > target) != (psi > target):
+            if abs(new_psi - target) < abs(psi - target):
+                return new_psi
+            syn.w = before
+            return psi
         psi = new_psi
         steps += 1
     return psi
@@ -402,9 +435,9 @@ def test_program_matches_pulsewise_oracle(kind, polarity):
     weights agree within 1e-9, far below the weight change of one pulse, so
     the pulse counts agree.  The cases are programming up from the fresh
     corner, a downward re-program, and programming to 0, which stalls at the
-    range floor.  max_seconds leaves room for the longest run (0.875) and
-    caps the VTEAM runs at tolerance 1e-5, whose band is narrower than one
-    pulse, so that they flip direction on every pulse until the cap."""
+    range floor.  max_seconds leaves room for the longest run (0.875).  At
+    tolerance 1e-5 the band is narrower than one pulse, so most of those
+    runs end at a pulse that crosses it."""
     cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
     sc = replace(cfg.synapse, polarity=polarity)
     sign = 1.0 if polarity == EXCITATORY else -1.0
@@ -483,12 +516,14 @@ def test_cached_drive_is_the_integrated_drive(kind):
     dev = sc.device
     lo, hi = dev.state_range
     o1, o2 = _orientations(sc)[:2]
-    window = (dev.window.code, dev.window.p, dev.window.j)
+    # a law built here, apart from the device's shared one
+    window = K.window(dev.window.kind, dev.window.p, dev.window.j)
     if kind == "vteam":
-        constants = (dev.v_on, dev.v_off, dev.k_on, dev.k_off, float(dev.alpha_on),
-                     float(dev.alpha_off), dev.w_on, dev.w_off, dev.r_on, dev.r_off) + window
+        law = K.vteam_law(dev.v_on, dev.v_off, dev.k_on, dev.k_off, float(dev.alpha_on),
+                          float(dev.alpha_off), dev.w_on, dev.w_off, dev.r_on, dev.r_off, window)
     else:
-        constants = (dev.r_on, dev.r_off, dev.d, dev.mu_v, dev.a0, dev.i0, dev.q) + window
+        law = K.dopant_law(dev.r_on, dev.r_off, dev.d, dev.mu_v, dev.a0, dev.i0, dev.q, window)
+    assert law.branch_rates is not dev.law.branch_rates
     rk4 = K.vteam_branch_rk4 if kind == "vteam" else K.dopant_branch_rk4
     base = SynapseAssembly.fresh(sc)
     base.program_to_weight(0.5, tolerance=1e-3, dt=cfg.clock.dt)
@@ -502,7 +537,7 @@ def test_cached_drive_is_the_integrated_drive(kind):
         step(warm, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
         assert _branch.cache_info().hits == hits + 1
         w1, w2 = getattr(K, driver)(rk4, base.w[0], base.w[1], lo, hi, slot, cfg.clock.dt,
-                                    o1, o2, sc.r1, 2 * cfg.lif.v_cc, *constants)
+                                    o1, o2, sc.r1, 2 * cfg.lif.v_cc, law.branch_rates)
         assert cold.w == warm.w == [w1, w2, w2, w1], step.__name__
         assert cold.w != base.w
 
@@ -510,7 +545,9 @@ def test_cached_drive_is_the_integrated_drive(kind):
 def test_cache_key_covers_every_input(monkeypatch):
     """Changing any one input of a cached drive integrates again: the
     segment tolerance, the RK4 step, dt, duration, the voltage, the polarity
-    (orientations) and a device constant each give a miss."""
+    (orientations), a device constant, the window kind and the window
+    exponent each give a miss.  Equal but distinct device params share the
+    law, so their drive is a hit."""
     calls = counting(monkeypatch)
     fresh = SynapseAssembly.fresh(CFG_EXC)
 
@@ -521,12 +558,20 @@ def test_cache_key_covers_every_input(monkeypatch):
 
     assert cost() > 0
     assert cost() == 0
-    other_device = replace(CFG_EXC, device=replace(CFG_EXC.device, mu_v=1.01e-14))
+    dev = CFG_EXC.device
+    other_device = replace(CFG_EXC, device=replace(dev, mu_v=1.01e-14))
+    other_kind = replace(CFG_EXC, device=replace(dev, window=replace(dev.window, kind="biolek")))
+    other_p = replace(CFG_EXC, device=replace(dev, window=replace(dev.window, p=5)))
+    equal_device = replace(CFG_EXC, device=MemristorParams())
+    assert equal_device.device == dev and equal_device.device is not dev
+    assert cost(config=equal_device) == 0
     assert cost(dt=DT / 2) > 0
     assert cost(duration=2e-3) > 0
     assert cost(v=3.5) > 0
     assert cost(config=replace(CFG_EXC, polarity=INHIBITORY)) > 0
     assert cost(config=other_device) > 0
+    assert cost(config=other_kind) > 0
+    assert cost(config=other_p) > 0
     monkeypatch.setattr(K, "SEGMENT_TOL", 1e-10)
     assert cost() > 0
     monkeypatch.setattr(K, "SEGMENT_TOL", 1e-12)
