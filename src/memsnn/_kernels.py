@@ -1,4 +1,4 @@
-"""Device rate laws and their RK4 integration kernels, in plain Python.
+"""Device rate laws and their integration kernels, in plain Python.
 
 Each device model has one rate law, built once from its constants by
 `dopant_law` or `vteam_law` with the boundary window picked by `window`.  A
@@ -8,12 +8,12 @@ the device alone, and the two rates of a bridge branch whose devices share
 one current.  Every kernel below takes the law, not its constants, so the
 same `branch_rk4` step and the same `sine_sweep` serve both models.
 
-Two drivers integrate a branch under constant drive with `branch_rk4`: the
-fixed-step `branch_step`, the reference that takes substeps of at most dt,
+Two drivers integrate a branch under constant drive: the fixed-step
+`branch_step`, the reference that takes `branch_rk4` substeps of at most dt,
 and the error-controlled `branch_segment` used by the network engine, which
-uses RK4 step doubling and steps no shorter than dt.  `sine_sweep` drives a
-single device for the hysteresis experiment.  All state is passed as
-scalars / preallocated float64 arrays.
+takes embedded Dormand-Prince 5(4) steps no shorter than dt.  `sine_sweep`
+drives a single device for the hysteresis experiment.  All state is passed
+as scalars / preallocated float64 arrays.
 """
 import math
 from typing import Callable, NamedTuple
@@ -111,7 +111,7 @@ def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, win):
     def branch_rates(w1, w2, o1, o2, r_series, v):
         x1 = clamped(w1)
         x2 = clamped(w2)
-        # R(x1) + R(x2) + r_series, written out: this runs 4 times per RK4 step
+        # R(x1) + R(x2) + r_series, written out: this runs at every stage
         i = v / ((r_on * x1 + r_off * (1.0 - x1)) + (r_on * x2 + r_off * (1.0 - x2))
                  + r_series)
         return drift(x1, o1 * i), drift(x2, o2 * i)
@@ -167,37 +167,37 @@ def _clamp(x, lo, hi):
     return x
 
 
-def _step_error(w, f, c, lo, hi):
-    """Local error estimate for one device over a doubled step from w.
+def _step_error(w, y5, y4, lo, hi):
+    """Local error estimate for one device over one step from w.
 
-    f is the unclamped full step, c the unclamped result of the two half
-    steps.  A step that carries the device from inside [lo, hi] onto or past
-    a bound, or from one bound onto the other, counts as an error of the
-    whole range, so landing on a bound is resolved down to the reference
-    step dt.  Otherwise a device that starts on a bound is judged by the
-    clamped results, so a device held there by the drive does not force
-    short steps.
+    y5 and y4 are the step's unclamped 5th- and 4th-order solutions.  A step
+    that carries the device from inside [lo, hi] onto or past a bound, or
+    from one bound onto the other, counts as an error of the whole range, so
+    landing on a bound is resolved down to the reference step dt.  Otherwise
+    a device that starts on a bound is judged by the clamped solutions, so a
+    device held there by the drive does not force short steps.
     """
     if lo < w < hi:
-        if not (lo < c < hi):
+        if not (lo < y5 < hi):
             return hi - lo
-        return abs(c - f) / 15.0
-    c = _clamp(c, lo, hi)
-    if c != w and not (lo < c < hi):
+        return abs(y5 - y4)
+    y5 = _clamp(y5, lo, hi)
+    if y5 != w and not (lo < y5 < hi):
         return hi - lo
-    return abs(c - _clamp(f, lo, hi)) / 15.0
+    return abs(y5 - _clamp(y4, lo, hi))
 
 
 def _step_factor(err, tol):
-    """Step-size multiplier for RK4 step doubling.
+    """Step-size multiplier for the Dormand-Prince 5(4) pair.
 
-    A step h is compared with two steps h/2; their difference over 15 is the
-    Richardson estimate of the local error of the half-step result (Hairer,
-    Norsett & Wanner, Solving ODEs I, sec. II.4), which is kept when the
-    estimate is within tol (see _step_error for the state bounds).  The step
-    never shrinks below the reference step dt, and a step of at most dt is
-    taken without an estimate and always accepted, so a segment never needs
-    more accepted steps than fixed-step RK4 at dt and always terminates.
+    The difference of the pair's 5th- and 4th-order solutions estimates the
+    local error of the 4th-order one (Dormand & Prince, J. Comput. Appl.
+    Math. 6(1):19-26, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
+    sec. II.4-II.5); the step keeps the 5th-order solution when the estimate
+    is within tol (see _step_error for the state bounds).  The step never
+    shrinks below the reference step dt, and a step of at most dt is taken
+    without an estimate and always accepted, so a segment never needs more
+    accepted steps than fixed-step RK4 at dt and always terminates.
     """
     if err == 0.0:
         return 4.0
@@ -223,39 +223,65 @@ def branch_step(rk4, w1, w2, lo, hi, duration, dt, *args):
     return w1, w2
 
 
-def branch_segment(rk4, w1, w2, lo, hi, duration, dt, *args):
-    """Error-controlled counterpart of branch_step (see _step_factor).
+def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
+    """Error-controlled counterpart of branch_step (see _step_factor), with
+    the arguments of branch_rk4.  The last stage of a step is the rate at
+    its 5th-order solution, which is the next step's first stage (FSAL);
+    clamping keeps it so, because `rates` reads only the clamped state.
 
     Returns NaN states if the error estimate turns non-finite."""
     tol = SEGMENT_TOL * (hi - lo)
     t = 0.0
     h = duration
+    a1, b1 = rates(w1, w2, o1, o2, r_series, v)
     while True:
         last = h >= duration - t
         if last:
             h = duration - t
-        if h <= dt * (1.0 + 1e-9):
-            w1, w2 = rk4(w1, w2, h, *args)
+        a2, b2 = rates(w1 + h * (0.2 * a1), w2 + h * (0.2 * b1), o1, o2, r_series, v)
+        a3, b3 = rates(w1 + h * ((3 / 40) * a1 + (9 / 40) * a2),
+                       w2 + h * ((3 / 40) * b1 + (9 / 40) * b2), o1, o2, r_series, v)
+        a4, b4 = rates(w1 + h * ((44 / 45) * a1 - (56 / 15) * a2 + (32 / 9) * a3),
+                       w2 + h * ((44 / 45) * b1 - (56 / 15) * b2 + (32 / 9) * b3),
+                       o1, o2, r_series, v)
+        a5, b5 = rates(w1 + h * ((19372 / 6561) * a1 - (25360 / 2187) * a2
+                                 + (64448 / 6561) * a3 - (212 / 729) * a4),
+                       w2 + h * ((19372 / 6561) * b1 - (25360 / 2187) * b2
+                                 + (64448 / 6561) * b3 - (212 / 729) * b4),
+                       o1, o2, r_series, v)
+        a6, b6 = rates(w1 + h * ((9017 / 3168) * a1 - (355 / 33) * a2 + (46732 / 5247) * a3
+                                 + (49 / 176) * a4 - (5103 / 18656) * a5),
+                       w2 + h * ((9017 / 3168) * b1 - (355 / 33) * b2 + (46732 / 5247) * b3
+                                 + (49 / 176) * b4 - (5103 / 18656) * b5),
+                       o1, o2, r_series, v)
+        y1 = w1 + h * ((35 / 384) * a1 + (500 / 1113) * a3 + (125 / 192) * a4
+                       - (2187 / 6784) * a5 + (11 / 84) * a6)
+        y2 = w2 + h * ((35 / 384) * b1 + (500 / 1113) * b3 + (125 / 192) * b4
+                       - (2187 / 6784) * b5 + (11 / 84) * b6)
+        floor = h <= dt * (1.0 + 1e-9)
+        if not (floor and last):  # that step needs no estimate and has no next step
+            a7, b7 = rates(y1, y2, o1, o2, r_series, v)
+        if floor:
             grow = 2.0  # no estimate at the floor: probe a longer step next
         else:
-            f1, f2 = rk4(w1, w2, h, *args)
-            c1, c2 = rk4(w1, w2, 0.5 * h, *args)
-            c1, c2 = rk4(_clamp(c1, lo, hi), _clamp(c2, lo, hi), 0.5 * h, *args)
-            err = max(_step_error(w1, f1, c1, lo, hi),
-                      _step_error(w2, f2, c2, lo, hi))
+            z1 = w1 + h * ((5179 / 57600) * a1 + (7571 / 16695) * a3 + (393 / 640) * a4
+                           - (92097 / 339200) * a5 + (187 / 2100) * a6 + (1 / 40) * a7)
+            z2 = w2 + h * ((5179 / 57600) * b1 + (7571 / 16695) * b3 + (393 / 640) * b4
+                           - (92097 / 339200) * b5 + (187 / 2100) * b6 + (1 / 40) * b7)
+            err = max(_step_error(w1, y1, z1, lo, hi), _step_error(w2, y2, z2, lo, hi))
             if not math.isfinite(err):
                 return math.nan, math.nan
             grow = _step_factor(err, tol)
             if err > tol:
                 h = max(h * grow, dt)
                 continue
-            w1, w2 = c1, c2
-        w1 = _clamp(w1, lo, hi)
-        w2 = _clamp(w2, lo, hi)
+        w1 = _clamp(y1, lo, hi)
+        w2 = _clamp(y2, lo, hi)
         if last:
             return w1, w2
         t += h
         h = max(h * grow, dt)
+        a1, b1 = a7, b7
 
 
 def branch_rk4(w1, w2, h, o1, o2, r_series, v, rates):
@@ -316,7 +342,8 @@ def sine_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
 
 
 # One kernel per name for each model: bench/tracer.py wraps these names to
-# count RK4 and sweep steps per model, and the device classes look them up
-# here at each call, so a wrapped or patched kernel is the one that runs.
+# count the fixed-step driver's RK4 steps and the sweep steps per model, and
+# the device classes look them up here at each call, so a wrapped or patched
+# kernel is the one that runs.
 dopant_branch_rk4 = vteam_branch_rk4 = branch_rk4
 dopant_sine_sweep = vteam_sine_sweep = sine_sweep

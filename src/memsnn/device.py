@@ -15,8 +15,8 @@ and the single-device sine sweep of the hysteresis experiment, and decides
 the model once: each constants class states its synapse wiring, corner
 states and kernels, and builds its rate law (`_kernels.dopant_law` /
 `vteam_law`) once per distinct set of constant values.  That one law is
-what `dwdt`, the sine sweep, the resistance readout and the branch RK4 step
-of `synapse.SynapseAssembly` all evaluate.
+what `dwdt`, the sine sweep, the resistance readout and the branch
+integrators of `synapse.SynapseAssembly` all evaluate.
 """
 from __future__ import annotations
 

@@ -384,7 +384,8 @@ def run_synapse_pd(cfg: Config, outdir: Path) -> list[Path]:
 
 def calibration_values(cfg: Config) -> tuple[float, float, float]:
     """Weight increments of one strong and one weak pulse from the canonical
-    half-range state, plus their ratio."""
+    half-range state, plus their ratio.  A pulse that ends on the far bound
+    of `weight_range` saturates the weight, so no ratio is measured."""
     dt = cfg["clock.dt"]
     pulse = cfg["calibration.pulse_seconds"]
     strong = 2.0 * cfg["lif.v_cc"]
@@ -394,6 +395,10 @@ def calibration_values(cfg: Config) -> tuple[float, float, float]:
         syn = SynapseAssembly.fresh(synapse_config(cfg))
         psi0 = syn.program_to_weight(0.5, tolerance=1e-3, dt=dt)
         syn.drive(level, dt, duration=pulse)
+        far = max(syn.weight_range(), key=abs)
+        if syn.weight() == far:
+            raise SimulationFault(f"the {level:g} V pulse saturates the weight at {far:.6g}, "
+                                  "the far bound of its range: no weak/strong ratio")
         return syn.weight() - psi0
 
     d_strong = pulse_delta(strong)

@@ -12,9 +12,9 @@ three-timeslot protocol:
 
 Fires are decided at frame edges only.  Within a slot every drive is
 piecewise constant, so synapse branches integrate per segment with
-error-controlled RK4 (`SynapseAssembly.drive`, steps no shorter than dt),
-the LIF membrane advances with the exact constant-input exponential, and
-traces decay analytically.  Everything is deterministic: identical
+error-controlled Dormand-Prince 5(4) steps (`SynapseAssembly.drive`, steps
+no shorter than dt), the LIF membrane advances with the exact constant-input
+exponential, and traces decay analytically.  Everything is deterministic: identical
 configurations give bit-identical results.
 """
 from __future__ import annotations

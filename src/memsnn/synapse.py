@@ -12,7 +12,7 @@ the resistors sit:
 
 Programming and transmitted spikes both move the devices (reads are not
 free): a branch is integrated as a coupled two-state ODE with the branch
-current recomputed at every RK4 stage.  Only branch 1 (M1, M2) is
+current recomputed at every integrator stage.  Only branch 1 (M1, M2) is
 integrated.  Because r1 = r2 and the orientation tables are mirrored, the
 M3-M4 branch is branch 1 with its devices swapped, so its state is written
 as the mirror M3 = M2, M4 = M1, a checked invariant of every stepped state.
@@ -66,11 +66,11 @@ def _orientations(config: SynapseConfig) -> tuple[float, float, float, float]:
 
 
 @functools.lru_cache(maxsize=256)
-def _branch(driver, rk4, tol, *args):
-    """driver(rk4, *args), memoized.  `tol` is K.SEGMENT_TOL, which the
+def _branch(driver, tol, *args):
+    """driver(*args), memoized.  `tol` is K.SEGMENT_TOL, which the
     error-controlled driver reads itself; it is passed only to be keyed on.
     256 entries (about 0.1 MB) catch every repeat of the 3x3 pattern runs."""
-    return driver(rk4, *args)
+    return driver(*args)
 
 
 class SynapseAssembly:
@@ -147,7 +147,7 @@ class SynapseAssembly:
         return self._integrate(v_ab, dt, duration, adaptive=False)
 
     def drive(self, v_ab: float, dt: float, duration: float | None = None):
-        """Constant-drive segment with error-controlled RK4 step doubling.
+        """Constant-drive segment with error-controlled Dormand-Prince 5(4) steps.
 
         Agrees with `apply_differential` to within the kernels' SEGMENT_TOL
         per step; dt is the smallest step taken.  A non-finite error
@@ -166,13 +166,13 @@ class SynapseAssembly:
         then an unmirrored one, raises SimulationFault before integrating.
 
         The driver call goes through the `_branch` cache.  Its key holds the
-        driver and the RK4 step as `_kernels` holds them at this call (so
-        patched or wrapped kernels never share an entry with the originals),
-        SEGMENT_TOL, w1, w2, the bounds, duration, dt, o1, o2, r1, v_ab and
-        the device law's `branch_rates`, one object per distinct set of
-        device constants (see device._law).  The drivers are pure functions
-        of exactly these, so a repeated drive returns what integrating it
-        again would, bit for bit.
+        driver, and for the fixed-step driver its RK4 step, as `_kernels`
+        holds them at this call (so patched or wrapped kernels never share
+        an entry with the originals), SEGMENT_TOL, w1, w2, the bounds,
+        duration, dt, o1, o2, r1, v_ab and the device law's `branch_rates`,
+        one object per distinct set of device constants (see device._law).
+        The drivers are pure functions of exactly these, so a repeated drive
+        returns what integrating it again would, bit for bit.
         """
         if not math.isfinite(v_ab):
             raise SimulationFault(f"non-finite drive voltage {v_ab!r}")
@@ -189,11 +189,14 @@ class SynapseAssembly:
             raise SimulationFault(
                 f"unmirrored bridge state {tuple(self.w)}: "
                 "the integrator needs M3 = M2 and M4 = M1")
+        args = (w1, w2, self._lo, self._hi, duration, dt,
+                self._o1, self._o2, self._r1, v_ab, self._rates)
         try:
-            w1, w2 = _branch(K.branch_segment if adaptive else K.branch_step,
-                             self.config.device.branch_rk4,
-                             K.SEGMENT_TOL, w1, w2, self._lo, self._hi, duration, dt,
-                             self._o1, self._o2, self._r1, v_ab, self._rates)
+            if adaptive:
+                w1, w2 = _branch(K.branch_segment, K.SEGMENT_TOL, *args)
+            else:
+                w1, w2 = _branch(K.branch_step, K.SEGMENT_TOL,
+                                 self.config.device.branch_rk4, *args)
         except OverflowError:
             raise SimulationFault(f"device rate overflow under {v_ab!r} V drive") from None
         if adaptive and not (math.isfinite(w1) and math.isfinite(w2)):

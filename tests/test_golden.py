@@ -18,35 +18,35 @@ GOLDEN = {
     "pattern-learn/final_weights.csv":
         "f7c0f96ece468f119cf42ad063b624aed3b887893ef92f1c4164af3f957775b3",
     "pattern-learn/manifest":
-        "b3d88c9d35583c0b33629c3cf374790b17ee5a2ae73b3ba157ba88a1c2ed699d",
+        "44f3bb0013d0ef100d6ed61d1e211fc7a4174f426694f7ddcb37041613d5ab88",
     "pattern-learn/post_events.csv":
-        "b16a95491990c6f75dfe9d281bddc95078cc5dd2b914e06248374ca73827620f",
+        "ccd9241111849f25e6802837bd801268b78ebb5fd3ac67a773e31ac755af6083",
     "pattern-learn/post_log.csv":
         "15b8b9e521886a7efd86436abe843586fa57b09ddf385ff34577e1ffc3eb2c37",
     "pattern-learn/weights.csv":
-        "7ce6b63602c2c3d456126f1c67e25c3e5f19cbe9be1bd2f4921d5c2238fb38e3",
+        "d89a4abdedd4ccfede17e23b00fce703e8d5ab76c9f30330da19bf5e944ab941",
     "pattern-learn-midpoint/final_weights.csv":
         "5aedea01970b1694c5c7cdfe54cf74b69a5f129cd25043eb92a20198978a5448",
     "pattern-learn-midpoint/manifest":
-        "d82716b051a2ff0cde98f77e42b9e96e0f19bec878fd3755583c691251b06192",
+        "9409617d7fadfc5c7af83981dc1e1d6880aac2b5f67060a2376531c15371d55f",
     "pattern-learn-midpoint/post_events.csv":
-        "65f05e20725f44667b620a2a122d213d910a0fe2adb3e5f969634c7c20bebca2",
+        "bbdc101143bea3c8b0aef7efe1e2c0b5eedac1db24c0a485bcd5263e23093f9b",
     "pattern-learn-midpoint/post_log.csv":
         "f1895c7be2d433619a022e6cc98a987a56ae7f314b8cdc23e294759f618a1b47",
     "pattern-learn-midpoint/weights.csv":
-        "a6e1408c3a34d1f23cd03356ca838a1bd824f574f783d03de4ec587e1f1acaee",
+        "30b4f1fd9e531d2fd8ee83ab40cc596938c0efbece11c8aea2e6891052fe33a8",
     "stdp-window/manifest":
-        "e2ba7f62a671d55ee58db60e527b4f0ca81d5d6e52cae00ecc89bb83c008ed6b",
+        "dad409ab1737d4994df1c78ccf807438fad3bafcd68aef95622c3d86262735dd",
     "stdp-window/stdp_window_excitatory.csv":
-        "1d3e6ed973b203702509a0ceea5c4356c153cee6ddc15bf3a5c42d32786cfa8e",
+        "e6973278362aefcc3e99e052a9125b765390f7ed3257b7d997b670a428035750",
     "stdp-window/stdp_window_inhibitory.csv":
-        "b5c4197162afb3fcad166e3b67ad555bc16b26dd4d514719eae2a5239bfaf206",
+        "726791d54780aba25211e4d4c65de759a7cd47d8203f6a8c393dd4b54de315b2",
     "stdp-window-vteam/manifest":
-        "69ce5a931163cb22cb535f8a52383db92c15feb55ca5844de3dda06a0990bea7",
+        "e7d74b0cda26e6eabb2272cc1b524542f8a2d25be58cf85f529240f4b344b4a5",
     "stdp-window-vteam/stdp_window_excitatory_vteam.csv":
-        "0bf376602abf07e3e6b6a49e36e1f798000b24fa55ee4db4a4095ef9f4cb1c3f",
+        "ba2cad0303597e011147c7c138a6c6dd1ba3829c36ba5baad895d77d0b0be7a5",
     "stdp-window-vteam/stdp_window_inhibitory_vteam.csv":
-        "1e565d1a0b27a54fd86941fdab474fbdd969a281f9c266cc3f3753c44ea18abe",
+        "06acce19b4ec1bfa01ccbe068d03f1cd9c6dd6f378bb44bbc6c577d8bf5dbb7d",
     "switch-rate/manifest":
         "120010afe3ad2869e967eb8b120f28543f2d37916f8cdb329b049427566cdf81",
     "switch-rate/switch_rate.csv":
@@ -54,9 +54,9 @@ GOLDEN = {
     "switch-rate/switch_rate_surface.csv":
         "a0416ad0b10178fc8f429c9447ca4fa7f4926987719c40c1714c99e862834ab2",
     "synapse-pd/manifest":
-        "755a70e590ddedea6f9c4b89c5da0dc28d3c04d8cedd7193851a1155a258b152",
+        "532073e09385c172fd137459ed98440fbac4ded0bbc16d9162aa39b3456c37a0",
     "synapse-pd/synapse_pd.csv":
-        "ed602565b872cc70ae417c7e0496d4d2313117790560c5a108686abbca8cf401",
+        "5eb9d4cb2b10bd1f715a226101d53cf28c8e1fc484f8dd87a1a69dbf8dd706c8",
     "weak-strong-calibration/calibration.csv":
         "2406d0d6d89203e3f214309ef0e7a866a76da6589c51eb23bb54a6034c8a4a72",
     "weak-strong-calibration/manifest":

@@ -144,6 +144,15 @@ def test_switch_rate_rate_overflow_exits_3(tmp_path, capsys, override):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_calibration_saturated_pulse_exits_3(tmp_path, capsys):
+    # at q = 1 both pulses drive the weight from 0.366 to the far corner
+    # 1.093; this once wrote ratio 1 with exit 0
+    assert main(["weak-strong-calibration", "--out", str(tmp_path),
+                 "--set", "device.q=1"]) == 3
+    assert "saturates the weight" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_pattern_learn_cli_short_run(tmp_path):
     rc = main(["pattern-learn", "--out", str(tmp_path), "--epochs", "3"])
     assert rc == 0

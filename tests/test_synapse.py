@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from memsnn import _kernels as K
-from memsnn.device import MemristorParams, MemristorState, SineDrive, hysteresis_sweep
+from memsnn.device import (MemristorParams, MemristorState, SineDrive, VteamParams,
+                           hysteresis_sweep)
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
 from memsnn.plasticity import pwm_encode
@@ -332,9 +334,10 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
             _branch.cache_clear()  # (-2 * v_cc, slot) may repeat (-4 V, 10 ms)
             step(syn, v, cfg.clock.dt, duration)
             [(driver, args)] = calls
-            params = args[11:]  # device constants after (..., o1, o2, r1, v)
-            expected = driver(args[0], w[2], w[3], lo, hi, duration, cfg.clock.dt,
-                              o3, o4, sc.r2, v, *params)
+            # the fixed-step driver's RK4 step leads, the law's rates close
+            lead, rates = args[:-11], args[-1]
+            expected = driver(*lead, w[2], w[3], lo, hi, duration, cfg.clock.dt,
+                              o3, o4, sc.r2, v, rates)
             assert tuple(syn.w[2:]) == expected, (step.__name__, v, duration)
             assert syn.w[2:] != list(w[2:])
             landed += any(not (lo < a < hi) and lo < b < hi for a, b in zip(syn.w, w))
@@ -356,20 +359,22 @@ def test_device_members_set_corners_and_kernel_constants(kind, polarity, monkeyp
     else:
         assert syn.resistances() == (dev.r_on, dev.r_off, dev.r_off, dev.r_on)
     model = "vteam" if kind == "vteam" else "dopant"
-    seen = {"branch_rk4": set(), "sine_sweep": set()}
-    # the law follows (w1, w2, h, o1, o2, r1, v) or (w0, ..., sample_every),
-    # and the sweep's bounds and five output arrays follow it
-    for name, end in (("branch_rk4", None), ("sine_sweep", -5)):
-        def recorded(*args, _kernel=getattr(K, f"{model}_{name}"), _seen=seen[name], _end=end):
-            _seen.add(args[7:_end])
+    sweep = f"{model}_sine_sweep"
+    seen = {"branch_segment": set(), sweep: set()}
+    # the law's rates follow (w1, w2, lo, hi, duration, dt, o1, o2, r1, v);
+    # the law follows (w0, ..., sample_every), then the sweep's bounds and
+    # five output arrays
+    for name, start, end in (("branch_segment", 10, None), (sweep, 7, -5)):
+        def recorded(*args, _kernel=getattr(K, name), _seen=seen[name], _s=start, _e=end):
+            _seen.add(args[_s:_e])
             return _kernel(*args)
-        monkeypatch.setattr(K, f"{model}_{name}", recorded)
+        monkeypatch.setattr(K, name, recorded)
     syn.drive(2 * cfg.lif.v_cc, cfg.clock.dt, 1.0 / cfg.clock.base_freq)
     lo, hi = dev.state_range
     hysteresis_sweep(dev, MemristorState(w=0.5 * (lo + hi)), SineDrive(1.0, 10.0),
                      1e-3, 1e-5, 10)
-    [(rates,)] = seen["branch_rk4"]
-    [(law, lo_seen, hi_seen)] = seen["sine_sweep"]
+    [(rates,)] = seen["branch_segment"]
+    [(law, lo_seen, hi_seen)] = seen[sweep]
     assert rates is law.branch_rates and law is dev.law is replace(dev).law
     assert (lo_seen, hi_seen) == (lo, hi)
 
@@ -458,28 +463,23 @@ def test_program_matches_pulsewise_oracle(kind, polarity):
 
 
 def test_program_cost_is_a_fraction_of_the_pulses(monkeypatch):
-    """Programming a fresh synapse to 0.5 takes under a tenth of the branch
-    RK4 steps of the pulse-wise loop, which takes exactly one per pulse
-    (branch 2 is the mirror of branch 1); a count, not a time."""
-    calls = [0]
+    """Programming a fresh synapse to 0.5 takes under a tenth of the rate
+    evaluations of the pulse-wise loop, which takes exactly one RK4 step of
+    four stages per pulse (branch 2 is the mirror of branch 1); a count, not
+    a time."""
     pulses = [0]
-    rk4 = K.dopant_branch_rk4
     pulse = SynapseAssembly.apply_differential
-
-    def counted(*args):
-        calls[0] += 1
-        return rk4(*args)
 
     def counted_pulse(*args):
         pulses[0] += 1
         return pulse(*args)
 
-    monkeypatch.setattr(K, "dopant_branch_rk4", counted)
+    calls = counting(monkeypatch)
     monkeypatch.setattr(SynapseAssembly, "apply_differential", counted_pulse)
     pulsewise_program(SynapseAssembly.fresh(CFG_EXC), 0.5, 1e-3, DT)
     oracle, n_pulses, calls[0] = calls[0], pulses[0], 0
     SynapseAssembly.fresh(CFG_EXC).program_to_weight(0.5, tolerance=1e-3, dt=DT)
-    assert oracle == n_pulses
+    assert oracle == 4 * n_pulses
     assert calls[0] < oracle / 10
 
 
@@ -495,15 +495,25 @@ def test_drive_error_falls_with_segment_tolerance(monkeypatch):
 
 
 def counting(monkeypatch):
-    """Replace the dopant branch RK4 step with a counting wrapper."""
+    """Count the stage evaluations of every device law's `branch_rates`:
+    each device class's `law` becomes one whose `branch_rates` counts, still
+    one law per distinct set of constants.  Assemblies bind the law when
+    built, so only those built after this call count; their laws are never
+    the laws of earlier calls, so no cached drive is shared with those."""
     calls = [0]
-    rk4 = K.dopant_branch_rk4
+    for cls in (MemristorParams, VteamParams):
+        @functools.lru_cache(maxsize=None)
+        def law(params, _law=cls.law.fget):
+            built = _law(params)
+            rates = built.branch_rates
 
-    def counted(*args):
-        calls[0] += 1
-        return rk4(*args)
+            def counted(*args):
+                calls[0] += 1
+                return rates(*args)
 
-    monkeypatch.setattr(K, "dopant_branch_rk4", counted)
+            return built._replace(branch_rates=counted)
+
+        monkeypatch.setattr(cls, "law", property(law))
     return calls
 
 
@@ -524,7 +534,7 @@ def test_cached_drive_is_the_integrated_drive(kind):
     else:
         law = K.dopant_law(dev.r_on, dev.r_off, dev.d, dev.mu_v, dev.a0, dev.i0, dev.q, window)
     assert law.branch_rates is not dev.law.branch_rates
-    rk4 = K.vteam_branch_rk4 if kind == "vteam" else K.dopant_branch_rk4
+    rk4 = dev.branch_rk4  # the fixed-step driver's step; the segment driver takes none
     base = SynapseAssembly.fresh(sc)
     base.program_to_weight(0.5, tolerance=1e-3, dt=cfg.clock.dt)
     slot = 1.0 / cfg.clock.base_freq
@@ -536,7 +546,8 @@ def test_cached_drive_is_the_integrated_drive(kind):
         warm = base.copy()
         step(warm, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
         assert _branch.cache_info().hits == hits + 1
-        w1, w2 = getattr(K, driver)(rk4, base.w[0], base.w[1], lo, hi, slot, cfg.clock.dt,
+        lead = (rk4,) if driver == "branch_step" else ()
+        w1, w2 = getattr(K, driver)(*lead, base.w[0], base.w[1], lo, hi, slot, cfg.clock.dt,
                                     o1, o2, sc.r1, 2 * cfg.lif.v_cc, law.branch_rates)
         assert cold.w == warm.w == [w1, w2, w2, w1], step.__name__
         assert cold.w != base.w
@@ -544,10 +555,10 @@ def test_cached_drive_is_the_integrated_drive(kind):
 
 def test_cache_key_covers_every_input(monkeypatch):
     """Changing any one input of a cached drive integrates again: the
-    segment tolerance, the RK4 step, dt, duration, the voltage, the polarity
+    segment tolerance, the rate law, dt, duration, the voltage, the polarity
     (orientations), a device constant, the window kind and the window
     exponent each give a miss.  Equal but distinct device params share the
-    law, so their drive is a hit."""
+    law, so their drive is a hit.  Costs are stage evaluations of the law."""
     calls = counting(monkeypatch)
     fresh = SynapseAssembly.fresh(CFG_EXC)
 
