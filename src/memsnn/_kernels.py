@@ -12,8 +12,9 @@ Two drivers integrate a branch under constant drive: the fixed-step
 `branch_step`, the reference that takes `branch_rk4` substeps of at most dt,
 and the error-controlled `branch_segment` used by the network engine, which
 takes embedded Dormand-Prince 5(4) steps no shorter than dt.  `sine_sweep`
-drives a single device for the hysteresis experiment.  All state is passed
-as scalars / preallocated float64 arrays.
+drives a single device for the hysteresis experiment with the same steps and
+step-size control, the drive evaluated at each stage's time.  All state is
+passed as scalars / preallocated float64 arrays.
 """
 import math
 from typing import Callable, NamedTuple
@@ -196,8 +197,9 @@ def _step_factor(err, tol):
     sec. II.4-II.5); the step keeps the 5th-order solution when the estimate
     is within tol (see _step_error for the state bounds).  The step never
     shrinks below the reference step dt, and a step of at most dt is taken
-    without an estimate and always accepted, so a segment never needs more
-    accepted steps than fixed-step RK4 at dt and always terminates.
+    without an estimate and always accepted, so a segment (or a sweep's
+    sample interval) never needs more accepted steps than fixed-step RK4 at
+    dt and always terminates.
     """
     if err == 0.0:
         return 4.0
@@ -299,50 +301,82 @@ def branch_rk4(w1, w2, h, o1, o2, r_series, v, rates):
 def sine_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
                t_out, v_out, i_out, w_out, r_out):
     """Drive one device of orientation `orient` (+-1) with
-    amp*sin(2*pi*freq*t) and record (t, v, i, w, R) every `sample_every`
-    steps; the state is clamped to [lo, hi] after each step.  The drive is
-    evaluated at the RK4 stage times, so the integration is full fourth
-    order.
+    amp*sin(2*pi*freq*t) and record (t, v, i, w, R) at every
+    `sample_every`-th multiple of dt, up to the last one within `duration`.
 
-    Returns the number of samples written.
+    Between samples the state takes error-controlled Dormand-Prince 5(4)
+    steps under the controller of branch_segment (see _step_factor and
+    _step_error), with the drive evaluated at each stage's time.  Each step
+    ends at the next sample time at the latest, so every row is an accepted
+    solution point, and the step-size suggestion carries over to the next
+    sample interval.  The state is clamped to [lo, hi] after each step.
+
+    Returns the number of samples written.  If the error estimate or the
+    solution turns non-finite, the last sample written holds a NaN state.
     """
-    resistance, rate = law.resistance, law.sweep_rate
+    resistance, rate, sin = law.resistance, law.sweep_rate, math.sin
     two_pi_f = 2.0 * math.pi * freq
     drive = orient * amp
-    n = int(round(duration / dt))
+    tol = SEGMENT_TOL * (hi - lo)
+    h_floor = dt * (1.0 + 1e-9)
+    n_samples = int(round(duration / dt)) // sample_every + 1
     w = w0
+    t = 0.0
+    h = sample_every * dt
+    k1 = rate(w, 0.0)
     idx = 0
-    for k in range(n + 1):
-        t = k * dt
-        if k % sample_every == 0:
-            r = resistance(w)
-            v = amp * math.sin(two_pi_f * t)
-            t_out[idx] = t
-            v_out[idx] = v
-            i_out[idx] = v / r
-            w_out[idx] = w
-            r_out[idx] = r
-            idx += 1
-        if k == n:
-            break
-        h = dt
-        v0 = drive * math.sin(two_pi_f * t)
-        vh = drive * math.sin(two_pi_f * (t + 0.5 * h))
-        v1 = drive * math.sin(two_pi_f * (t + h))
-        k1 = rate(w, v0)
-        k2 = rate(w + 0.5 * h * k1, vh)
-        k3 = rate(w + 0.5 * h * k2, vh)
-        k4 = rate(w + h * k3, v1)
-        w += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if w < lo:
-            w = lo
-        elif w > hi:
-            w = hi
-    return idx
+    while True:
+        r = resistance(w)
+        v = amp * sin(two_pi_f * t)
+        t_out[idx] = t
+        v_out[idx] = v
+        i_out[idx] = v / r
+        w_out[idx] = w
+        r_out[idx] = r
+        idx += 1
+        if idx == n_samples or w != w:
+            return idx
+        t1 = idx * sample_every * dt
+        while t < t1:
+            if h >= t1 - t:
+                h = t1 - t
+                t_next = t1
+            else:
+                t_next = t + h
+            k2 = rate(w + h * (0.2 * k1), drive * sin(two_pi_f * (t + 0.2 * h)))
+            k3 = rate(w + h * ((3 / 40) * k1 + (9 / 40) * k2),
+                      drive * sin(two_pi_f * (t + 0.3 * h)))
+            k4 = rate(w + h * ((44 / 45) * k1 - (56 / 15) * k2 + (32 / 9) * k3),
+                      drive * sin(two_pi_f * (t + 0.8 * h)))
+            k5 = rate(w + h * ((19372 / 6561) * k1 - (25360 / 2187) * k2
+                               + (64448 / 6561) * k3 - (212 / 729) * k4),
+                      drive * sin(two_pi_f * (t + (8 / 9) * h)))
+            v_next = drive * sin(two_pi_f * t_next)
+            k6 = rate(w + h * ((9017 / 3168) * k1 - (355 / 33) * k2 + (46732 / 5247) * k3
+                               + (49 / 176) * k4 - (5103 / 18656) * k5), v_next)
+            y = w + h * ((35 / 384) * k1 + (500 / 1113) * k3 + (125 / 192) * k4
+                         - (2187 / 6784) * k5 + (11 / 84) * k6)
+            k7 = rate(y, v_next)
+            if h <= h_floor:
+                err = 0.0
+                grow = 2.0  # no estimate at the floor: probe a longer step next
+            else:
+                z = w + h * ((5179 / 57600) * k1 + (7571 / 16695) * k3 + (393 / 640) * k4
+                             - (92097 / 339200) * k5 + (187 / 2100) * k6 + (1 / 40) * k7)
+                err = _step_error(w, y, z, lo, hi)
+                grow = _step_factor(err, tol)
+            if not (math.isfinite(err) and math.isfinite(y)):
+                w = math.nan
+                break
+            if err <= tol:
+                w = _clamp(y, lo, hi)
+                t = t_next
+                k1 = k7
+            h = max(h * grow, dt)
 
 
 # One kernel per name for each model: bench/tracer.py wraps these names to
-# count the fixed-step driver's RK4 steps and the sweep steps per model, and
+# count the fixed-step driver's RK4 steps and the sweeps per model, and
 # the device classes look them up here at each call, so a wrapped or patched
 # kernel is the one that runs.
 dopant_branch_rk4 = vteam_branch_rk4 = branch_rk4

@@ -200,11 +200,12 @@ class SweepSeries:
 
 def hysteresis_sweep(params, state: MemristorState, drive: SineDrive,
                      duration: float, dt: float, sample_every: int = 10) -> SweepSeries:
-    """Integrate one device under a sinusoidal drive, sampling every
-    `sample_every` steps (so dt divides the output interval exactly).
+    """Integrate one device under a sinusoidal drive, sampling it every
+    `sample_every` * dt.
 
-    The drive is evaluated at the RK4 stage times; results are deterministic
-    for a given configuration.
+    Error-controlled Dormand-Prince 5(4) steps, no shorter than dt, end on
+    every sample time (`_kernels.sine_sweep`); the drive is evaluated at the
+    stage times.  Results are deterministic for a given configuration.
     """
     if not math.isfinite(drive.amplitude):
         raise SimulationFault(f"non-finite drive voltage {drive.amplitude!r}")

@@ -63,7 +63,11 @@ class StdpParams(Params):
 
 @dataclass(frozen=True)
 class HysteresisParams(Params):
-    MAX_STEPS = 10_000_000  # per sweep, about 45 s; the stock hard sweep takes 200 000
+    # dt per sweep, which also sizes its sample arrays.  A sweep that long
+    # takes about 50 s (pure Python, one core of a 2-vCPU host) when every
+    # step sits at the dt floor and costs 6 rate evaluations; the stock hard
+    # sweep spans 200 000 dt in about 20 000 steps.
+    MAX_STEPS = 10_000_000
     w0: float = 5e-9  # its range is the selected device's (see run_hysteresis)
     pinched_amplitude: float = 1.0
     pinched_freq: float = key(10.0, POSITIVE)

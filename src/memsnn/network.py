@@ -221,18 +221,22 @@ class Network:
 
 @dataclass
 class SimulationResult:
-    """Per-epoch weight samples plus the post event log."""
+    """Per-epoch weight samples, the post event log and what they show."""
 
     weights_per_epoch: np.ndarray          # (n_epochs, n_synapses)
     post_log: list                         # (frame, t, v_mp_at_edge, fired)
     first_fire_epoch: int | None
     final_weights: np.ndarray
+    stability_epoch: int | None            # see stability_epoch()
+    pattern_pres: tuple[int, ...]          # the pres of the earliest scheduled frame
+    noise_pres: tuple[int, ...]            # the other pres
 
 
 def run_simulation(config: NetworkConfig, program: StimulusProgram) -> SimulationResult:
     """Run a stimulus program to completion; deterministic for a config.
 
-    Returns the per-epoch weight series and the post event log.
+    Returns the per-epoch weight series, the post event log and the
+    epochs and input groups read from them.
     """
     program.validate()
     return _run_program(Network(config), program)
@@ -251,9 +255,16 @@ def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
             if report.post_fired and first_fire_epoch is None:
                 first_fire_epoch = epoch
         weights[epoch] = net.weights()
+    if program.schedule:
+        first_frame = min(f for f, _ in program.schedule)
+        pattern = tuple(sorted({p for f, p in program.schedule if f == first_frame}))
+    else:
+        pattern = ()
     return SimulationResult(weights_per_epoch=weights, post_log=post_log,
                             first_fire_epoch=first_fire_epoch,
-                            final_weights=weights[-1] if program.n_epochs else np.zeros(n_syn))
+                            final_weights=weights[-1] if program.n_epochs else np.zeros(n_syn),
+                            stability_epoch=stability_epoch(weights), pattern_pres=pattern,
+                            noise_pres=tuple(i for i in range(n_syn) if i not in pattern))
 
 
 # -- timing-window experiment -------------------------------------------------
@@ -327,17 +338,6 @@ class StimulusParams(Params):
                                n_epochs=n_epochs)
 
 
-@dataclass
-class PatternResult:
-    weights_per_epoch: np.ndarray
-    post_log: list
-    first_fire_epoch: int | None
-    final_weights: np.ndarray
-    stability_epoch: int | None
-    pattern_pres: tuple[int, ...]
-    noise_pres: tuple[int, ...]
-
-
 def stability_epoch(weights: np.ndarray, window: int = 20, tol: float = 0.005) -> int | None:
     """First epoch after which every weight stays within tol of its trailing
     mean over `window` epochs, through the end of the run."""
@@ -359,7 +359,7 @@ def stability_epoch(weights: np.ndarray, window: int = 20, tol: float = 0.005) -
 
 
 def pattern_learning(config: NetworkConfig, stimulus: StimulusProgram,
-                     init: str = "zero") -> PatternResult:
+                     init: str = "zero") -> SimulationResult:
     """Train the 3x3 array; init is 'zero' (1 s negative programming drive)
     or 'midpoint' (every weight programmed to half range)."""
     stimulus.validate()
@@ -375,16 +375,4 @@ def pattern_learning(config: NetworkConfig, stimulus: StimulusProgram,
             syn.program_to_weight(sign * 0.5, tolerance=0.01, dt=config.clock.dt)
     else:
         raise ConfigError(f"init must be zero or midpoint, got {init!r}")
-    result = _run_program(net, stimulus)
-    if stimulus.schedule:
-        first_frame = min(f for f, _ in stimulus.schedule)
-        pattern = tuple(sorted({p for f, p in stimulus.schedule if f == first_frame}))
-    else:
-        pattern = ()
-    noise = tuple(i for i in range(config.n_pre) if i not in pattern)
-    return PatternResult(weights_per_epoch=result.weights_per_epoch,
-                         post_log=result.post_log,
-                         first_fire_epoch=result.first_fire_epoch,
-                         final_weights=result.final_weights,
-                         stability_epoch=stability_epoch(result.weights_per_epoch),
-                         pattern_pres=pattern, noise_pres=noise)
+    return _run_program(net, stimulus)

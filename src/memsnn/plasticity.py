@@ -35,7 +35,8 @@ class ClockParams(Params):
     """Timeslot rate and the shortest integration step; three slots per frame."""
 
     base_freq: float = key(100.0, POSITIVE)  # timeslot rate, Hz
-    dt: float = key(1e-5, POSITIVE)  # micro-pulse width, reference RK4 step, shortest drive step, s
+    # micro-pulse width, reference RK4 step, shortest drive and sweep step, s
+    dt: float = key(1e-5, POSITIVE)
 
     def validate(self, prefix: str = ""):
         super().validate(prefix)  # positive before the division

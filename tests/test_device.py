@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from memsnn import _kernels as K
 from memsnn.device import (MemristorParams, MemristorState, SineDrive, VteamParams,
                            WindowSpec, dwdt, hysteresis_sweep)
-from memsnn.errors import ConfigError
+from memsnn.errors import ConfigError, SimulationFault
 from memsnn.synapse import SynapseAssembly, SynapseConfig
+from test_network import deadline
 from test_synapse import DRIVERS
 
 P = MemristorParams()
@@ -192,6 +194,112 @@ def test_sweep_dt_convergence():
     a = hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), 0.1, 1e-5, 100)
     b = hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), 0.1, 5e-6, 200)
     assert np.max(np.abs(a.w - b.w)) < 1e-3 * D
+
+
+def fixed_step_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
+                     t_out, v_out, i_out, w_out, r_out):
+    """The oracle of `_kernels.sine_sweep`, with its arguments: fixed RK4
+    steps of dt with the drive at the stage times, the state clamped after
+    each step and sampled every `sample_every` steps."""
+    resistance, rate = law.resistance, law.sweep_rate
+    two_pi_f = 2.0 * math.pi * freq
+    drive = orient * amp
+    n = int(round(duration / dt)) // sample_every * sample_every
+    w = w0
+    idx = 0
+    for k in range(n + 1):
+        t = k * dt
+        if k % sample_every == 0:
+            r = resistance(w)
+            v = amp * math.sin(two_pi_f * t)
+            t_out[idx], v_out[idx], i_out[idx], w_out[idx], r_out[idx] = t, v, v / r, w, r
+            idx += 1
+        if k == n:
+            break
+        v0 = drive * math.sin(two_pi_f * t)
+        vh = drive * math.sin(two_pi_f * (t + 0.5 * dt))
+        v1 = drive * math.sin(two_pi_f * (t + dt))
+        k1 = rate(w, v0)
+        k2 = rate(w + 0.5 * dt * k1, vh)
+        k3 = rate(w + 0.5 * dt * k2, vh)
+        k4 = rate(w + dt * k3, v1)
+        w = min(max(w + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, lo), hi)
+    return idx
+
+
+def oracle_sweep(monkeypatch, params, *args):
+    """hysteresis_sweep(params, *args) through the fixed-step oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(K, "dopant_sine_sweep", fixed_step_sweep)
+        m.setattr(K, "vteam_sine_sweep", fixed_step_sweep)
+        return hysteresis_sweep(params, *args)
+
+
+# One drive cycle per device: every dopant window kind at 0.8 V, which moves
+# the state by 2-11 % of its range without reaching a bound, and the VTEAM
+# device at 3 V (22 %).  Their dt are coarse enough for RK4 to err by more
+# than the sweep's tolerance.
+SWEEP_CASES = [(MemristorParams(window=WindowSpec(kind=kind)), 5e-9, SineDrive(0.8, 10.0),
+                0.1, 2.5e-4, 4) for kind in K.WINDOW_KINDS]
+SWEEP_CASES.append((VT, 1.5e-9, SineDrive(3.0, 1000.0), 1e-3, 4e-6, 10))
+
+
+def test_sweep_matches_fixed_step_oracle(monkeypatch):
+    """The error-controlled sweep lies closer to the RK4 oracle at dt/8 than
+    the oracle at dt does, and its largest error over the cases falls with
+    SEGMENT_TOL."""
+    worst = dict.fromkeys((1e-8, 1e-10, 1e-12), 0.0)
+    for params, w0, drive, duration, dt, every in SWEEP_CASES:
+        lo, hi = params.state_range
+        state = MemristorState(w=w0)
+        fine = oracle_sweep(monkeypatch, params, state, drive, duration, dt / 8, 8 * every)
+        coarse = oracle_sweep(monkeypatch, params, state, drive, duration, dt, every)
+        assert np.array_equal(coarse.t, fine.t)
+        for tol in worst:
+            monkeypatch.setattr(K, "SEGMENT_TOL", tol)
+            series = hysteresis_sweep(params, state, drive, duration, dt, every)
+            assert np.array_equal(series.t, fine.t)
+            err = np.max(np.abs(series.w - fine.w)) / (hi - lo)
+            worst[tol] = max(worst[tol], err)
+        # at the default tolerance, the last one set
+        assert err < np.max(np.abs(coarse.w - fine.w)) / (hi - lo), params
+    assert worst[1e-8] > worst[1e-10] > worst[1e-12], worst
+
+
+def counted_sweep_rate(monkeypatch, nan_from=math.inf):
+    """Count the evaluations of the dopant law's `sweep_rate`; from the
+    `nan_from`-th on, it returns NaN."""
+    law = P.law
+    calls = [0]
+
+    def counted(w, v):
+        calls[0] += 1
+        return math.nan if calls[0] >= nan_from else law.sweep_rate(w, v)
+
+    monkeypatch.setattr(MemristorParams, "law",
+                        property(lambda self: law._replace(sweep_rate=counted)))
+    return calls
+
+
+def test_default_pinched_sweep_rate_evaluations(monkeypatch):
+    """The default pinched sweep evaluates the rate law at most 20 000
+    times: fixed RK4 steps of dt took 80 000, the DP5(4) sweep 13 747."""
+    calls = counted_sweep_rate(monkeypatch)
+    series = hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), 0.2, 1e-5, 10)
+    assert len(series.w) == 2001
+    assert calls[0] <= 20_000
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@pytest.mark.parametrize("first_nan", range(5000, 5006))
+def test_nan_rate_mid_sweep_faults_promptly(monkeypatch, first_nan):
+    """A rate that turns NaN mid-sweep, at each of the six stage positions,
+    ends the sweep within two steps in a SimulationFault: the NaN is
+    neither accepted as a state nor retried with ever shorter steps."""
+    calls = counted_sweep_rate(monkeypatch, nan_from=first_nan)
+    with deadline(10.0), pytest.raises(SimulationFault, match="non-finite state during sweep"):
+        hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), 0.2, 1e-5, 10)
+    assert first_nan <= calls[0] < first_nan + 12
 
 
 def test_vteam_dead_zone_bitwise():

@@ -10,11 +10,11 @@ from memsnn.harness import EXPERIMENTS, main
 
 GOLDEN = {
     "hysteresis/hysteresis_hard.csv":
-        "45d45acea736940fdf72e18b57cec72e0718c62c8d851f306208bad1d4ff1ef3",
+        "30487ed9658707df02abcc4e6974bd0c2fd582006a0d3356af3355c1ab10c501",
     "hysteresis/hysteresis_pinched.csv":
-        "880db52c2e98111bce46ec111ea4270f192bf408d5d5ede1c8ef39fe69117d2c",
+        "236f15fae6de61e51b4499c3b5365d6630c94a4ab152d626992fca8ab7cc57fc",
     "hysteresis/manifest":
-        "bf597d0aec5a193bfdd8236f165a5813532f8fe3f50312e0a0a7055f24161885",
+        "f60a6b7281892e2fd382155189d87b08ee3a2ee1faa11d02b4b3ed4683d735c8",
     "pattern-learn/final_weights.csv":
         "f7c0f96ece468f119cf42ad063b624aed3b887893ef92f1c4164af3f957775b3",
     "pattern-learn/manifest":

@@ -72,7 +72,8 @@ def test_forced_post_fire_is_edge_synchronous():
 def test_run_simulation_empty_program():
     cfg = make_config(n_pre=2)
     res = run_simulation(cfg, StimulusProgram.empty(epoch_frames=5, n_epochs=3))
-    assert res.first_fire_epoch is None
+    assert res.first_fire_epoch is None and res.stability_epoch is None
+    assert res.pattern_pres == () and res.noise_pres == (0, 1)
     assert all(row[3] == 0 for row in res.post_log)
     assert np.all(res.weights_per_epoch == res.weights_per_epoch[0])
 
@@ -84,6 +85,8 @@ def test_run_simulation_deterministic():
     b = run_simulation(cfg, stim)
     assert np.array_equal(a.weights_per_epoch, b.weights_per_epoch)
     assert a.post_log == b.post_log
+    # the pres of the first scheduled frame are the pattern
+    assert a.pattern_pres == (0,) and a.noise_pres == (1,)
 
 
 def test_dt_halving_changes_weights_below_tenth_percent():
