@@ -8,13 +8,14 @@ the device alone, and the two rates of a bridge branch whose devices share
 one current.  Every kernel below takes the law, not its constants, so the
 same `branch_rk4` step and the same `sine_sweep` serve both models.
 
-Two drivers integrate a branch under constant drive: the fixed-step
-`branch_step`, the reference that takes `branch_rk4` substeps of at most dt,
-and the error-controlled `branch_segment` used by the network engine, which
-takes embedded Dormand-Prince 5(4) steps no shorter than dt.  `sine_sweep`
-drives a single device for the hysteresis experiment with the same steps and
-step-size control, the drive evaluated at each stage's time.  All state is
-passed as scalars / preallocated float64 arrays.
+Two drivers integrate a branch under constant drive: the error-controlled
+`branch_segment`, which takes embedded Dormand-Prince 5(4) steps no shorter
+than dt and serves every production path, and the fixed-step `branch_step`,
+which takes `branch_rk4` substeps of at most dt and is kept as the tests'
+reference.  `sine_sweep` drives a single device for the hysteresis
+experiment with the same steps and step-size control, the drive evaluated
+at each stage's time.  All state is passed as scalars / preallocated
+float64 arrays.
 """
 import math
 from typing import Callable, NamedTuple
@@ -231,7 +232,8 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
     its 5th-order solution, which is the next step's first stage (FSAL);
     clamping keeps it so, because `rates` reads only the clamped state.
 
-    Returns NaN states if the error estimate turns non-finite."""
+    Returns NaN states as soon as the error estimate turns non-finite, or a
+    step at the dt floor, which takes no estimate, reaches a NaN solution."""
     tol = SEGMENT_TOL * (hi - lo)
     t = 0.0
     h = duration
@@ -264,6 +266,8 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
         if not (floor and last):  # that step needs no estimate and has no next step
             a7, b7 = rates(y1, y2, o1, o2, r_series, v)
         if floor:
+            if math.isnan(y1) or math.isnan(y2):
+                return math.nan, math.nan  # the only step accepted unchecked
             grow = 2.0  # no estimate at the floor: probe a longer step next
         else:
             z1 = w1 + h * ((5179 / 57600) * a1 + (7571 / 16695) * a3 + (393 / 640) * a4
@@ -376,8 +380,8 @@ def sine_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
 
 
 # One kernel per name for each model: bench/tracer.py wraps these names to
-# count the fixed-step driver's RK4 steps and the sweeps per model, and
-# the device classes look them up here at each call, so a wrapped or patched
-# kernel is the one that runs.
+# count the fixed-step (oracle) driver's RK4 steps and the sweeps per model,
+# and the device classes look them up here at each call, so a wrapped or
+# patched kernel is the one that runs.
 dopant_branch_rk4 = vteam_branch_rk4 = branch_rk4
 dopant_sine_sweep = vteam_sine_sweep = sine_sweep

@@ -12,7 +12,10 @@ the resistors sit:
 
 Programming and transmitted spikes both move the devices (reads are not
 free): a branch is integrated as a coupled two-state ODE with the branch
-current recomputed at every integrator stage.  Only branch 1 (M1, M2) is
+current recomputed at every integrator stage.  Every production path,
+closed-loop programming included, integrates with `drive`'s error-controlled
+Dormand-Prince 5(4) segments; the fixed-step RK4 `apply_differential` is
+the oracle the tests check it against.  Only branch 1 (M1, M2) is
 integrated.  Because r1 = r2 and the orientation tables are mirrored, the
 M3-M4 branch is branch 1 with its devices swapped, so its state is written
 as the mirror M3 = M2, M4 = M1, a checked invariant of every stepped state.
@@ -20,7 +23,7 @@ The weight readout stays general over any four device states.
 
 Identical branch integrations run once.  Synapses that fire together hold
 the same state and receive the same drives, and fresh synapses programmed to
-one target take the same pulses, so the driver call is memoized in a bounded
+one target take the same drives, so the driver call is memoized in a bounded
 LRU cache (`_branch`).  Its key holds every input of the drivers, which are
 pure functions of their arguments, so a hit is bit for bit what integrating
 again would give (see SynapseAssembly._integrate).
@@ -38,6 +41,7 @@ from .params import POSITIVE, Params, key, one_of
 
 EXCITATORY = "excitatory"
 INHIBITORY = "inhibitory"
+PULSE_LEVEL = 4.0  # closed-loop programming micro-pulse amplitude, V
 
 
 @dataclass(frozen=True)
@@ -141,14 +145,16 @@ class SynapseAssembly:
         The M1-M2 branch with its series resistor integrates as a coupled
         pair sharing its branch current, with fixed-step RK4 substeps of at
         most dt; M3-M4 follow as its mirror (see _integrate).  `duration`
-        defaults to one dt step.  This is the reference integrator that
-        `drive` is checked against.
+        defaults to one dt step.  No production path calls it: it is the
+        tests' reference integrator, the oracle `drive` is checked against.
         """
         return self._integrate(v_ab, dt, duration, adaptive=False)
 
     def drive(self, v_ab: float, dt: float, duration: float | None = None):
         """Constant-drive segment with error-controlled Dormand-Prince 5(4) steps.
 
+        The integrator of every production path: network slots, the
+        zero-init drive, programming pulses and the device experiments.
         Agrees with `apply_differential` to within the kernels' SEGMENT_TOL
         per step; dt is the smallest step taken.  A non-finite error
         estimate raises SimulationFault.
@@ -166,11 +172,12 @@ class SynapseAssembly:
         then an unmirrored one, raises SimulationFault before integrating.
 
         The driver call goes through the `_branch` cache.  Its key holds the
-        driver, and for the fixed-step driver its RK4 step, as `_kernels`
-        holds them at this call (so patched or wrapped kernels never share
-        an entry with the originals), SEGMENT_TOL, w1, w2, the bounds,
-        duration, dt, o1, o2, r1, v_ab and the device law's `branch_rates`,
-        one object per distinct set of device constants (see device._law).
+        driver, and for the fixed-step driver of `apply_differential` its
+        RK4 step, as `_kernels` holds them at this call (so patched or
+        wrapped kernels never share an entry with the originals),
+        SEGMENT_TOL, w1, w2, the bounds, duration, dt, o1, o2, r1, v_ab and
+        the device law's `branch_rates`, one object per distinct set of
+        device constants (see device._law).
         The drivers are pure functions of exactly these, so a repeated drive
         returns what integrating it again would, bit for bit.
         """
@@ -216,26 +223,23 @@ class SynapseAssembly:
         return v_out
 
     def program_to_weight(self, target: float, tolerance: float = 1e-3,
-                          dt: float = 1e-5, level: float = 4.0,
-                          max_seconds: float = 5.0) -> float:
-        """Closed-loop programming with +/-`level` micro-pulses of width dt.
+                          dt: float = 1e-5, max_seconds: float = 5.0) -> float:
+        """Closed-loop programming with +/-PULSE_LEVEL micro-pulses of width dt.
 
         Pulses towards `target` until the weight is within `tolerance` of it,
-        a pulse moves it by less than 1e-15 (a range boundary stalls it), a
+        pulses move it by less than 1e-15 (a range boundary stalls it), a
         pulse crosses the whole band or `max_seconds` of pulses have been
-        applied; returns the achieved weight.  The weight is monotone along
-        pulses of one direction, so once a pulse crosses the band no count
-        of them lands in it: the synapse ends at the nearer of the weights
-        before and after that pulse (the earlier on a tie), out of the band.
-
-        The pulses are event-located, not applied one by one.  Pulses in one
-        direction form one constant drive, along which the weight is
-        monotone.  So after a pulse that leaves the weight short of the band,
-        `drive` jumps to the last pulse count still short of it (see
-        _pulses_short_of), and the next `apply_differential` pulse meets the
-        band, stall and direction tests as in a pulse-wise loop.  The pulse
-        count matches that loop unless a band edge lies within the
-        integration error (SEGMENT_TOL) of a pulse edge.
+        applied; returns the achieved weight.  Pulses towards the target form
+        one constant drive, along which the weight is monotone, so the
+        search is over the pulse count alone.  Chunks of 1, 2, 4, ... pulses,
+        each a `drive` segment from the last state short of the band, bracket
+        the count, then bisection narrows the bracket.  The single pulse from
+        the last short state that reaches the band ends the search: in the
+        band, or across it, where no pulse count lands in it, so the synapse
+        ends at the nearer of the weights before and after that pulse (the
+        earlier on a tie), out of the band.  The pulse count matches a
+        pulse-wise loop unless a band edge lies within the integration error
+        (SEGMENT_TOL) of a pulse edge.
         """
         if tolerance <= 0.0:
             raise ConfigError("tolerance > 0")
@@ -243,49 +247,32 @@ class SynapseAssembly:
         if not (lo - 1e-12 <= target <= hi + 1e-12):
             raise ConfigError(
                 f"target weight {target} outside reachable range [{lo:.6g}, {hi:.6g}]")
-        sign_for_up = 1.0 if self.config.polarity == EXCITATORY else -1.0
         psi = self.weight()
-        steps = 0
-        max_steps = int(max_seconds / dt)
-        while abs(psi - target) > tolerance and steps < max_steps:
-            up = 1.0 if target > psi else -1.0
-            v = level * sign_for_up * up
-            edge = up * target - tolerance  # up * psi below it: short of the band
-            before = list(self.w)
-            self.apply_differential(v, dt)
-            new_psi = self.weight()
-            if abs(new_psi - psi) < 1e-15:
-                break  # boundary stall
-            if up * new_psi > up * target + tolerance:  # crossed the band
-                if abs(new_psi - target) < abs(psi - target):
-                    return new_psi
-                self.w = before
-                return psi
-            psi = new_psi
-            steps += 1
-            if up * psi < edge:
-                steps += self._pulses_short_of(edge, up, psi, v, dt, max_steps - steps)
-                psi = self.weight()
-        return psi
-
-    def _pulses_short_of(self, edge, up, psi, v, dt, limit):
-        """Advance by the most pulses of `v` (at most `limit`) after which
-        up * weight stays below `edge`, and return that count.  Chunks of 1,
-        2, 4, ... pulses bracket the count, then bisection narrows the
-        bracket; each chunk starts from the last state short of the edge."""
+        if abs(psi - target) <= tolerance:
+            return psi
+        up = 1.0 if target > psi else -1.0
+        v = PULSE_LEVEL * up * (1.0 if self.config.polarity == EXCITATORY else -1.0)
+        edge = up * target - tolerance  # up * weight below it: short of the band
         short = list(self.w)  # the state after n pulses
-        n, far, k = 0, None, 1  # far: a pulse count known to reach the edge
-        while n < limit and (far is None or far - n > 1):
-            k = min(k, limit - n) if far is None else (far - n) // 2
+        n, far, k = 0, None, 1  # far: a pulse count known to reach the band
+        limit = int(max_seconds / dt)
+        while n < limit:
+            # double the chunk, or bisect down to the single pulse from `short`
+            k = min(k, limit - n) if far is None else max((far - n) // 2, 1)
             self.drive(v, dt, k * dt)
             new_psi = self.weight()
-            if up * new_psi >= edge:
+            if up * new_psi < edge:
+                if abs(new_psi - psi) < 1e-15:
+                    self.w = short
+                    break  # boundary stall: every pulse of the chunk would stall
+                n, psi, short, k = n + k, new_psi, list(self.w), 2 * k
+            elif k > 1:
                 far = n + k
                 self.w = list(short)
-            elif abs(new_psi - psi) < 1e-15:
-                self.w = short
-                break  # boundary stall: every pulse of the chunk would stall
+            elif (up * new_psi > up * target + tolerance
+                  and abs(psi - target) <= abs(new_psi - target)):
+                self.w = short  # crossed the band; the earlier side is nearer
+                break
             else:
-                n, psi, short = n + k, new_psi, list(self.w)
-                k *= 2
-        return n
+                return new_psi
+        return psi

@@ -10,7 +10,7 @@ from memsnn.device import (MemristorParams, MemristorState, SineDrive, VteamPara
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.synapse import SynapseAssembly, SynapseConfig
 from test_network import deadline
-from test_synapse import DRIVERS
+from test_synapse import DRIVERS, counting
 
 P = MemristorParams()
 D = P.d
@@ -300,6 +300,21 @@ def test_nan_rate_mid_sweep_faults_promptly(monkeypatch, first_nan):
     with deadline(10.0), pytest.raises(SimulationFault, match="non-finite state during sweep"):
         hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), 0.2, 1e-5, 10)
     assert first_nan <= calls[0] < first_nan + 12
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@pytest.mark.parametrize("first_nan", range(30, 36))
+def test_nan_rate_mid_segment_faults_promptly(monkeypatch, first_nan):
+    """A branch rate that turns NaN inside a 1 s, 4 V segment, at each of
+    the six stage positions of a step, ends the segment within 100
+    evaluations: rejected steps shrink to the dt floor, where the NaN
+    solution is returned, not accepted and stepped for every remaining dt.
+    `drive` turns it into a SimulationFault."""
+    calls = counting(monkeypatch, nan_from=first_nan)
+    syn = SynapseAssembly.fresh(SynapseConfig())
+    with deadline(10.0), pytest.raises(SimulationFault, match="non-finite device state"):
+        syn.drive(4.0, 1e-5, duration=1.0)
+    assert first_nan <= calls[0] < first_nan + 100
 
 
 def test_vteam_dead_zone_bitwise():

@@ -42,11 +42,11 @@ GOLDEN = {
     "stdp-window/stdp_window_inhibitory.csv":
         "726791d54780aba25211e4d4c65de759a7cd47d8203f6a8c393dd4b54de315b2",
     "stdp-window-vteam/manifest":
-        "e7d74b0cda26e6eabb2272cc1b524542f8a2d25be58cf85f529240f4b344b4a5",
+        "92c4ad686358ee09f9a4984f6d00598a54f650bc9595078a49a62246a387de7a",
     "stdp-window-vteam/stdp_window_excitatory_vteam.csv":
-        "ba2cad0303597e011147c7c138a6c6dd1ba3829c36ba5baad895d77d0b0be7a5",
+        "eb9b16da1cb9e2076cf6d5d028b26a9a3c6583bfebee117aa46597e7262f3a51",
     "stdp-window-vteam/stdp_window_inhibitory_vteam.csv":
-        "06acce19b4ec1bfa01ccbe068d03f1cd9c6dd6f378bb44bbc6c577d8bf5dbb7d",
+        "11e06ca490b827e16ee3a7e86df06bf36dfeb502dec4c44840e26d2fdb88f65a",
     "switch-rate/manifest":
         "120010afe3ad2869e967eb8b120f28543f2d37916f8cdb329b049427566cdf81",
     "switch-rate/switch_rate.csv":

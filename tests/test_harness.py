@@ -4,9 +4,10 @@ import sys
 import numpy as np
 import pytest
 
+from memsnn import _kernels as K
 from memsnn.errors import ConfigError
-from memsnn.harness import (RUNNERS, ExperimentSpec, load_config, main, run_experiment,
-                            vteam_variant)
+from memsnn.harness import (EXPERIMENTS, RUNNERS, ExperimentSpec, load_config, main,
+                            run_experiment, vteam_variant)
 from test_network import deadline
 
 
@@ -164,6 +165,25 @@ def test_pattern_learn_cli_short_run(tmp_path):
     assert len(post) == 31
     events = (tmp_path / "post_events.csv").read_text().splitlines()
     assert events[0] == "frame,t,v_mp_at_edge,fired"
+
+
+def test_experiments_take_no_fixed_step_rk4(tmp_path, capsys, monkeypatch):
+    """Every experiment runs on the error-controlled kernels alone, at a
+    small budget: the fixed-step branch driver and its RK4 step are the
+    tests' oracle, so here they raise."""
+    def oracle_only(*args):
+        raise AssertionError("fixed-step RK4 outside the test oracle")
+
+    for name in ("branch_step", "dopant_branch_rk4", "vteam_branch_rk4"):
+        monkeypatch.setattr(K, name, oracle_only)
+    budget = {"stdp-window": ["--set", "stdp.max_offset=1"],
+              "stdp-window-vteam": ["--set", "stdp.max_offset=1"],
+              "pattern-learn": ["--epochs", "2", "--init", "zero"]}
+    runs = [(name, budget.get(name, [])) for name in EXPERIMENTS]
+    runs.append(("pattern-learn", ["--epochs", "2", "--init", "midpoint"]))
+    for i, (name, extra) in enumerate(runs):
+        assert main([name, "--out", str(tmp_path / str(i)), *extra]) == 0, \
+            capsys.readouterr().err
 
 
 def test_vteam_variant_preset():

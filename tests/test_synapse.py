@@ -214,12 +214,31 @@ def test_program_to_current_weight_is_noop():
     assert achieved == pytest.approx(syn.weight())
 
 
-def test_program_to_zero_stalls_at_range_floor():
+def counted_drives(monkeypatch):
+    """Count the calls of `SynapseAssembly.drive`."""
+    drives = [0]
+    drive = SynapseAssembly.drive
+
+    def counted_drive(*args):
+        drives[0] += 1
+        return drive(*args)
+
+    monkeypatch.setattr(SynapseAssembly, "drive", counted_drive)
+    return drives
+
+
+def test_program_to_zero_stalls_at_range_floor(monkeypatch):
+    """Programming down to 0 stalls at the fresh corner, on the range floor;
+    from the corner itself, the first pulse stalls and ends the search."""
     syn = SynapseAssembly.fresh(CFG_EXC)
     syn.program_to_weight(0.5, tolerance=1e-3, dt=DT)
     achieved = syn.program_to_weight(0.0, tolerance=1e-4, dt=DT)
-    fresh = SynapseAssembly.fresh(CFG_EXC).weight()
-    assert achieved == pytest.approx(fresh, abs=1e-3)
+    fresh = SynapseAssembly.fresh(CFG_EXC)
+    assert achieved == pytest.approx(fresh.weight(), abs=1e-3)
+    drives = counted_drives(monkeypatch)
+    w0 = tuple(fresh.w)
+    assert fresh.program_to_weight(0.0, tolerance=1e-4, dt=DT) == fresh.weight()
+    assert drives[0] == 1 and tuple(fresh.w) == w0
 
 
 def test_program_within_tolerance_verified_by_weight():
@@ -233,21 +252,17 @@ def test_program_ends_at_a_pulse_that_crosses_the_band(monkeypatch):
     """At q = 1 one 10 us pulse moves the weight further than the 2e-3 wide
     band, so no pulse count lands in it.  Programming stops at the first
     pulse that crosses the band, keeps the side nearer the target, and the
-    synapse holds that weight; it once pulsed back and forth for 5 s."""
+    synapse holds that weight; it once pulsed back and forth for 5 s.  The
+    search takes three drives: one pulse (short of the band), two more
+    (they reach it), then the single pulse from the short state."""
     cfg = replace(CFG_EXC, device=replace(CFG_EXC.device, q=1))
-    pulses = [0]
-    pulse = SynapseAssembly.apply_differential
-
-    def counted_pulse(*args):
-        pulses[0] += 1
-        return pulse(*args)
-
-    monkeypatch.setattr(SynapseAssembly, "apply_differential", counted_pulse)
+    drives = counted_drives(monkeypatch)
     syn = SynapseAssembly.fresh(cfg)
     achieved = syn.program_to_weight(0.5, tolerance=1e-3, dt=DT)
-    assert pulses[0] == 2  # one short of the band, a jump to its edge, one across it
+    assert drives[0] == 3
     assert syn.weight() == achieved
-    crossed = syn.copy().apply_differential(4.0, DT).weight()
+    assert achieved == SynapseAssembly.fresh(cfg).drive(4.0, DT).weight()  # one pulse
+    crossed = syn.copy().drive(4.0, DT).weight()
     assert achieved < 0.5 - 1e-3 and crossed > 0.5 + 1e-3
     assert abs(achieved - 0.5) <= abs(crossed - 0.5)
 
@@ -494,12 +509,13 @@ def test_drive_error_falls_with_segment_tolerance(monkeypatch):
     assert all(b < a for a, b in zip(errors, errors[1:])), errors
 
 
-def counting(monkeypatch):
+def counting(monkeypatch, nan_from=math.inf):
     """Count the stage evaluations of every device law's `branch_rates`:
     each device class's `law` becomes one whose `branch_rates` counts, still
     one law per distinct set of constants.  Assemblies bind the law when
     built, so only those built after this call count; their laws are never
-    the laws of earlier calls, so no cached drive is shared with those."""
+    the laws of earlier calls, so no cached drive is shared with those.
+    From the `nan_from`-th evaluation on, the rates are NaN."""
     calls = [0]
     for cls in (MemristorParams, VteamParams):
         @functools.lru_cache(maxsize=None)
@@ -509,7 +525,7 @@ def counting(monkeypatch):
 
             def counted(*args):
                 calls[0] += 1
-                return rates(*args)
+                return (math.nan, math.nan) if calls[0] >= nan_from else rates(*args)
 
             return built._replace(branch_rates=counted)
 
