@@ -82,7 +82,9 @@ class Law(NamedTuple):
     resistance: Callable  # R(w)
     rate: Callable        # dw/dt at w under the device-frame drive
     sweep_rate: Callable  # dw/dt at w under voltage v across the device alone
-    branch_rates: Callable  # (dw1/dt, dw2/dt) of a branch (see branch_rk4)
+    # (dw1/dt, dw2/dt) of a branch (see branch_rk4): `rate` at each device's
+    # drive, written out in one call, since it runs at every stage
+    branch_rates: Callable
 
 
 def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, win):
@@ -111,12 +113,26 @@ def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, win):
         return drift(x, v / (r_on * x + r_off * (1.0 - x)))
 
     def branch_rates(w1, w2, o1, o2, r_series, v):
-        x1 = clamped(w1)
-        x2 = clamped(w2)
-        # R(x1) + R(x2) + r_series, written out: this runs at every stage
+        # drift(clamped(w1), o1*i), drift(clamped(w2), o2*i), written out:
+        # this runs at every stage.  Each orientation is +-1, so both
+        # devices see |i|, and the Joule power a0*|i/i0|^n is taken once;
+        # o*s carries the sign of (o*i)/i0, the current each device sees.
+        x1 = w1 / d
+        if x1 < 0.0:
+            x1 = 0.0
+        elif x1 > 1.0:
+            x1 = 1.0
+        x2 = w2 / d
+        if x2 < 0.0:
+            x2 = 0.0
+        elif x2 > 1.0:
+            x2 = 1.0
         i = v / ((r_on * x1 + r_off * (1.0 - x1)) + (r_on * x2 + r_off * (1.0 - x2))
                  + r_series)
-        return drift(x1, o1 * i), drift(x2, o2 * i)
+        s = i / i0
+        p = a0 * abs(s) ** n
+        return (k * (p if o1 * s >= 0.0 else -p) * win(x1, o1 * i),
+                k * (p if o2 * s >= 0.0 else -p) * win(x2, o2 * i))
 
     return Law(resistance, rate, sweep_rate, branch_rates)
 
@@ -128,7 +144,8 @@ def vteam_law(v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, w
     of `rate` is the device voltage.  In a branch, the shared current splits
     the voltage across both devices by their resistive shares."""
     r_span = r_off - r_on
-    clamped = _unit_state(w_on, w_off - w_on)
+    w_span = w_off - w_on
+    clamped = _unit_state(w_on, w_span)
 
     def drift(x, v):
         if v <= v_on:
@@ -146,12 +163,40 @@ def vteam_law(v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, w
         return drift(clamped(w), v)
 
     def branch_rates(w1, w2, o1, o2, r_series, v):
-        x1 = clamped(w1)
-        x2 = clamped(w2)
+        # drift(clamped(w), o*i*R(w)) for both devices, written out: this
+        # runs at every stage
+        x1 = (w1 - w_on) / w_span
+        if x1 < 0.0:
+            x1 = 0.0
+        elif x1 > 1.0:
+            x1 = 1.0
+        x2 = (w2 - w_on) / w_span
+        if x2 < 0.0:
+            x2 = 0.0
+        elif x2 > 1.0:
+            x2 = 1.0
         m1 = r_on + r_span * x1
         m2 = r_on + r_span * x2
         i = v / (m1 + m2 + r_series)
-        return drift(x1, o1 * i * m1), drift(x2, o2 * i * m2)
+        v1 = o1 * i * m1
+        if v1 <= v_on:
+            r1 = k_on * ((v1 / v_on) - 1.0) ** a_on
+            r1 *= win(x1, r1)
+        elif v1 >= v_off:
+            r1 = k_off * ((v1 / v_off) - 1.0) ** a_off
+            r1 *= win(x1, r1)
+        else:
+            r1 = 0.0
+        v2 = o2 * i * m2
+        if v2 <= v_on:
+            r2 = k_on * ((v2 / v_on) - 1.0) ** a_on
+            r2 *= win(x2, r2)
+        elif v2 >= v_off:
+            r2 = k_off * ((v2 / v_off) - 1.0) ** a_off
+            r2 *= win(x2, r2)
+        else:
+            r2 = 0.0
+        return r1, r2
 
     return Law(resistance, rate, rate, branch_rates)
 

@@ -193,7 +193,11 @@ class SweepSeries:
     r: np.ndarray
 
     def rows(self):
-        return zip(self.t, self.v, self.i, self.w, self.r)
+        """The rows as Python floats, converted a block at a time, so that
+        no whole column is held as a list."""
+        cols = (self.t, self.v, self.i, self.w, self.r)
+        for k in range(0, len(self.t), 1024):
+            yield from zip(*(c[k:k + 1024].tolist() for c in cols))
 
     HEADER = "t,v,i,w,R"
 

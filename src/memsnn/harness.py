@@ -293,6 +293,8 @@ def vteam_variant(cfg: Config) -> Config:
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # most cells: tested first
+        return f"{x:.9g}"
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):

@@ -16,6 +16,17 @@ error-controlled Dormand-Prince 5(4) steps (`SynapseAssembly.drive`, steps
 no shorter than dt), the LIF membrane advances with the exact constant-input
 exponential, and traces decay analytically.  Everything is deterministic: identical
 configurations give bit-identical results.
+
+Synapses in lockstep are stepped once per frame.  A synapse's frame is a
+function of its four device states, its pre's trace and whether its pre
+fired, and of nothing else per synapse: the config, the post neuron and the
+post's PWM width are shared.  So each frame groups the synapses on exactly
+that key (float equality, as in the `synapse._branch` cache key), steps each
+group's lowest-index synapse, and gives every other member a copy of its
+state, its transmitted output and its weight, which is what stepping the
+member would give, bit for bit.  Groups are stepped slot by slot in index
+order, so a fault names the synapse that stepping each one would have named.
+The experiments likewise set up one fresh synapse and copy its state.
 """
 from __future__ import annotations
 
@@ -176,31 +187,49 @@ class Network:
         post_v_edge = post.state.v_mp
         post_fired = post.trigger_tick(frame_edge=True)
 
+        # lockstep groups (see the module docstring), each stepped on its
+        # lowest index; the key holds every per-synapse input of the frame
+        groups = {}
+        for si, syn in enumerate(self.synapses):
+            groups.setdefault((*syn.w, self.pre_traces[si], si in fired), []).append(si)
         width_b = self._sample_width(self.post_trace, post_fired)
-        drives = [differential_frame(si in fired, post_fired,
-                                     self._sample_width(self.pre_traces[si], si in fired),
-                                     width_b, v_cc, slot)
-                  for si in range(cfg.n_pre)]
+        drives = [(m, differential_frame(m[0] in fired, post_fired,
+                                         self._sample_width(self.pre_traces[m[0]], m[0] in fired),
+                                         width_b, v_cc, slot))
+                  for m in groups.values()]
 
         # slot 0: transmission.  Weighted outputs are evaluated from the
         # entry weights, then the spike biases the synapse for the slot.
         post_inputs = [0.0] * cfg.n_pre
-        for si in pre_fired:
-            try:
-                post_inputs[si] = self.synapses[si].transmit(v_cc, dt, duration=slot)
-            except SimulationFault as exc:
-                raise SimulationFault(f"slot 0, synapse {si}: {exc}") from None
+        for members, _ in drives:
+            si = members[0]
+            if si in fired:
+                try:
+                    v_out = self.synapses[si].transmit(v_cc, dt, duration=slot)
+                except SimulationFault as exc:
+                    raise SimulationFault(f"slot 0, synapse {si}: {exc}") from None
+                for m in members:
+                    post_inputs[m] = v_out
         post.integrate(post_inputs, slot)
         post.trigger_tick(frame_edge=False)
         inject_loads(0)
 
         # slots 1 and 2: programming segments; the post membrane just leaks.
         for slot_idx in (1, 2):
-            for si, segs in enumerate(drives):
-                self._step_synapse_segments(si, segs[slot_idx - 1], slot_idx)
+            for members, segs in drives:
+                self._step_synapse_segments(members[0], segs[slot_idx - 1], slot_idx)
             post.integrate([0.0] * cfg.n_pre, slot)
             post.trigger_tick(frame_edge=False)
             inject_loads(slot_idx)
+
+        # each member leaves the frame in its group's state, in a list of its own
+        weights = [0.0] * cfg.n_pre
+        for members, _ in drives:
+            lead = self.synapses[members[0]]
+            w = weights[members[0]] = lead.weight()
+            for m in members[1:]:
+                self.synapses[m].w = list(lead.w)
+                weights[m] = w
 
         # traces: held at v_p through the owner's firing frame, else decay
         # across the whole frame width.
@@ -211,7 +240,7 @@ class Network:
 
         self.frame += 1
 
-        weights = self.weights()
+        weights = tuple(weights)
         if not all(math.isfinite(w) for w in weights):
             raise SimulationFault("non-finite synapse state")
         return FrameReport(frame=frame_idx, t=t0, pre_fired=pre_fired,
@@ -270,19 +299,12 @@ def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
 # -- timing-window experiment -------------------------------------------------
 
 
-def _programmed_network(config: NetworkConfig, target: float) -> Network:
-    net = Network(config)
-    for syn in net.synapses:
-        syn.program_to_weight(target, tolerance=1e-3, dt=config.clock.dt)
-    return net
-
-
 def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
                 phase_slot: int | None = None):
     """Weight change induced by exactly one pre/post spike pair per offset.
 
-    For each frame offset the synapse is freshly programmed to |weight| 0.5,
-    a single pre spike and a single post spike are placed `offset` frames
+    For each frame offset a fresh network starts from the synapse state of
+    one closed-loop programming to |weight| 0.5, a single pre spike and a single post spike are placed `offset` frames
     apart (negative offsets mean post first), the run continues until the
     traces have effectively extinguished, and the net weight change is
     recorded.  Returns rows (offset_frames, offset_seconds, d_weight).
@@ -292,12 +314,17 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
     which must produce bit-identical windows (quantization in sub-frame
     phase).
     """
-    cfg = replace(config, n_pre=1)
+    cfg = replace(config, n_pre=1).validate()
     frame_w = cfg.clock.frame_width
     sign = 1.0 if cfg.synapse.polarity == EXCITATORY else -1.0
+    # fresh synapses are equal and programming is deterministic, so one
+    # programming serves every offset
+    programmed = SynapseAssembly.fresh(cfg.synapse)
+    programmed.program_to_weight(sign * 0.5, tolerance=1e-3, dt=cfg.clock.dt)
     rows = []
     for off in offsets:
-        net = _programmed_network(cfg, sign * 0.5)
+        net = Network(cfg)
+        net.synapses[0].w = list(programmed.w)
         psi0 = net.synapses[0].weight()
         pre_frame = 1 + max(0, -off)
         post_frame = pre_frame + off
@@ -364,15 +391,17 @@ def pattern_learning(config: NetworkConfig, stimulus: StimulusProgram,
     or 'midpoint' (every weight programmed to half range)."""
     stimulus.validate()
     net = Network(config)
+    first = net.synapses[0]
     if init == "zero":
         # -4 V drives either polarity toward its zero-weight corner: the
         # inhibitory weight is the negated excitatory one under one drive
-        for syn in net.synapses:
-            syn.drive(-4.0, config.clock.dt, duration=1.0)
+        first.drive(-4.0, config.clock.dt, duration=1.0)
     elif init == "midpoint":
         sign = 1.0 if config.synapse.polarity == EXCITATORY else -1.0
-        for syn in net.synapses:
-            syn.program_to_weight(sign * 0.5, tolerance=0.01, dt=config.clock.dt)
+        first.program_to_weight(sign * 0.5, tolerance=0.01, dt=config.clock.dt)
     else:
         raise ConfigError(f"init must be zero or midpoint, got {init!r}")
+    # fresh synapses are equal and the init is deterministic: one serves all
+    for syn in net.synapses[1:]:
+        syn.w = list(first.w)
     return _run_program(net, stimulus)

@@ -87,17 +87,18 @@ def _slot_segments(level_a: float, width_a: float, level_b: float, width_b: floa
                    slot_width: float):
     """Piecewise-constant v_ab over one slot, where terminal A holds level_a
     for the leading width_a seconds and terminal B level_b for the leading
-    width_b, as (duration, level) pairs; zero-voltage stretches are kept out."""
+    width_b, as (duration, level) pairs; zero-voltage stretches are kept out.
+    Widths are >= 0.  Both terminals drive until the shorter width ends,
+    the longer one alone until it ends, and neither for the rest."""
     wa = min(width_a, slot_width)
     wb = min(width_b, slot_width)
-    cuts = sorted({0.0, wa, wb, slot_width})
+    short, long = (wa, wb) if wa <= wb else (wb, wa)
     segments = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi <= lo:
-            continue
-        v = (level_a if lo < wa else 0.0) - (level_b if lo < wb else 0.0)
-        if v != 0.0:
-            segments.append((hi - lo, v))
+    if short > 0.0 and level_a != level_b:
+        segments.append((short, level_a - level_b))
+    v = level_a if wa > wb else -level_b
+    if long > short and v != 0.0:
+        segments.append((long - short, v))
     return segments
 
 

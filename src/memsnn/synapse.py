@@ -22,11 +22,14 @@ as the mirror M3 = M2, M4 = M1, a checked invariant of every stepped state.
 The weight readout stays general over any four device states.
 
 Identical branch integrations run once.  Synapses that fire together hold
-the same state and receive the same drives, and fresh synapses programmed to
-one target take the same drives, so the driver call is memoized in a bounded
-LRU cache (`_branch`).  Its key holds every input of the drivers, which are
-pure functions of their arguments, so a hit is bit for bit what integrating
-again would give (see SynapseAssembly._integrate).
+the same state and receive the same drives, so the network engine steps
+each such lockstep group once per frame and copies the result to its members
+(see network.py).  Repeats across frames and within programming remain:
+saturated synapses repeat their epoch's drives bit for bit.  So the driver
+call is memoized in a bounded LRU cache (`_branch`).  Its key holds every
+input of the drivers, which are pure functions of their arguments, so a hit
+is bit for bit what integrating again would give (see
+SynapseAssembly._integrate).
 """
 from __future__ import annotations
 
@@ -73,7 +76,10 @@ def _orientations(config: SynapseConfig) -> tuple[float, float, float, float]:
 def _branch(driver, tol, *args):
     """driver(*args), memoized.  `tol` is K.SEGMENT_TOL, which the
     error-controlled driver reads itself; it is passed only to be keyed on.
-    256 entries (about 0.1 MB) catch every repeat of the 3x3 pattern runs."""
+    Lockstep synapses are stepped once per frame by the engine, so the hits
+    here are repeats across frames (a saturated synapse repeats its epoch's
+    drives) and within programming.  256 entries (about 0.1 MB) catch every
+    repeat of the 3x3 pattern runs."""
     return driver(*args)
 
 

@@ -317,6 +317,37 @@ def test_nan_rate_mid_segment_faults_promptly(monkeypatch, first_nan):
     assert first_nan <= calls[0] < first_nan + 100
 
 
+@pytest.mark.parametrize("kind", WindowSpec.KINDS)
+@pytest.mark.parametrize("model", ["dopant", "vteam"])
+def test_branch_rates_are_the_rate_at_each_device_drive(model, kind):
+    """A law's written-out `branch_rates` is its own `rate` at each device's
+    drive in the branch, bit for bit: the device current o*i for the dopant
+    law, the device voltage o*i*R(w) for VTEAM, where i is v over the two
+    resistances and the series resistor.  Both orientation tables, every
+    window kind, states on and beyond the bounds, drives across the VTEAM
+    dead zone and zero."""
+    spec = WindowSpec(kind=kind, p=2, j=0.9)
+    dev = MemristorParams(window=spec) if model == "dopant" else VteamParams(window=spec)
+    law = dev.build_law()
+    lo, hi = dev.state_range
+    span = hi - lo
+    states = [lo - 0.25 * span, lo, lo + 1e-3 * span, lo + 0.37 * span, hi, hi + 0.25 * span]
+    r_series = 16000.0
+    for table in (dev.EXCITATORY_ORIENTATIONS, tuple(-o for o in dev.EXCITATORY_ORIENTATIONS)):
+        o1, o2 = table[:2]
+        for w1 in states:
+            for w2 in states:
+                r1, r2 = law.resistance(w1), law.resistance(w2)
+                for v in (0.0, -0.0, 0.3, -0.3, 1.7, -1.7, 4.0, -4.0, 37.0):
+                    i = v / (r1 + r2 + r_series)
+                    if model == "dopant":
+                        want = (law.rate(w1, o1 * i), law.rate(w2, o2 * i))
+                    else:
+                        want = (law.rate(w1, o1 * i * r1), law.rate(w2, o2 * i * r2))
+                    got = law.branch_rates(w1, w2, o1, o2, r_series, v)
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (w1, w2, v)
+
+
 def test_vteam_dead_zone_bitwise():
     # v_ab is scaled by the divider ratio so that each device sees x itself:
     # at 0.999 of a threshold one device of each branch sits just inside

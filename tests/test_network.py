@@ -11,7 +11,7 @@ from memsnn.network import (Network, NetworkConfig, StimulusParams, StimulusProg
                             pattern_learning, run_simulation, stability_epoch, stdp_window)
 from memsnn.plasticity import ClockParams
 from memsnn.synapse import SynapseAssembly, SynapseConfig
-from test_synapse import counting
+from test_synapse import counted_drives, counting
 
 
 def make_config(n_pre=1, polarity="excitatory", **kw):
@@ -191,8 +191,8 @@ def test_short_pattern_run_stage_evaluations(monkeypatch):
 
 def test_lockstep_synapses_integrate_once(monkeypatch):
     """Two pres that always fire together keep bitwise-equal weights, and
-    every drive of the second synapse is a cache hit: it costs no stage
-    evaluation of the rate law."""
+    the second synapse costs no stage evaluation of the rate law: the
+    engine steps the lockstep pair once, on the first synapse."""
     steps = {}
     calls = counting(monkeypatch)
     drive = SynapseAssembly.drive
@@ -214,6 +214,47 @@ def test_lockstep_synapses_integrate_once(monkeypatch):
         assert rep.weights[0] == rep.weights[1]
     assert rep.weights != psi0
     assert steps.get(0, 0) > 0 and steps.get(1, 0) == 0
+
+
+def test_lockstep_groups_split_when_inputs_diverge():
+    """Pres 0 and 1 fire together, then 0 fires alone.  Their weights are
+    bitwise equal while they are in lockstep and differ afterwards, and
+    synapse 1's weights are those of a network where pre 1 fires alone, so
+    stepping a group once gives each member what stepping it would.  No two
+    synapses ever share a state list, and synapses in one state whose pres
+    hold different traces step apart."""
+    def run(schedule):
+        net = Network(make_config(n_pre=3))
+        for syn in net.synapses:
+            syn.program_to_weight(0.3, tolerance=1e-3, dt=net.config.clock.dt)
+        weights = []
+        for frame in range(8):
+            rep = net.run_frame(forced_pre=schedule.get(frame, ()))
+            assert len({id(syn.w) for syn in net.synapses}) == 3
+            assert not rep.post_fired
+            weights.append(rep.weights)
+        return weights
+
+    weights = run({0: (0, 1), 4: (0,)})
+    alone = run({0: (1,)})
+    assert all(w[0] == w[1] != w[2] for w in weights[:4])
+    assert all(w[0] != w[1] for w in weights[4:])
+    assert [w[1] for w in weights] == [w[1] for w in alone]
+    # one state, different traces: different PWM widths, so no one group
+    net = Network(make_config(n_pre=2))
+    net.pre_traces[0] = net.config.trace.v_p
+    rep = net.run_frame()
+    assert rep.weights[0] != rep.weights[1]
+
+
+def test_short_pattern_run_drive_calls(monkeypatch):
+    """A 20-epoch zero-init 3x3 run steps each lockstep group once per
+    frame, and sets up one synapse for all nine: at most 1 700 `drive`
+    calls, where stepping every synapse took 3 008.  A count, not a time."""
+    drives = counted_drives(monkeypatch)
+    pattern_learning(network_config(load_config(None)), StimulusParams().program(20),
+                     init="zero")
+    assert 0 < drives[0] <= 1700
 
 
 def test_pattern_learning_rejects_bad_init():
@@ -238,6 +279,14 @@ def test_fault_reports_frame_context():
     net.synapses[0].w[0] = float("nan")
     with pytest.raises(SimulationFault, match="frame 1"):
         net.run_frame()
+    # a fault inside a lockstep group names the group's lowest index
+    net = Network(make_config(n_pre=3))
+    net.run_frame()
+    w1, w2 = net.synapses[0].w[:2]
+    for syn in net.synapses[1:]:
+        syn.w = [w1, w2, 0.5 * w2, w1]  # unmirrored, alike in both
+    with pytest.raises(SimulationFault, match="frame 1: slot 0, synapse 1: unmirrored"):
+        net.run_frame(forced_pre=(1, 2))
 
 
 @contextmanager

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from memsnn.errors import ConfigError
-from memsnn.plasticity import (ClockParams, TraceParams, differential_frame, pwm_encode,
-                               trace_step)
+from memsnn.plasticity import (ClockParams, TraceParams, _slot_segments, differential_frame,
+                               pwm_encode, trace_step)
 
 TP = TraceParams(v_p=2.0, tau=0.045)
 SLOT = 0.01
@@ -96,6 +96,53 @@ def test_differential_ltp_overlap():
         strong = sum(d for d, v in slot1 if abs(v) > VCC + 1e-15)
         assert strong == pytest.approx(w)
         assert slot2 == [(pytest.approx(SLOT), -VCC)]
+
+
+def sorted_cuts_segments(level_a, width_a, level_b, width_b, slot_width):
+    """Oracle for `_slot_segments`: cut the slot at every width, then keep
+    each piece's nonzero level."""
+    wa = min(width_a, slot_width)
+    wb = min(width_b, slot_width)
+    cuts = sorted({0.0, wa, wb, slot_width})
+    segments = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi <= lo:
+            continue
+        v = (level_a if lo < wa else 0.0) - (level_b if lo < wb else 0.0)
+        if v != 0.0:
+            segments.append((hi - lo, v))
+    return segments
+
+
+# zero, inside the slot, slot-wide and over-slot widths
+WIDTHS = (0.0, 0.0028, 0.0072, SLOT, 1.5 * SLOT)
+LEVELS = (VCC, -VCC, 2 * VCC, 0.0)
+
+
+@pytest.mark.parametrize("level_a", LEVELS)
+@pytest.mark.parametrize("level_b", LEVELS)
+def test_slot_segments_match_sorted_cuts(level_a, level_b):
+    """Every pair of widths, equal ones included, and both level signs:
+    the same segments, bit for bit."""
+    for width_a in WIDTHS:
+        for width_b in WIDTHS:
+            args = (level_a, width_a, level_b, width_b, SLOT)
+            assert _slot_segments(*args) == sorted_cuts_segments(*args), args
+
+
+def test_slot_segments_match_sorted_cuts_on_drawn_widths():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    widths = st.one_of(st.sampled_from(WIDTHS), st.floats(0.0, 2 * SLOT))
+    levels = st.sampled_from((VCC, -VCC)) | st.floats(-4.0, 4.0)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(levels, widths, levels, widths)
+    def check(level_a, width_a, level_b, width_b):
+        args = (level_a, width_a, level_b, width_b, SLOT)
+        assert _slot_segments(*args) == sorted_cuts_segments(*args)
+
+    check()
 
 
 def test_weak_only_frames_never_exceed_rail():

@@ -219,9 +219,9 @@ def counted_drives(monkeypatch):
     drives = [0]
     drive = SynapseAssembly.drive
 
-    def counted_drive(*args):
+    def counted_drive(*args, **kwargs):
         drives[0] += 1
-        return drive(*args)
+        return drive(*args, **kwargs)
 
     monkeypatch.setattr(SynapseAssembly, "drive", counted_drive)
     return drives
