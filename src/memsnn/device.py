@@ -53,9 +53,8 @@ def _law(params):
 class MemristorParams(Params):
     """Constants of the dopant-drift device."""
 
-    # M1..M4 wiring that makes a positive A->B voltage raise the excitatory
-    # weight; mirrored (o3 = o2, o4 = o1), which SynapseAssembly._integrate needs
-    EXCITATORY_ORIENTATIONS = (1.0, -1.0, -1.0, 1.0)
+    # (o1, o2): M1, M2 wiring under which a positive A->B voltage raises the excitatory weight
+    EXCITATORY_ORIENTATIONS = (1.0, -1.0)
 
     r_on: float = 100.0                 # ohm
     r_off: float = 16000.0              # ohm
@@ -103,7 +102,7 @@ class VteamParams(Params):
     """
 
     # the dopant table negated: in the voltage-controlled convention v <= v_on sets
-    EXCITATORY_ORIENTATIONS = (-1.0, 1.0, 1.0, -1.0)
+    EXCITATORY_ORIENTATIONS = (-1.0, 1.0)
 
     v_on: float = -0.7         # V
     v_off: float = 0.7         # V

@@ -18,15 +18,15 @@ exponential, and traces decay analytically.  Everything is deterministic: identi
 configurations give bit-identical results.
 
 Synapses in lockstep are stepped once per frame.  A synapse's frame is a
-function of its four device states, its pre's trace and whether its pre
-fired, and of nothing else per synapse: the config, the post neuron and the
-post's PWM width are shared.  So each frame groups the synapses on exactly
-that key (float equality, as in the `synapse._branch` cache key), steps each
-group's lowest-index synapse, and gives every other member a copy of its
-state, its transmitted output and its weight, which is what stepping the
-member would give, bit for bit.  Groups are stepped slot by slot in index
-order, so a fault names the synapse that stepping each one would have named.
-The experiments likewise set up one fresh synapse and copy its state.
+function of its state `w` (the branch-1 pair, a tuple; M3, M4 mirror it),
+its pre's trace and whether its pre fired, and of nothing else per synapse:
+the config, the post neuron and the post's PWM width are shared.  So each
+frame groups the synapses on exactly that key (float equality, as in the
+`synapse._branch` cache key), steps each group's lowest-index synapse, and
+gives every other member its state, transmitted output and weight: what
+stepping it would give, bit for bit.  Groups are stepped slot by slot in
+index order, so a fault names the synapse that stepping each one would have
+named.  The experiments likewise set up one fresh synapse and copy its state.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, SimulationFault
 from .neuron import LifNeuron, LifParams
-from .params import Params
+from .params import AT_LEAST_ONE, Params, key
 from .plasticity import (ClockParams, TraceParams, differential_frame, pwm_encode,
                          trace_step)
 from .synapse import EXCITATORY, SynapseAssembly, SynapseConfig
@@ -55,6 +55,8 @@ class StimulusProgram:
     n_epochs: int = 1
 
     def validate(self):
+        if self.epoch_frames < 1:
+            raise ConfigError("epoch_frames >= 1")
         for frame, pre in self.schedule:
             if not (0 <= frame < self.epoch_frames):
                 raise ConfigError(f"scheduled frame {frame} outside epoch of {self.epoch_frames}")
@@ -191,7 +193,7 @@ class Network:
         # lowest index; the key holds every per-synapse input of the frame
         groups = {}
         for si, syn in enumerate(self.synapses):
-            groups.setdefault((*syn.w, self.pre_traces[si], si in fired), []).append(si)
+            groups.setdefault((syn.w, self.pre_traces[si], si in fired), []).append(si)
         width_b = self._sample_width(self.post_trace, post_fired)
         drives = [(m, differential_frame(m[0] in fired, post_fired,
                                          self._sample_width(self.pre_traces[m[0]], m[0] in fired),
@@ -222,13 +224,13 @@ class Network:
             post.trigger_tick(frame_edge=False)
             inject_loads(slot_idx)
 
-        # each member leaves the frame in its group's state, in a list of its own
+        # each member leaves the frame in its group's state
         weights = [0.0] * cfg.n_pre
         for members, _ in drives:
             lead = self.synapses[members[0]]
             w = weights[members[0]] = lead.weight()
             for m in members[1:]:
-                self.synapses[m].w = list(lead.w)
+                self.synapses[m].w = lead.w
                 weights[m] = w
 
         # traces: held at v_p through the owner's firing frame, else decay
@@ -283,7 +285,7 @@ def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
                              1 if report.post_fired else 0))
             if report.post_fired and first_fire_epoch is None:
                 first_fire_epoch = epoch
-        weights[epoch] = net.weights()
+        weights[epoch] = report.weights  # every epoch has a frame (validate)
     if program.schedule:
         first_frame = min(f for f, _ in program.schedule)
         pattern = tuple(sorted({p for f, p in program.schedule if f == first_frame}))
@@ -324,7 +326,7 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
     rows = []
     for off in offsets:
         net = Network(cfg)
-        net.synapses[0].w = list(programmed.w)
+        net.synapses[0].w = programmed.w
         psi0 = net.synapses[0].weight()
         pre_frame = 1 + max(0, -off)
         post_frame = pre_frame + off
@@ -349,12 +351,13 @@ class StimulusParams(Params):
     and each noise input fires alone in a later frame.  Indices are 0-based;
     noise_map holds (pre, frame) pairs."""
 
-    epoch_frames: int = 10
+    epoch_frames: int = key(10, AT_LEAST_ONE)
     pattern_frame: int = 0
     pattern_pres: tuple[int, ...] = (0, 2, 3, 5, 7)
     noise_map: tuple[tuple[int, int], ...] = ((1, 2), (4, 3), (6, 4), (8, 5))
 
     def validate(self, prefix: str = ""):
+        super().validate(prefix)
         self.program(0).validate()
         return self
 
@@ -403,5 +406,5 @@ def pattern_learning(config: NetworkConfig, stimulus: StimulusProgram,
         raise ConfigError(f"init must be zero or midpoint, got {init!r}")
     # fresh synapses are equal and the init is deterministic: one serves all
     for syn in net.synapses[1:]:
-        syn.w = list(first.w)
+        syn.w = first.w
     return _run_program(net, stimulus)

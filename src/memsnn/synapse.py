@@ -15,11 +15,11 @@ free): a branch is integrated as a coupled two-state ODE with the branch
 current recomputed at every integrator stage.  Every production path,
 closed-loop programming included, integrates with `drive`'s error-controlled
 Dormand-Prince 5(4) segments; the fixed-step RK4 `apply_differential` is
-the oracle the tests check it against.  Only branch 1 (M1, M2) is
-integrated.  Because r1 = r2 and the orientation tables are mirrored, the
-M3-M4 branch is branch 1 with its devices swapped, so its state is written
-as the mirror M3 = M2, M4 = M1, a checked invariant of every stepped state.
-The weight readout stays general over any four device states.
+the oracle the tests check it against.  M3 is wired as M2 and M4 as M1, and
+r1 = r2, so the M3-M4 branch is branch 1 with its two devices swapped: the
+bridge state is the branch-1 pair (w1, w2), and M3, M4 are read as its
+mirror (w3 = w2, w4 = w1), which no state can break, so nothing checks it.
+Only this module knows it; the network engine assigns the pair or keys on it.
 
 Identical branch integrations run once.  Synapses that fire together hold
 the same state and receive the same drives, so the network engine steps
@@ -64,8 +64,8 @@ class SynapseConfig(Params):
         return self
 
 
-def _orientations(config: SynapseConfig) -> tuple[float, float, float, float]:
-    """The device's excitatory table, inverted wholesale for the inhibitory synapse."""
+def _orientations(config: SynapseConfig) -> tuple[float, float]:
+    """(o1, o2): the device's excitatory pair, inverted for the inhibitory synapse."""
     base = config.device.EXCITATORY_ORIENTATIONS
     if config.polarity == EXCITATORY:
         return base
@@ -84,7 +84,7 @@ def _branch(driver, tol, *args):
 
 
 class SynapseAssembly:
-    """Mutable bridge state: four doping depths plus the shared config.
+    """Bridge state: the branch-1 doping depths `w` = (w1, w2), a tuple, plus the config.
 
     Value semantics via copy(); one assembly is only ever stepped from a
     single thread.
@@ -92,12 +92,13 @@ class SynapseAssembly:
 
     __slots__ = ("config", "w", "_lo", "_hi", "_o1", "_o2", "_r1", "_resistance", "_rates")
 
-    def __init__(self, config: SynapseConfig, w: tuple[float, float, float, float]):
+    def __init__(self, config: SynapseConfig, w: tuple[float, float]):
         self.config = config
-        self.w = list(float(x) for x in w)
+        w1, w2 = w
+        self.w = (float(w1), float(w2))
         self._lo, self._hi = config.device.state_range
         # branch-1 kernel arguments, bound once (see _integrate)
-        self._o1, self._o2 = _orientations(config)[:2]
+        self._o1, self._o2 = _orientations(config)
         self._r1 = config.r1
         law = config.device.law
         self._resistance, self._rates = law.resistance, law.branch_rates
@@ -108,26 +109,27 @@ class SynapseAssembly:
     @classmethod
     def fresh(cls, config: SynapseConfig) -> "SynapseAssembly":
         """Lowest-|weight| corner: M1, M4 at R_OFF and M2, M3 at R_ON for the
-        excitatory synapse; the mirrored corner for the inhibitory one."""
+        excitatory synapse; the swapped corner for the inhibitory one."""
         config.validate()
         w_roff, w_ron = config.device.corner_states
         if config.polarity == EXCITATORY:
-            return cls(config, (w_roff, w_ron, w_ron, w_roff))
-        return cls(config, (w_ron, w_roff, w_roff, w_ron))
+            return cls(config, (w_roff, w_ron))
+        return cls(config, (w_ron, w_roff))
 
     def copy(self) -> "SynapseAssembly":
-        return SynapseAssembly(self.config, tuple(self.w))
+        return SynapseAssembly(self.config, self.w)
 
     def resistances(self) -> tuple[float, float, float, float]:
-        return tuple(map(self._resistance, self.w))
+        m1, m2 = map(self._resistance, self.w)
+        return (m1, m2, m2, m1)
 
     def weight(self) -> float:
-        """Gain-scaled difference of the two divider taps."""
-        m1, m2, m3, m4 = self.resistances()
+        """Gain-scaled difference of the two divider taps (m3 = m2, m4 = m1)."""
+        m1, m2 = map(self._resistance, self.w)
         c = self.config
         if c.polarity == EXCITATORY:
-            return c.gain_a * ((m2 + c.r1) / (m1 + m2 + c.r1) - m4 / (m3 + c.r2 + m4))
-        return c.gain_a * (m2 / (m1 + c.r1 + m2) - (m4 + c.r2) / (m3 + m4 + c.r2))
+            return c.gain_a * ((m2 + c.r1) / (m1 + m2 + c.r1) - m1 / (m2 + c.r2 + m1))
+        return c.gain_a * (m2 / (m1 + c.r1 + m2) - (m1 + c.r2) / (m2 + m1 + c.r2))
 
     def weight_range(self) -> tuple[float, float]:
         """Closed target interval for programming: the saturated-corner value
@@ -138,9 +140,9 @@ class SynapseAssembly:
         w_roff, w_ron = self.config.device.corner_states
         far = self.copy()
         if self.config.polarity == EXCITATORY:
-            far.w = [w_ron, w_roff, w_roff, w_ron]
+            far.w = (w_ron, w_roff)
             return (0.0, far.weight())
-        far.w = [w_roff, w_ron, w_ron, w_roff]
+        far.w = (w_roff, w_ron)
         return (far.weight(), 0.0)
 
     # -- stepping ---------------------------------------------------------
@@ -150,7 +152,7 @@ class SynapseAssembly:
 
         The M1-M2 branch with its series resistor integrates as a coupled
         pair sharing its branch current, with fixed-step RK4 substeps of at
-        most dt; M3-M4 follow as its mirror (see _integrate).  `duration`
+        most dt (see _integrate).  `duration`
         defaults to one dt step.  No production path calls it: it is the
         tests' reference integrator, the oracle `drive` is checked against.
         """
@@ -168,14 +170,13 @@ class SynapseAssembly:
         return self._integrate(v_ab, dt, duration, adaptive=True)
 
     def _integrate(self, v_ab, dt, duration, adaptive):
-        """Integrate branch 1 (M1, M2, r1) and write branch 2 as its mirror.
+        """Integrate branch 1 (M1, M2, r1) and write the new pair to `w`.
 
-        With r1 = r2 (SynapseConfig.validate) and mirrored orientation
-        tables (o3 = o2, o4 = o1), branch 2 solves branch 1's ODE with its
-        two devices swapped, so a mirrored state (w3 = w2, w4 = w1) stays
-        mirrored bit for bit.  `fresh` and the far corner of `weight_range`
-        are mirrored.  The mirror is a checked invariant: a non-finite state,
-        then an unmirrored one, raises SimulationFault before integrating.
+        With r1 = r2 (SynapseConfig.validate) and M3, M4 wired as M2, M1,
+        branch 2 solves branch 1's ODE with its two devices swapped, so
+        integrating the pair steps all four devices; no other state exists
+        to fall out of mirror.  A non-finite state raises SimulationFault
+        before integrating.
 
         The driver call goes through the `_branch` cache.  Its key holds the
         driver, and for the fixed-step driver of `apply_differential` its
@@ -195,13 +196,9 @@ class SynapseAssembly:
             duration = dt
         if duration <= 0.0 or v_ab == 0.0:
             return self
-        w1, w2, w3, w4 = self.w
-        if not all(map(math.isfinite, self.w)):
+        w1, w2 = self.w
+        if not (math.isfinite(w1) and math.isfinite(w2)):
             raise SimulationFault(f"non-finite device state under {v_ab!r} V drive")
-        if w3 != w2 or w4 != w1:
-            raise SimulationFault(
-                f"unmirrored bridge state {tuple(self.w)}: "
-                "the integrator needs M3 = M2 and M4 = M1")
         args = (w1, w2, self._lo, self._hi, duration, dt,
                 self._o1, self._o2, self._r1, v_ab, self._rates)
         try:
@@ -214,7 +211,7 @@ class SynapseAssembly:
             raise SimulationFault(f"device rate overflow under {v_ab!r} V drive") from None
         if adaptive and not (math.isfinite(w1) and math.isfinite(w2)):
             raise SimulationFault(f"non-finite device state under {v_ab!r} V drive")
-        self.w = [w1, w2, w2, w1]
+        self.w = (w1, w2)
         return self
 
     def transmit(self, v_in: float, dt: float, duration: float | None = None) -> float:
@@ -259,7 +256,7 @@ class SynapseAssembly:
         up = 1.0 if target > psi else -1.0
         v = PULSE_LEVEL * up * (1.0 if self.config.polarity == EXCITATORY else -1.0)
         edge = up * target - tolerance  # up * weight below it: short of the band
-        short = list(self.w)  # the state after n pulses
+        short = self.w  # the state after n pulses
         n, far, k = 0, None, 1  # far: a pulse count known to reach the band
         limit = int(max_seconds / dt)
         while n < limit:
@@ -271,10 +268,10 @@ class SynapseAssembly:
                 if abs(new_psi - psi) < 1e-15:
                     self.w = short
                     break  # boundary stall: every pulse of the chunk would stall
-                n, psi, short, k = n + k, new_psi, list(self.w), 2 * k
+                n, psi, short, k = n + k, new_psi, self.w, 2 * k
             elif k > 1:
                 far = n + k
-                self.w = list(short)
+                self.w = short
             elif (up * new_psi > up * target + tolerance
                   and abs(psi - target) <= abs(new_psi - target)):
                 self.w = short  # crossed the band; the earlier side is nearer

@@ -269,11 +269,11 @@ def test_criterion_9_engine_properties():
     rng = np.random.default_rng(123)
     worst = 0.0
     for _ in range(1000):
-        m = rng.uniform(100.0, 16000.0, 4)
+        m1, m2 = rng.uniform(100.0, 16000.0, 2)
         for pol in ("excitatory", "inhibitory"):
             sc = SynapseConfig(polarity=pol)
-            got = assembly_at(sc, *m).weight()
-            ref = nodal_weight(sc, *m)
+            got = assembly_at(sc, m1, m2).weight()
+            ref = nodal_weight(sc, m1, m2, m2, m1)  # the mirrored bridge
             worst = max(worst, abs(got - ref) / max(abs(ref), 1e-30))
     assert worst < 1e-12
     elapsed = time.perf_counter() - t0

@@ -119,7 +119,7 @@ def mid_bridge(device, r_series=16000.0):
     """An excitatory bridge of the given device with every state at mid-range."""
     lo, hi = device.state_range
     config = SynapseConfig(device=device, r1=r_series, r2=r_series)
-    return SynapseAssembly(config, (0.5 * (lo + hi),) * 4)
+    return SynapseAssembly(config, (0.5 * (lo + hi),) * 2)
 
 
 def test_boundary_confinement_random_drive():
@@ -334,7 +334,7 @@ def test_branch_rates_are_the_rate_at_each_device_drive(model, kind):
     states = [lo - 0.25 * span, lo, lo + 1e-3 * span, lo + 0.37 * span, hi, hi + 0.25 * span]
     r_series = 16000.0
     for table in (dev.EXCITATORY_ORIENTATIONS, tuple(-o for o in dev.EXCITATORY_ORIENTATIONS)):
-        o1, o2 = table[:2]
+        o1, o2 = table
         for w1 in states:
             for w2 in states:
                 r1, r2 = law.resistance(w1), law.resistance(w2)
@@ -356,9 +356,9 @@ def test_vteam_dead_zone_bitwise():
         for x in (0.0, 0.5, -0.5, VT.v_off * 0.999, VT.v_on * 0.999):
             syn = mid_bridge(VT, VT.r_off)
             m = syn.resistances()[0]
-            w0 = tuple(syn.w)
+            w0 = syn.w
             step(syn, x * (m + m + VT.r_off) / m, 1e-6, 1e-3)
-            assert tuple(syn.w) == w0
+            assert syn.w == w0
 
 
 def test_vteam_above_threshold_moves_toward_off():
@@ -368,7 +368,7 @@ def test_vteam_above_threshold_moves_toward_off():
     for step in DRIVERS:
         for v in (4.0, -4.0):
             syn = mid_bridge(VT, VT.r_off)
-            w0, psi0 = tuple(syn.w), syn.weight()
+            w0, psi0 = syn.w, syn.weight()
             step(syn, v, 1e-6, 1e-4)
             assert math.copysign(1.0, syn.w[1] - w0[1]) == math.copysign(1.0, v)
             assert math.copysign(1.0, syn.w[0] - w0[0]) == -math.copysign(1.0, v)

@@ -1,13 +1,20 @@
 import signal
 import sys
+import typing
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from memsnn import _kernels as K
+from memsnn.device import MemristorParams, VteamParams
 from memsnn.errors import ConfigError
-from memsnn.harness import (EXPERIMENTS, RUNNERS, ExperimentSpec, load_config, main,
-                            run_experiment, vteam_variant)
+from memsnn.harness import (EXPERIMENTS, GROUPS, RUNNERS, SCHEMA, ExperimentSpec,
+                            SwitchRateParams, load_config, main, run_experiment,
+                            run_hysteresis, validate_config, vteam_variant)
+from memsnn.network import StimulusParams
+from memsnn.params import Params
+from memsnn.synapse import SynapseConfig
 from test_network import deadline
 
 
@@ -238,6 +245,7 @@ BAD_VALUES = [
     ("switch-rate", "hysteresis.sample_every=0", "hysteresis.sample_every >= 1"),
     ("switch-rate", "stimulus.pattern_frame=10", "scheduled frame 10 outside epoch of 10"),
     ("stdp-window", "network.n_pre=0", "network.n_pre >= 1"),
+    ("pattern-learn", "stimulus.epoch_frames=0", "stimulus.epoch_frames >= 1"),
 ]
 
 
@@ -252,6 +260,46 @@ def test_cli_bad_value_exits_2_naming_rule(tmp_path, capsys, experiment, overrid
     assert rc == 2
     assert err.startswith(f"config error: {rule}")
     assert not list(tmp_path.glob("*.csv"))
+
+
+# the keys whose field carries no `key()` rule, each with what checks it
+UNRULED_KEYS = {
+    "device.r_on": MemristorParams.validate, "device.r_off": MemristorParams.validate,
+    **{f"vteam.{name}": VteamParams.validate
+       for name in ("v_on", "v_off", "k_on", "k_off", "w_on", "w_off", "r_on", "r_off")},
+    "synapse.r2": SynapseConfig.validate,
+    "stimulus.pattern_frame": StimulusParams.validate,
+    "stimulus.pattern_pres": validate_config, "stimulus.noise_map": validate_config,
+    "switchrate.i_min": SwitchRateParams.validate, "switchrate.i_max": SwitchRateParams.validate,
+    "hysteresis.w0": run_hysteresis,
+    "hysteresis.pinched_amplitude": "any finite value runs",
+    "hysteresis.hard_amplitude": "any finite value runs",
+}
+
+
+def test_every_config_key_has_a_rule_or_a_named_checker():
+    """Walking the fields of GROUPS finds every key, and the keys without a
+    `key()` rule are exactly UNRULED_KEYS, each named with the class's own
+    `validate()` or the function that checks it.  A key added without a rule
+    fails here instead of silently taking any value."""
+    walked, unruled = set(), set()
+
+    def walk(cls, prefix):
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            dotted = f"{prefix}.{f.name}"
+            if is_dataclass(hints[f.name]):
+                walk(hints[f.name], dotted)
+            elif dotted in SCHEMA:
+                walked.add(dotted)
+                if "rule" not in f.metadata:
+                    unruled.add(dotted)
+
+    for cls, prefix in GROUPS.items():
+        walk(cls, prefix)
+    assert walked == set(SCHEMA)
+    assert unruled == set(UNRULED_KEYS)
+    assert Params.validate not in UNRULED_KEYS.values()
 
 
 def test_plot_without_matplotlib_fails_before_the_run(tmp_path, capsys, monkeypatch):

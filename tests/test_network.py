@@ -129,6 +129,10 @@ def test_engine_matches_fixed_step_oracle(variant, monkeypatch):
 def test_stimulus_program_validation():
     with pytest.raises(ConfigError):
         StimulusProgram(schedule=((12, 0),), epoch_frames=10).validate()
+    # an epoch without frames has no weights to report, even unscheduled
+    for frames in (0, -4):
+        with pytest.raises(ConfigError, match="epoch_frames >= 1"):
+            run_simulation(make_config(n_pre=1), StimulusProgram.empty(frames, n_epochs=3))
 
 
 def test_window_quantized_in_subframe_phase():
@@ -220,9 +224,9 @@ def test_lockstep_groups_split_when_inputs_diverge():
     """Pres 0 and 1 fire together, then 0 fires alone.  Their weights are
     bitwise equal while they are in lockstep and differ afterwards, and
     synapse 1's weights are those of a network where pre 1 fires alone, so
-    stepping a group once gives each member what stepping it would.  No two
-    synapses ever share a state list, and synapses in one state whose pres
-    hold different traces step apart."""
+    stepping a group once gives each member what stepping it would.  Every
+    state stays a (w1, w2) tuple, and synapses in one state whose pres hold
+    different traces step apart."""
     def run(schedule):
         net = Network(make_config(n_pre=3))
         for syn in net.synapses:
@@ -230,7 +234,7 @@ def test_lockstep_groups_split_when_inputs_diverge():
         weights = []
         for frame in range(8):
             rep = net.run_frame(forced_pre=schedule.get(frame, ()))
-            assert len({id(syn.w) for syn in net.synapses}) == 3
+            assert all(type(syn.w) is tuple and len(syn.w) == 2 for syn in net.synapses)
             assert not rep.post_fired
             weights.append(rep.weights)
         return weights
@@ -257,6 +261,23 @@ def test_short_pattern_run_drive_calls(monkeypatch):
     assert 0 < drives[0] <= 1700
 
 
+def test_short_pattern_run_weight_calls(monkeypatch):
+    """A 20-epoch zero-init 3x3 run takes each epoch's weights from its last
+    frame: at most 1 100 `weight` calls, where reading every weight again
+    after each epoch took 1 271.  A count, not a time."""
+    calls = [0]
+    weight = SynapseAssembly.weight
+
+    def counted_weight(syn):
+        calls[0] += 1
+        return weight(syn)
+
+    monkeypatch.setattr(SynapseAssembly, "weight", counted_weight)
+    pattern_learning(network_config(load_config(None)), StimulusParams().program(20),
+                     init="zero")
+    assert 0 < calls[0] <= 1100
+
+
 def test_pattern_learning_rejects_bad_init():
     with pytest.raises(ConfigError):
         pattern_learning(make_config(n_pre=9), StimulusParams().program(1), init="random")
@@ -276,16 +297,16 @@ def test_fault_reports_frame_context():
     from memsnn.errors import SimulationFault
     net = Network(make_config(n_pre=1))
     net.run_frame()
-    net.synapses[0].w[0] = float("nan")
+    net.synapses[0].w = (float("nan"), net.synapses[0].w[1])
     with pytest.raises(SimulationFault, match="frame 1"):
         net.run_frame()
     # a fault inside a lockstep group names the group's lowest index
     net = Network(make_config(n_pre=3))
     net.run_frame()
-    w1, w2 = net.synapses[0].w[:2]
+    bad = (net.synapses[0].w[0], float("nan"))
     for syn in net.synapses[1:]:
-        syn.w = [w1, w2, 0.5 * w2, w1]  # unmirrored, alike in both
-    with pytest.raises(SimulationFault, match="frame 1: slot 0, synapse 1: unmirrored"):
+        syn.w = bad  # one non-finite pair, shared by both
+    with pytest.raises(SimulationFault, match="frame 1: slot 0, synapse 1: non-finite"):
         net.run_frame(forced_pre=(1, 2))
 
 
@@ -310,7 +331,7 @@ def test_nan_state_under_drive_faults_promptly(forced_pre, where):
     # frame 0 fires the pre, so frame 1 carries its trace PWM in slot 1
     net = Network(make_config(n_pre=1))
     net.run_frame(forced_pre=(0,))
-    net.synapses[0].w[0] = float("nan")
+    net.synapses[0].w = (float("nan"), net.synapses[0].w[1])
     with deadline(10.0), pytest.raises(SimulationFault,
                                        match=f"frame 1: {where}, synapse 0: non-finite"):
         net.run_frame(forced_pre=forced_pre)

@@ -23,12 +23,13 @@ CFG_VTEAM = network_config(vteam_variant(STOCK)).synapse
 DRIVERS = (SynapseAssembly.apply_differential, SynapseAssembly.drive)
 
 
-def assembly_at(config, m1, m2, m3, m4):
-    """Build an assembly with given memristances (dopant-drift device)."""
+def assembly_at(config, m1, m2):
+    """Build an assembly with memristances m1, m2 (and so m3 = m2, m4 = m1)
+    of the dopant-drift device."""
     dev = config.device
     def w_of(r):
         return dev.d * (dev.r_off - r) / (dev.r_off - dev.r_on)
-    return SynapseAssembly(config, (w_of(m1), w_of(m2), w_of(m3), w_of(m4)))
+    return SynapseAssembly(config, (w_of(m1), w_of(m2)))
 
 
 def nodal_weight(config, m1, m2, m3, m4, v_in=1.0):
@@ -73,26 +74,28 @@ def test_weight_fresh_state():
 
 
 def test_weight_saturated_state():
-    syn = assembly_at(CFG_EXC, 100.0, 16000.0, 16000.0, 100.0)
+    syn = assembly_at(CFG_EXC, 100.0, 16000.0)
     expected = 1.1 * (32000.0 / 32100.0 - 100.0 / 32100.0)
     assert syn.weight() == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(1.0931, abs=1e-4)
 
 
 def test_weight_inhibitory_extreme():
-    syn = assembly_at(CFG_INH, 16000.0, 100.0, 100.0, 16000.0)
+    syn = assembly_at(CFG_INH, 16000.0, 100.0)
     expected = 1.1 * (100.0 / 32100.0 - 32000.0 / 32100.0)
     assert syn.weight() == pytest.approx(expected, rel=1e-12)
     assert expected < -1.09
 
 
 def test_weight_matches_nodal_oracle():
+    """The pair readout against the general four-resistance nodal solution
+    of the mirrored bridge (m3 = m2, m4 = m1)."""
     rng = np.random.default_rng(42)
     for _ in range(1000):
-        m = rng.uniform(100.0, 16000.0, 4)
+        m1, m2 = rng.uniform(100.0, 16000.0, 2)
         for cfg in (CFG_EXC, CFG_INH):
-            syn = assembly_at(cfg, *m)
-            oracle = nodal_weight(cfg, *m)
+            syn = assembly_at(cfg, m1, m2)
+            oracle = nodal_weight(cfg, m1, m2, m2, m1)
             assert syn.weight() == pytest.approx(oracle, rel=1e-12)
 
 
@@ -100,9 +103,9 @@ def test_apply_zero_is_identity():
     for config in (CFG_EXC, CFG_VTEAM):
         for step in DRIVERS:
             syn = SynapseAssembly.fresh(config)
-            w0 = tuple(syn.w)
+            w0 = syn.w
             step(syn, 0.0, DT, duration=0.01)
-            assert tuple(syn.w) == w0
+            assert syn.w == w0
 
 
 def test_apply_nonfinite_faults():
@@ -201,16 +204,16 @@ def test_transmit_is_weighted_and_biases_state():
 
 def test_transmit_zero_input():
     syn = SynapseAssembly.fresh(CFG_EXC)
-    w0 = tuple(syn.w)
+    w0 = syn.w
     assert syn.transmit(0.0, DT, duration=0.01) == 0.0
-    assert tuple(syn.w) == w0
+    assert syn.w == w0
 
 
 def test_program_to_current_weight_is_noop():
     syn = SynapseAssembly.fresh(CFG_EXC)
-    w0 = tuple(syn.w)
+    w0 = syn.w
     achieved = syn.program_to_weight(syn.weight(), tolerance=1e-3, dt=DT)
-    assert tuple(syn.w) == w0
+    assert syn.w == w0
     assert achieved == pytest.approx(syn.weight())
 
 
@@ -236,9 +239,9 @@ def test_program_to_zero_stalls_at_range_floor(monkeypatch):
     fresh = SynapseAssembly.fresh(CFG_EXC)
     assert achieved == pytest.approx(fresh.weight(), abs=1e-3)
     drives = counted_drives(monkeypatch)
-    w0 = tuple(fresh.w)
+    w0 = fresh.w
     assert fresh.program_to_weight(0.0, tolerance=1e-4, dt=DT) == fresh.weight()
-    assert drives[0] == 1 and tuple(fresh.w) == w0
+    assert drives[0] == 1 and fresh.w == w0
 
 
 def test_program_within_tolerance_verified_by_weight():
@@ -318,16 +321,17 @@ def test_drive_matches_fixed_step_oracle(kind, polarity):
 @pytest.mark.parametrize("polarity", [EXCITATORY, INHIBITORY])
 @pytest.mark.parametrize("kind", sorted(ENGINE_CONFIGS))
 def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
-    """M3, M4 written as the mirror of branch 1 are bit for bit what
-    integrating branch 2 (w3, w4, o3, o4, r2) through the same kernel driver
-    gives: both drivers, weak +-v_cc and strong +-2*v_cc drives over a slot,
-    and a 10 ms -4 V drive back toward the fresh corner, which lands the
-    VTEAM devices that were off their bounds onto them (the dopant window
-    keeps its devices inside)."""
+    """Branch 2 wires M3 as M2 and M4 as M1 with r2 = r1, so it is branch 1
+    with its devices swapped, and the pair (w1, w2) is the whole bridge
+    state: each kernel driver on (w2, w1, o2, o1) returns the swap of its
+    result on (w1, w2, o1, o2), bit for bit.  Both drivers, weak +-v_cc and
+    strong +-2*v_cc drives over a slot, and a 10 ms -4 V drive back toward
+    the fresh corner, which lands the VTEAM devices that were off their
+    bounds onto them (the dopant window keeps its devices inside)."""
     cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
     sc = replace(cfg.synapse, polarity=polarity)
     sign = 1.0 if polarity == EXCITATORY else -1.0
-    o3, o4 = _orientations(sc)[2:]
+    o1, o2 = _orientations(sc)
     lo, hi = sc.device.state_range
     calls = []
     for name in ("branch_step", "branch_segment"):
@@ -344,17 +348,19 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
     for step in DRIVERS:
         for v, duration in segments:
             syn = base.copy()
-            w = tuple(syn.w)
+            w = syn.w
             calls.clear()
             _branch.cache_clear()  # (-2 * v_cc, slot) may repeat (-4 V, 10 ms)
             step(syn, v, cfg.clock.dt, duration)
             [(driver, args)] = calls
             # the fixed-step driver's RK4 step leads, the law's rates close
             lead, rates = args[:-11], args[-1]
-            expected = driver(*lead, w[2], w[3], lo, hi, duration, cfg.clock.dt,
-                              o3, o4, sc.r2, v, rates)
-            assert tuple(syn.w[2:]) == expected, (step.__name__, v, duration)
-            assert syn.w[2:] != list(w[2:])
+            assert args[-11:-1] == (*w, lo, hi, duration, cfg.clock.dt, o1, o2, sc.r1, v)
+            swapped = driver(*lead, w[1], w[0], lo, hi, duration, cfg.clock.dt,
+                             o2, o1, sc.r2, v, rates)
+            assert [x.hex() for x in swapped] == [x.hex() for x in syn.w[::-1]], (
+                step.__name__, v, duration)
+            assert syn.w != w
             landed += any(not (lo < a < hi) and lo < b < hi for a, b in zip(syn.w, w))
     assert landed == (len(DRIVERS) if kind == "vteam" else 0)
 
@@ -394,22 +400,9 @@ def test_device_members_set_corners_and_kernel_constants(kind, polarity, monkeyp
     assert (lo_seen, hi_seen) == (lo, hi)
 
 
-@pytest.mark.parametrize("config", [CFG_EXC, CFG_INH, CFG_VTEAM])
-def test_unmirrored_state_faults(config):
-    span = config.device.state_range[1] - config.device.state_range[0]
-    for step in DRIVERS:
-        syn = SynapseAssembly.fresh(config)
-        syn.program_to_weight(0.5 if config.polarity == EXCITATORY else -0.5, dt=1e-6)
-        syn.w[3] += 1e-12 * span
-        w = tuple(syn.w)
-        with pytest.raises(SimulationFault, match="unmirrored bridge state"):
-            step(syn, 4.0, 1e-6, 1e-3)
-        assert tuple(syn.w) == w
-
-
 def test_drive_nonfinite_state_faults():
     syn = SynapseAssembly.fresh(CFG_EXC)
-    syn.w[1] = float("nan")
+    syn.w = (syn.w[0], float("nan"))
     with pytest.raises(SimulationFault, match="non-finite device state"):
         syn.drive(4.0, DT, duration=0.01)
 
@@ -433,7 +426,7 @@ def pulsewise_program(syn, target, tolerance, dt, level=4.0, max_seconds=5.0):
     steps = 0
     max_steps = int(max_seconds / dt)
     while abs(psi - target) > tolerance and steps < max_steps:
-        before = list(syn.w)
+        before = syn.w
         syn.apply_differential(level * sign_for_up * (1.0 if target > psi else -1.0), dt)
         new_psi = syn.weight()
         if abs(new_psi - psi) < 1e-15:
@@ -541,7 +534,7 @@ def test_cached_drive_is_the_integrated_drive(kind):
     sc = cfg.synapse
     dev = sc.device
     lo, hi = dev.state_range
-    o1, o2 = _orientations(sc)[:2]
+    o1, o2 = _orientations(sc)
     # a law built here, apart from the device's shared one
     window = K.window(dev.window.kind, dev.window.p, dev.window.j)
     if kind == "vteam":
@@ -563,9 +556,9 @@ def test_cached_drive_is_the_integrated_drive(kind):
         step(warm, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
         assert _branch.cache_info().hits == hits + 1
         lead = (rk4,) if driver == "branch_step" else ()
-        w1, w2 = getattr(K, driver)(*lead, base.w[0], base.w[1], lo, hi, slot, cfg.clock.dt,
+        w1, w2 = getattr(K, driver)(*lead, *base.w, lo, hi, slot, cfg.clock.dt,
                                     o1, o2, sc.r1, 2 * cfg.lif.v_cc, law.branch_rates)
-        assert cold.w == warm.w == [w1, w2, w2, w1], step.__name__
+        assert cold.w == warm.w == (w1, w2), step.__name__
         assert cold.w != base.w
 
 
