@@ -53,8 +53,11 @@ def _law(params):
 class MemristorParams(Params):
     """Constants of the dopant-drift device."""
 
-    # (o1, o2): M1, M2 wiring under which a positive A->B voltage raises the excitatory weight
-    EXCITATORY_ORIENTATIONS = (1.0, -1.0)
+    # (o1, o2): M1, M2 wiring under which a positive A->B voltage raises the
+    # excitatory weight.  The inhibitory bridge inverts each device, and
+    # (-o1, -o2) is this pair swapped, so it is held as its excitatory twin
+    # (see synapse.py) and only this pair is integrated.
+    ORIENTATIONS = (1.0, -1.0)
 
     r_on: float = 100.0                 # ohm
     r_off: float = 16000.0              # ohm
@@ -101,8 +104,8 @@ class VteamParams(Params):
     voltages at or above v_off move it toward w_off.
     """
 
-    # the dopant table negated: in the voltage-controlled convention v <= v_on sets
-    EXCITATORY_ORIENTATIONS = (-1.0, 1.0)
+    # the dopant pair negated: in the voltage-controlled convention v <= v_on sets
+    ORIENTATIONS = (-1.0, 1.0)
 
     v_on: float = -0.7         # V
     v_off: float = 0.7         # V

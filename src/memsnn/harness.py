@@ -399,7 +399,7 @@ def calibration_values(cfg: Config) -> tuple[float, float, float]:
 
     def pulse_delta(level):
         syn = SynapseAssembly.fresh(synapse_config(cfg))
-        psi0 = syn.program_to_weight(0.5, tolerance=1e-3, dt=dt)
+        psi0 = syn.program_to_weight(syn.config.sign * 0.5, tolerance=1e-3, dt=dt)
         syn.drive(level, dt, duration=pulse)
         far = max(syn.weight_range(), key=abs)
         if syn.weight() == far:
@@ -481,7 +481,6 @@ class ExperimentSpec:
     config_path: str | None = None
     out_dir: str = "out"
     overrides: tuple[str, ...] = ()
-    plot: bool = False
 
     def validate(self):
         if self.name not in EXPERIMENTS:
@@ -495,48 +494,11 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     cfg = load_config(spec.config_path, spec.overrides)
     if spec.name in VARIANTS:
         cfg = VARIANTS[spec.name](cfg)
-    plt = _pyplot() if spec.plot else None  # before the run, which may be long
     outdir = Path(spec.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = RUNNERS[spec.name](cfg, outdir)
-    if plt is not None:
-        files.extend(emit_plots(plt, files))
     write_manifest(outdir, spec.name, cfg, files)
     return files
-
-
-def _pyplot():
-    """matplotlib.pyplot on the Agg backend."""
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:
-        raise ConfigError("plot output requires matplotlib") from exc
-    return plt
-
-
-def emit_plots(plt, csv_files: list[Path]) -> list[Path]:
-    """Optional SVG plots, derived purely from the CSVs."""
-    out = []
-    for f in csv_files:
-        if f.suffix != ".csv":
-            continue
-        data = np.genfromtxt(f, delimiter=",", names=True)
-        if data.dtype.names is None or len(data.dtype.names) < 2:
-            continue
-        names = data.dtype.names
-        fig, ax = plt.subplots(figsize=(5, 4))
-        for col in names[1:]:
-            ax.plot(np.atleast_1d(data[names[0]]), np.atleast_1d(data[col]), label=col)
-        ax.set_xlabel(names[0])
-        ax.legend(fontsize=7)
-        ax.set_title(f.stem)
-        svg = f.with_suffix(".svg")
-        fig.savefig(svg)
-        plt.close(fig)
-        out.append(svg)
-    return out
 
 
 def main(argv=None) -> int:
@@ -555,7 +517,6 @@ def main(argv=None) -> int:
     parser.add_argument("--epochs", type=int, default=None, help="pattern-learn epochs")
     parser.add_argument("--init", choices=("zero", "midpoint"), default=None,
                         help="pattern-learn weight initialization")
-    parser.add_argument("--plot", action="store_true", help="emit SVG plots from the CSVs")
     args = parser.parse_args(argv)
 
     overrides = list(args.overrides)
@@ -567,7 +528,7 @@ def main(argv=None) -> int:
         overrides.append(f"pattern.init={args.init}")
 
     spec = ExperimentSpec(name=args.experiment, config_path=args.config,
-                          out_dir=args.out, overrides=tuple(overrides), plot=args.plot)
+                          out_dir=args.out, overrides=tuple(overrides))
     try:
         files = run_experiment(spec)
     except ConfigError as exc:

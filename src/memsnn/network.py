@@ -18,7 +18,7 @@ exponential, and traces decay analytically.  Everything is deterministic: identi
 configurations give bit-identical results.
 
 Synapses in lockstep are stepped once per frame.  A synapse's frame is a
-function of its state `w` (the branch-1 pair, a tuple; M3, M4 mirror it),
+function of its state `w` (the excitatory-frame branch-1 pair, a tuple),
 its pre's trace and whether its pre fired, and of nothing else per synapse:
 the config, the post neuron and the post's PWM width are shared.  So each
 frame groups the synapses on exactly that key (float equality, as in the
@@ -40,7 +40,7 @@ from .neuron import LifNeuron, LifParams
 from .params import AT_LEAST_ONE, Params, key
 from .plasticity import (ClockParams, TraceParams, differential_frame, pwm_encode,
                          trace_step)
-from .synapse import EXCITATORY, SynapseAssembly, SynapseConfig
+from .synapse import SynapseAssembly, SynapseConfig
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,8 @@ def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
         pattern = ()
     return SimulationResult(weights_per_epoch=weights, post_log=post_log,
                             first_fire_epoch=first_fire_epoch,
-                            final_weights=weights[-1] if program.n_epochs else np.zeros(n_syn),
+                            final_weights=weights[-1] if program.n_epochs
+                            else np.array(net.weights()),
                             stability_epoch=stability_epoch(weights), pattern_pres=pattern,
                             noise_pres=tuple(i for i in range(n_syn) if i not in pattern))
 
@@ -318,11 +319,10 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
     """
     cfg = replace(config, n_pre=1).validate()
     frame_w = cfg.clock.frame_width
-    sign = 1.0 if cfg.synapse.polarity == EXCITATORY else -1.0
     # fresh synapses are equal and programming is deterministic, so one
     # programming serves every offset
     programmed = SynapseAssembly.fresh(cfg.synapse)
-    programmed.program_to_weight(sign * 0.5, tolerance=1e-3, dt=cfg.clock.dt)
+    programmed.program_to_weight(cfg.synapse.sign * 0.5, tolerance=1e-3, dt=cfg.clock.dt)
     rows = []
     for off in offsets:
         net = Network(cfg)
@@ -400,8 +400,7 @@ def pattern_learning(config: NetworkConfig, stimulus: StimulusProgram,
         # inhibitory weight is the negated excitatory one under one drive
         first.drive(-4.0, config.clock.dt, duration=1.0)
     elif init == "midpoint":
-        sign = 1.0 if config.synapse.polarity == EXCITATORY else -1.0
-        first.program_to_weight(sign * 0.5, tolerance=0.01, dt=config.clock.dt)
+        first.program_to_weight(config.synapse.sign * 0.5, tolerance=0.01, dt=config.clock.dt)
     else:
         raise ConfigError(f"init must be zero or midpoint, got {init!r}")
     # fresh synapses are equal and the init is deterministic: one serves all

@@ -21,6 +21,17 @@ bridge state is the branch-1 pair (w1, w2), and M3, M4 are read as its
 mirror (w3 = w2, w4 = w1), which no state can break, so nothing checks it.
 Only this module knows it; the network engine assigns the pair or keys on it.
 
+Every bridge is held in the excitatory frame: an inhibitory bridge stores
+its excitatory twin's pair, its physical (w2, w1), and its polarity is only
+the sign (`SynapseConfig.sign`) on the weight it reads and on the pulses
+that program it.  This is exact, not an approximation.  The inhibitory
+orientations (-o1, -o2) are the excitatory pair swapped, (o2, o1), for
+either device model, and with r1 = r2 the branch drivers give the swap of
+their result for swapped devices and orientations bit for bit (IEEE
+addition commutes).  So at every step the inhibitory pair is its twin's
+swapped, and its weight, gain*(v- - v+) in the twin's tap voltages, is
+exactly -(gain*(v+ - v-)).
+
 Identical branch integrations run once.  Synapses that fire together hold
 the same state and receive the same drives, so the network engine steps
 each such lockstep group once per frame and copies the result to its members
@@ -63,13 +74,11 @@ class SynapseConfig(Params):
         self.device.validate()
         return self
 
-
-def _orientations(config: SynapseConfig) -> tuple[float, float]:
-    """(o1, o2): the device's excitatory pair, inverted for the inhibitory synapse."""
-    base = config.device.EXCITATORY_ORIENTATIONS
-    if config.polarity == EXCITATORY:
-        return base
-    return tuple(-o for o in base)
+    @property
+    def sign(self) -> float:
+        """+1.0 excitatory, -1.0 inhibitory: the factor that reads a bridge's
+        weight off its excitatory-frame state (see the module docstring)."""
+        return 1.0 if self.polarity == EXCITATORY else -1.0
 
 
 @functools.lru_cache(maxsize=256)
@@ -84,13 +93,15 @@ def _branch(driver, tol, *args):
 
 
 class SynapseAssembly:
-    """Bridge state: the branch-1 doping depths `w` = (w1, w2), a tuple, plus the config.
+    """Bridge state: the branch-1 doping depths `w` = (w1, w2) of the
+    excitatory frame, a tuple, plus the config.
 
     Value semantics via copy(); one assembly is only ever stepped from a
     single thread.
     """
 
-    __slots__ = ("config", "w", "_lo", "_hi", "_o1", "_o2", "_r1", "_resistance", "_rates")
+    __slots__ = ("config", "w", "_lo", "_hi", "_o1", "_o2", "_r1", "_resistance", "_rates",
+                 "_sign")
 
     def __init__(self, config: SynapseConfig, w: tuple[float, float]):
         self.config = config
@@ -98,52 +109,46 @@ class SynapseAssembly:
         self.w = (float(w1), float(w2))
         self._lo, self._hi = config.device.state_range
         # branch-1 kernel arguments, bound once (see _integrate)
-        self._o1, self._o2 = _orientations(config)
+        self._o1, self._o2 = config.device.ORIENTATIONS
         self._r1 = config.r1
         law = config.device.law
         self._resistance, self._rates = law.resistance, law.branch_rates
+        self._sign = config.sign  # bound once: every weight() reads it
         for wi in self.w:
             if not (self._lo <= wi <= self._hi):
                 raise ConfigError(f"device state {wi} outside [{self._lo}, {self._hi}]")
 
     @classmethod
     def fresh(cls, config: SynapseConfig) -> "SynapseAssembly":
-        """Lowest-|weight| corner: M1, M4 at R_OFF and M2, M3 at R_ON for the
-        excitatory synapse; the swapped corner for the inhibitory one."""
+        """Lowest-|weight| corner: M1, M4 at R_OFF and M2, M3 at R_ON in the
+        excitatory frame (the inhibitory bridge's M1, M4 sit at R_ON)."""
         config.validate()
-        w_roff, w_ron = config.device.corner_states
-        if config.polarity == EXCITATORY:
-            return cls(config, (w_roff, w_ron))
-        return cls(config, (w_ron, w_roff))
+        return cls(config, config.device.corner_states)
 
     def copy(self) -> "SynapseAssembly":
         return SynapseAssembly(self.config, self.w)
 
     def resistances(self) -> tuple[float, float, float, float]:
-        m1, m2 = map(self._resistance, self.w)
+        """The physical (M1, M2, M3, M4); the inhibitory bridge's M1 holds
+        its twin's w2 (see the module docstring)."""
+        m1, m2 = map(self._resistance, self.w[::int(self._sign)])
         return (m1, m2, m2, m1)
 
     def weight(self) -> float:
-        """Gain-scaled difference of the two divider taps (m3 = m2, m4 = m1)."""
+        """Gain-scaled difference of the two divider taps (m3 = m2, m4 = m1),
+        signed by the polarity."""
         m1, m2 = map(self._resistance, self.w)
         c = self.config
-        if c.polarity == EXCITATORY:
-            return c.gain_a * ((m2 + c.r1) / (m1 + m2 + c.r1) - m1 / (m2 + c.r2 + m1))
-        return c.gain_a * (m2 / (m1 + c.r1 + m2) - (m1 + c.r2) / (m2 + m1 + c.r2))
+        return self._sign * c.gain_a * ((m2 + c.r1) / (m1 + m2 + c.r1) - m1 / (m2 + c.r2 + m1))
 
     def weight_range(self) -> tuple[float, float]:
-        """Closed target interval for programming: the saturated-corner value
-        on the far side, 0 on the near side.  The resting corner of `fresh`
-        lies inside it, not at 0: |weight| 0.0034 in [0, 1.093] for the stock
-        dopant circuit, 0.100 in [0, 1.5] for the VTEAM variant.  Programming
-        toward a target nearer 0 stalls at that corner."""
-        w_roff, w_ron = self.config.device.corner_states
-        far = self.copy()
-        if self.config.polarity == EXCITATORY:
-            far.w = (w_ron, w_roff)
-            return (0.0, far.weight())
-        far.w = (w_roff, w_ron)
-        return (far.weight(), 0.0)
+        """Closed target interval for programming, between the weights of
+        the two corners: the resting corner of `fresh` on the near side,
+        |weight| 0.0034 for the stock dopant circuit and 0.100 for the VTEAM
+        variant, and the saturated corner on the far side, 1.093 and 1.5."""
+        corners = self.config.device.corner_states
+        return tuple(sorted(SynapseAssembly(self.config, w).weight()
+                            for w in (corners, corners[::-1])))
 
     # -- stepping ---------------------------------------------------------
 
@@ -229,10 +234,11 @@ class SynapseAssembly:
                           dt: float = 1e-5, max_seconds: float = 5.0) -> float:
         """Closed-loop programming with +/-PULSE_LEVEL micro-pulses of width dt.
 
-        Pulses towards `target` until the weight is within `tolerance` of it,
-        pulses move it by less than 1e-15 (a range boundary stalls it), a
-        pulse crosses the whole band or `max_seconds` of pulses have been
-        applied; returns the achieved weight.  Pulses towards the target form
+        Pulses towards `target` until the weight is within `tolerance` of it
+        or a pulse crosses the whole band, and returns the achieved weight.
+        A run that stops short of the band, because pulses move the weight
+        by less than 1e-15 (the devices stall) or `max_seconds` of pulses
+        are spent, raises SimulationFault.  Pulses towards the target form
         one constant drive, along which the weight is monotone, so the
         search is over the pulse count alone.  Chunks of 1, 2, 4, ... pulses,
         each a `drive` segment from the last state short of the band, bracket
@@ -254,7 +260,7 @@ class SynapseAssembly:
         if abs(psi - target) <= tolerance:
             return psi
         up = 1.0 if target > psi else -1.0
-        v = PULSE_LEVEL * up * (1.0 if self.config.polarity == EXCITATORY else -1.0)
+        v = PULSE_LEVEL * up * self._sign
         edge = up * target - tolerance  # up * weight below it: short of the band
         short = self.w  # the state after n pulses
         n, far, k = 0, None, 1  # far: a pulse count known to reach the band
@@ -275,7 +281,8 @@ class SynapseAssembly:
             elif (up * new_psi > up * target + tolerance
                   and abs(psi - target) <= abs(new_psi - target)):
                 self.w = short  # crossed the band; the earlier side is nearer
-                break
+                return psi
             else:
                 return new_psi
-        return psi
+        raise SimulationFault(f"programming to weight {target:.6g} stopped at {psi:.6g}, "
+                              f"outside its tolerance {tolerance:g}")

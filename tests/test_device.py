@@ -333,7 +333,7 @@ def test_branch_rates_are_the_rate_at_each_device_drive(model, kind):
     span = hi - lo
     states = [lo - 0.25 * span, lo, lo + 1e-3 * span, lo + 0.37 * span, hi, hi + 0.25 * span]
     r_series = 16000.0
-    for table in (dev.EXCITATORY_ORIENTATIONS, tuple(-o for o in dev.EXCITATORY_ORIENTATIONS)):
+    for table in (dev.ORIENTATIONS, tuple(-o for o in dev.ORIENTATIONS)):
         o1, o2 = table
         for w1 in states:
             for w2 in states:

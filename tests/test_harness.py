@@ -1,5 +1,4 @@
 import signal
-import sys
 import typing
 from dataclasses import fields, is_dataclass
 
@@ -174,6 +173,48 @@ def test_pattern_learn_cli_short_run(tmp_path):
     assert events[0] == "frame,t,v_mp_at_edge,fired"
 
 
+def _negated(cell):
+    return cell[1:] if cell.startswith("-") else "-" + cell
+
+
+# run -> (its arguments, the CSV compared, an excitatory row -> its inhibitory
+# twin's row); the midpoint run raises the threshold so that the excitatory
+# post, which fires in the first epoch, stays as silent as the inhibitory one
+TWIN_RUNS = {
+    "synapse-pd": (["synapse-pd"], "synapse_pd.csv",
+                   lambda t, m1, m2, m3, m4, psi: [t, m2, m1, m1, m2, _negated(psi)]),
+    "synapse-pd-vteam": (["synapse-pd", "--set", "device.kind=vteam"], "synapse_pd.csv",
+                         lambda t, m1, m2, m3, m4, psi: [t, m2, m1, m1, m2, _negated(psi)]),
+    "calibration": (["weak-strong-calibration"], "calibration.csv",
+                    lambda name, v: [name, v if name == "ratio" else _negated(v)]),
+    "pattern-learn-zero": (["pattern-learn", "--epochs", "3", "--init", "zero"], "weights.csv",
+                           lambda epoch, *psi: [epoch, *map(_negated, psi)]),
+    "pattern-learn-midpoint": (["pattern-learn", "--epochs", "3", "--init", "midpoint",
+                                "--set", "lif.v_th=-5"], "weights.csv",
+                               lambda epoch, *psi: [epoch, *map(_negated, psi)]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(TWIN_RUNS))
+def test_inhibitory_run_is_the_excitatory_twin(tmp_path, run):
+    """An inhibitory bridge is its excitatory twin read with a negative sign:
+    under the same drives its psi columns are the excitatory ones negated and
+    its M1..M4 are the twin's (M2, M1, M1, M2), digit for digit.  The
+    inhibitory calibration once exited 2, programming to +0.5."""
+    args, name, twin = TWIN_RUNS[run]
+    rows = {}
+    for polarity in ("excitatory", "inhibitory"):
+        out = tmp_path / polarity
+        assert main([*args, "--set", f"synapse.polarity={polarity}", "--out", str(out)]) == 0
+        lines = (out / name).read_text().splitlines()
+        rows[polarity] = [line.split(",") for line in lines]
+    exc, inh = rows["excitatory"], rows["inhibitory"]
+    assert inh[0] == exc[0] and len(inh) == len(exc) > 2
+    assert inh[1:] == [twin(*row) for row in exc[1:]]
+    if run == "calibration":
+        assert [v for _, v in inh[1:]] == ["-0.0745832557", "-0.00239974603", "0.0321753993"]
+
+
 def test_experiments_take_no_fixed_step_rk4(tmp_path, capsys, monkeypatch):
     """Every experiment runs on the error-controlled kernels alone, at a
     small budget: the fixed-step branch driver and its RK4 step are the
@@ -300,13 +341,6 @@ def test_every_config_key_has_a_rule_or_a_named_checker():
     assert walked == set(SCHEMA)
     assert unruled == set(UNRULED_KEYS)
     assert Params.validate not in UNRULED_KEYS.values()
-
-
-def test_plot_without_matplotlib_fails_before_the_run(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
-    assert main(["switch-rate", "--out", str(tmp_path), "--plot"]) == 2
-    assert capsys.readouterr().err.startswith("config error: plot output requires matplotlib")
-    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_vteam_window_manifest_records_variant(tmp_path):

@@ -181,6 +181,22 @@ def test_zero_init_zeroes_either_polarity():
     assert list(inh) == list(-exc)
 
 
+@pytest.mark.parametrize("init", ["zero", "midpoint"])
+def test_zero_epoch_run_reports_the_init_weights(init):
+    """With no epoch run, the final weights are the ones the init left (about
+    0.0034 and 0.5), not 0."""
+    cfg = make_config(n_pre=9)
+    res = pattern_learning(cfg, StimulusParams().program(n_epochs=0), init=init)
+    first = SynapseAssembly.fresh(cfg.synapse)
+    if init == "zero":
+        first.drive(-4.0, cfg.clock.dt, duration=1.0)
+    else:
+        first.program_to_weight(0.5, tolerance=0.01, dt=cfg.clock.dt)
+    assert res.weights_per_epoch.shape == (0, 9)
+    assert list(res.final_weights) == [first.weight()] * 9
+    assert first.weight() == pytest.approx(0.0034 if init == "zero" else 0.5, abs=0.01)
+
+
 def test_short_pattern_run_stage_evaluations(monkeypatch):
     """A 20-epoch zero-init 3x3 run evaluates the rate law at most 1/1.5 as
     often as RK4 step doubling did, which took 14 180 evaluations here (12

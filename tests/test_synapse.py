@@ -11,8 +11,7 @@ from memsnn.device import (MemristorParams, MemristorState, SineDrive, VteamPara
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
 from memsnn.plasticity import pwm_encode
-from memsnn.synapse import (EXCITATORY, INHIBITORY, SynapseAssembly, SynapseConfig,
-                            _branch, _orientations)
+from memsnn.synapse import EXCITATORY, INHIBITORY, SynapseAssembly, SynapseConfig, _branch
 
 CFG_EXC = SynapseConfig(polarity=EXCITATORY)
 CFG_INH = SynapseConfig(polarity=INHIBITORY)
@@ -24,12 +23,14 @@ DRIVERS = (SynapseAssembly.apply_differential, SynapseAssembly.drive)
 
 
 def assembly_at(config, m1, m2):
-    """Build an assembly with memristances m1, m2 (and so m3 = m2, m4 = m1)
-    of the dopant-drift device."""
+    """Build an assembly with physical memristances m1, m2 (and so m3 = m2,
+    m4 = m1) of the dopant-drift device.  An inhibitory bridge is held as
+    its excitatory twin, (w(m2), w(m1))."""
     dev = config.device
     def w_of(r):
         return dev.d * (dev.r_off - r) / (dev.r_off - dev.r_on)
-    return SynapseAssembly(config, (w_of(m1), w_of(m2)))
+    w = (w_of(m1), w_of(m2))
+    return SynapseAssembly(config, w if config.polarity == EXCITATORY else w[::-1])
 
 
 def nodal_weight(config, m1, m2, m3, m4, v_in=1.0):
@@ -230,18 +231,27 @@ def counted_drives(monkeypatch):
     return drives
 
 
-def test_program_to_zero_stalls_at_range_floor(monkeypatch):
-    """Programming down to 0 stalls at the fresh corner, on the range floor;
-    from the corner itself, the first pulse stalls and ends the search."""
-    syn = SynapseAssembly.fresh(CFG_EXC)
-    syn.program_to_weight(0.5, tolerance=1e-3, dt=DT)
-    achieved = syn.program_to_weight(0.0, tolerance=1e-4, dt=DT)
-    fresh = SynapseAssembly.fresh(CFG_EXC)
-    assert achieved == pytest.approx(fresh.weight(), abs=1e-3)
+def test_program_short_of_the_band_faults(monkeypatch):
+    """A run that ends outside the band without crossing it raises
+    SimulationFault naming the target and the weight reached.  Under the
+    4 V pulses the VTEAM variant's devices stall in their dead zone at
+    1.0860, short of targets 1.2 and 1.49 in its range [0.1, 1.5], after 23
+    drives (the weight was once returned without an error); a budget of 10
+    pulses ends short of 0.5 on the dopant bridge."""
     drives = counted_drives(monkeypatch)
-    w0 = fresh.w
-    assert fresh.program_to_weight(0.0, tolerance=1e-4, dt=DT) == fresh.weight()
-    assert drives[0] == 1 and fresh.w == w0
+    for target in (1.2, 1.49):
+        drives[0] = 0
+        syn = SynapseAssembly.fresh(CFG_VTEAM)
+        with pytest.raises(SimulationFault,
+                           match=rf"to weight {target:g} stopped at 1\.08601,"):
+            syn.program_to_weight(target, tolerance=1e-3, dt=1e-6)
+        assert drives[0] == 23
+        assert syn.weight() == pytest.approx(1.0860, abs=5e-5)
+    syn = SynapseAssembly.fresh(CFG_EXC)
+    with pytest.raises(SimulationFault, match=r"to weight 0\.5 stopped at 0\.0"):
+        syn.program_to_weight(0.5, tolerance=1e-3, dt=DT, max_seconds=10 * DT)
+    ten_pulses = SynapseAssembly.fresh(CFG_EXC).drive(4.0, DT, 10 * DT).weight()
+    assert syn.weight() == pytest.approx(ten_pulses, rel=1e-9)
 
 
 def test_program_within_tolerance_verified_by_weight():
@@ -271,11 +281,12 @@ def test_program_ends_at_a_pulse_that_crosses_the_band(monkeypatch):
 
 
 def test_program_unreachable_target_names_range():
-    syn = SynapseAssembly.fresh(CFG_EXC)
-    with pytest.raises(ConfigError, match="reachable range"):
-        syn.program_to_weight(1.5)
-    with pytest.raises(ConfigError, match="reachable range"):
-        syn.program_to_weight(-0.5)
+    """The range spans the two corners: a target nearer 0 than the resting
+    corner (0.0034 dopant, 0.100 VTEAM variant) is out of it, not a stall."""
+    for config, targets in ((CFG_EXC, (1.5, -0.5, 0.0, 0.003)), (CFG_VTEAM, (1.51, 0.05))):
+        for target in targets:
+            with pytest.raises(ConfigError, match="reachable range"):
+                SynapseAssembly.fresh(config).program_to_weight(target)
 
 
 def test_config_validation():
@@ -300,7 +311,7 @@ def test_drive_matches_fixed_step_oracle(kind, polarity):
     stock clock, so that one uses the stock dt)."""
     cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
     sc = replace(cfg.synapse, polarity=polarity)
-    sign = 1.0 if polarity == EXCITATORY else -1.0
+    sign = sc.sign
     slot = 1.0 / cfg.clock.base_freq
     tp = cfg.trace
     width = pwm_encode(tp, tp.v_p * math.exp(-slot / tp.tau), slot, False)
@@ -330,8 +341,11 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
     bounds onto them (the dopant window keeps its devices inside)."""
     cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
     sc = replace(cfg.synapse, polarity=polarity)
-    sign = 1.0 if polarity == EXCITATORY else -1.0
-    o1, o2 = _orientations(sc)
+    sign = sc.sign
+    o1, o2 = sc.device.ORIENTATIONS
+    # the inhibitory bridge's inverted devices are this pair swapped, so it
+    # is held as its excitatory twin
+    assert (-o1, -o2) == (o2, o1)
     lo, hi = sc.device.state_range
     calls = []
     for name in ("branch_step", "branch_segment"):
@@ -420,8 +434,9 @@ def test_drive_from_bound_resolves_crossing_to_opposite_bound():
 def pulsewise_program(syn, target, tolerance, dt, level=4.0, max_seconds=5.0):
     """The closed-loop programming reference: one `apply_differential`
     micro-pulse and one weight readout per step, ending at the nearer side
-    of a pulse that crosses the band."""
-    sign_for_up = 1.0 if syn.config.polarity == EXCITATORY else -1.0
+    of a pulse that crosses the band.  None for a run that stalls or spends
+    `max_seconds` short of the band."""
+    sign_for_up = syn.config.sign
     psi = syn.weight()
     steps = 0
     max_steps = int(max_seconds / dt)
@@ -438,7 +453,7 @@ def pulsewise_program(syn, target, tolerance, dt, level=4.0, max_seconds=5.0):
             return psi
         psi = new_psi
         steps += 1
-    return psi
+    return psi if abs(psi - target) <= tolerance else None
 
 
 @pytest.mark.parametrize("polarity", [EXCITATORY, INHIBITORY])
@@ -447,26 +462,35 @@ def test_program_matches_pulsewise_oracle(kind, polarity):
     """Event-located programming ends where the pulse-wise loop does: the
     weights agree within 1e-9, far below the weight change of one pulse, so
     the pulse counts agree.  The cases are programming up from the fresh
-    corner, a downward re-program, and programming to 0, which stalls at the
-    range floor.  max_seconds leaves room for the longest run (0.875).  At
+    corner, a downward re-program, and programming down to the range floor
+    (`None`).  max_seconds leaves room for the longest run up (0.875).  At
     tolerance 1e-5 the band is narrower than one pulse, so most of those
-    runs end at a pulse that crosses it."""
+    runs end at a pulse that crosses it.  The VTEAM devices land on the
+    floor; the dopant devices approach it too slowly for the budget, so the
+    loop ends short of the band and programming raises SimulationFault."""
     cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
     sc = replace(cfg.synapse, polarity=polarity)
-    sign = 1.0 if polarity == EXCITATORY else -1.0
+    sign = sc.sign
     max_seconds = 0.15 if kind == "proposed" else 0.05
     cases = [((), t, tol) for t in (0.25, 0.5, 0.875) for tol in (1e-2, 1e-3, 1e-5)]
-    cases += [((0.5,), 0.2, 1e-3), ((0.5,), 0.0, 1e-4)]
+    cases += [((0.5,), 0.2, 1e-3), ((0.5,), None, 1e-4)]
+    floor = SynapseAssembly.fresh(sc).weight()  # the near end of weight_range
     dt = cfg.clock.dt
     for before, target, tol in cases:
+        target = floor if target is None else sign * target
         ref = SynapseAssembly.fresh(sc)
         got = SynapseAssembly.fresh(sc)
         for t in before:
             pulsewise_program(ref, sign * t, 1e-3, dt, max_seconds=max_seconds)
             got.program_to_weight(sign * t, 1e-3, dt=dt, max_seconds=max_seconds)
-        expected = pulsewise_program(ref, sign * target, tol, dt, max_seconds=max_seconds)
-        achieved = got.program_to_weight(sign * target, tol, dt=dt, max_seconds=max_seconds)
-        assert abs(achieved - expected) < 1e-9, (before, target, tol)
+        expected = pulsewise_program(ref, target, tol, dt, max_seconds=max_seconds)
+        if expected is None:
+            assert kind == "proposed" and target == floor
+            with pytest.raises(SimulationFault, match="stopped at"):
+                got.program_to_weight(target, tol, dt=dt, max_seconds=max_seconds)
+        else:
+            achieved = got.program_to_weight(target, tol, dt=dt, max_seconds=max_seconds)
+            assert abs(achieved - expected) < 1e-9, (before, target, tol)
         assert abs(got.weight() - ref.weight()) < 1e-9, (before, target, tol)
 
 
@@ -534,7 +558,7 @@ def test_cached_drive_is_the_integrated_drive(kind):
     sc = cfg.synapse
     dev = sc.device
     lo, hi = dev.state_range
-    o1, o2 = _orientations(sc)
+    o1, o2 = dev.ORIENTATIONS
     # a law built here, apart from the device's shared one
     window = K.window(dev.window.kind, dev.window.p, dev.window.j)
     if kind == "vteam":
@@ -564,10 +588,11 @@ def test_cached_drive_is_the_integrated_drive(kind):
 
 def test_cache_key_covers_every_input(monkeypatch):
     """Changing any one input of a cached drive integrates again: the
-    segment tolerance, the rate law, dt, duration, the voltage, the polarity
-    (orientations), a device constant, the window kind and the window
-    exponent each give a miss.  Equal but distinct device params share the
-    law, so their drive is a hit.  Costs are stage evaluations of the law."""
+    segment tolerance, the rate law, dt, duration, the voltage, a device
+    constant, the window kind and the window exponent each give a miss.
+    Equal but distinct device params share the law, so their drive is a
+    hit, and so is the same drive of the other polarity, which holds the
+    same excitatory-frame state.  Costs are stage evaluations of the law."""
     calls = counting(monkeypatch)
     fresh = SynapseAssembly.fresh(CFG_EXC)
 
@@ -588,7 +613,7 @@ def test_cache_key_covers_every_input(monkeypatch):
     assert cost(dt=DT / 2) > 0
     assert cost(duration=2e-3) > 0
     assert cost(v=3.5) > 0
-    assert cost(config=replace(CFG_EXC, polarity=INHIBITORY)) > 0
+    assert cost(config=CFG_INH) == 0
     assert cost(config=other_device) > 0
     assert cost(config=other_kind) > 0
     assert cost(config=other_p) > 0
