@@ -109,8 +109,17 @@ def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, win):
         return drift(clamped(w), i)
 
     def sweep_rate(w, v):
-        x = clamped(w)
-        return drift(x, v / (r_on * x + r_off * (1.0 - x)))
+        # drift(clamped(w), v / resistance(w)), written out: this runs at
+        # every stage of the sine sweep
+        x = w / d
+        if x < 0.0:
+            x = 0.0
+        elif x > 1.0:
+            x = 1.0
+        i = v / (r_on * x + r_off * (1.0 - x))
+        s = i / i0
+        m = abs(s) ** n
+        return k * (a0 * m if s >= 0.0 else -(a0 * m)) * win(x, i)
 
     def branch_rates(w1, w2, o1, o2, r_series, v):
         # drift(clamped(w1), o1*i), drift(clamped(w2), o2*i), written out:

@@ -12,12 +12,15 @@ states the key's valid range.  `SCHEMA` lists the keys.
 
 Each experiment writes its CSVs plus a `manifest` recording the fully
 resolved configuration and a content hash of every output, so any CSV can be
-re-derived from its manifest alone.
+re-derived from its manifest alone.  `write_csv` formats and writes a block
+of rows at a time, and `write_manifest` hashes each file from disk in
+chunks, so neither holds a whole CSV in memory.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import sys
 import typing
@@ -58,7 +61,7 @@ class PatternParams(Params):
 @dataclass(frozen=True)
 class StdpParams(Params):
     max_offset: int = key(6, NONNEGATIVE)
-    settle_frames: int = key(10, NONNEGATIVE)
+    settle_frames: int = key(10, AT_LEAST_ONE)
 
 
 @dataclass(frozen=True)
@@ -292,20 +295,49 @@ def vteam_variant(cfg: Config) -> Config:
 # -- CSV / manifest helpers ----------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if type(x) is float:  # most cells: tested first
-        return f"{x:.9g}"
+# Rows per formatted and written block: one write per block costs little,
+# and a block's strings stay far below a sweep's sample arrays.
+CSV_BLOCK = 1024
+
+
+def _column(x):
+    """The `%` conversion of a column whose first cell is x, and the types
+    every cell of the column must have (None: any number)."""
     if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.9g}"
+        return "%s", str
+    if isinstance(x, (int, np.integer)):  # bool is an int
+        return "%d", (int, np.integer)
+    return "%.9g", None
 
 
 def write_csv(path: Path, header: str, rows) -> Path:
-    lines = [header]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write `header`, then each row (a tuple) as a comma-separated line;
+    return `path`.
+
+    Each column's format is chosen from its first cell: a string as it is,
+    an integer (bool and numpy's too) in decimal, any other number to 9
+    significant digits.  A later cell of another type in a string or integer
+    column raises TypeError, since `%d` would truncate a float.  Rows are
+    formatted and written CSV_BLOCK at a time, so a long row source, such as
+    `SweepSeries.rows()`, is never held whole as lines, text or bytes.
+    """
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(header + "\n")
+        block = list(itertools.islice(rows, CSV_BLOCK))
+        if block:
+            first = block[0]
+            columns = [_column(x) for x in first]
+            line = ",".join(conv for conv, _ in columns) + "\n"
+            exact = [(j, types) for j, (_, types) in enumerate(columns) if types]
+        while block:
+            for j, types in exact:
+                for row in block:
+                    if not isinstance(row[j], types):
+                        raise TypeError(f"{path.name}: {row[j]!r} in column {j + 1}, "
+                                        f"whose first cell is {first[j]!r}")
+            out.write("".join([line % row for row in block]))
+            block = list(itertools.islice(rows, CSV_BLOCK))
     return path
 
 
@@ -314,8 +346,13 @@ def write_manifest(outdir: Path, name: str, cfg: Config, files: list[Path]):
     lines.extend(cfg.lines())
     lines.append("")
     for f in sorted(files):
-        digest = hashlib.sha256(f.read_bytes()).hexdigest()
-        lines.append(f"sha256 {digest}  {f.name}")
+        sha = hashlib.sha256()
+        with open(f, "rb") as data:
+            # 64 KiB reads: hashlib.file_digest zeroes a 256 KiB buffer per
+            # file, which costs more than it saves on small outputs
+            while chunk := data.read(1 << 16):
+                sha.update(chunk)
+        lines.append(f"sha256 {sha.hexdigest()}  {f.name}")
     (outdir / "manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -307,16 +307,20 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
     """Weight change induced by exactly one pre/post spike pair per offset.
 
     For each frame offset a fresh network starts from the synapse state of
-    one closed-loop programming to |weight| 0.5, a single pre spike and a single post spike are placed `offset` frames
-    apart (negative offsets mean post first), the run continues until the
-    traces have effectively extinguished, and the net weight change is
-    recorded.  Returns rows (offset_frames, offset_seconds, d_weight).
+    one closed-loop programming to |weight| 0.5, a single pre spike and a
+    single post spike are placed `offset` frames apart (negative offsets mean
+    post first), the run continues until the traces have effectively
+    extinguished (`settle_frames` frames from the later spike's frame, that
+    frame included), and the net weight change is recorded.  Returns rows
+    (offset_frames, offset_seconds, d_weight).
 
     With phase_slot=None the fire commands arrive on the edges themselves;
     otherwise the triggers are loaded after that slot of the preceding frame,
     which must produce bit-identical windows (quantization in sub-frame
     phase).
     """
+    if settle_frames < 1:
+        raise ConfigError("settle_frames >= 1")
     cfg = replace(config, n_pre=1).validate()
     frame_w = cfg.clock.frame_width
     # fresh synapses are equal and programming is deterministic, so one

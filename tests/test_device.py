@@ -348,6 +348,23 @@ def test_branch_rates_are_the_rate_at_each_device_drive(model, kind):
                     assert [x.hex() for x in got] == [x.hex() for x in want], (w1, w2, v)
 
 
+@pytest.mark.parametrize("kind", WindowSpec.KINDS)
+def test_dopant_sweep_rate_is_the_rate_at_the_device_current(kind):
+    """The dopant law's written-out `sweep_rate` is its own `rate` at the
+    current v / R(w), bit for bit: every window kind, states on and beyond
+    the bounds, drives of both signs and zero.  (VTEAM's sweep_rate is its
+    rate.)"""
+    dev = MemristorParams(window=WindowSpec(kind=kind, p=2, j=0.9))
+    law = dev.build_law()
+    lo, hi = dev.state_range
+    span = hi - lo
+    for w in (lo - 0.25 * span, -0.0, lo, lo + 1e-3 * span, lo + 0.37 * span, hi,
+              hi + 0.25 * span):
+        for v in (0.0, -0.0, 0.3, -0.3, 1.7, -1.7, 4.0, -4.0, 37.0):
+            want = law.rate(w, v / law.resistance(w))
+            assert law.sweep_rate(w, v).hex() == want.hex(), (w, v)
+
+
 def test_vteam_dead_zone_bitwise():
     # v_ab is scaled by the divider ratio so that each device sees x itself:
     # at 0.999 of a threshold one device of each branch sits just inside

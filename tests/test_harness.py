@@ -260,7 +260,9 @@ BAD_VALUES = [
     ("switch-rate", "device.kind=vteam", "switch-rate models the current-driven device"),
     ("pattern-learn", "network.n_pre=4", "every stimulus pre index in [0, network.n_pre)"),
     ("hysteresis", "hysteresis.w0=1", "hysteresis.w0 in the device state range [0, 1e-08]"),
-    ("stdp-window", "stdp.settle_frames=-5", "stdp.settle_frames >= 0"),
+    ("stdp-window", "stdp.settle_frames=-5", "stdp.settle_frames >= 1"),
+    # once ran and wrote a window whose later spike never fired
+    ("stdp-window", "stdp.settle_frames=0", "stdp.settle_frames >= 1"),
     ("switch-rate", "switchrate.points=-1", "switchrate.points >= 1"),
     ("switch-rate", "switchrate.w_frac=2", "0 <= switchrate.w_frac <= 1"),
     ("hysteresis", "hysteresis.pinched_freq=0", "hysteresis.pinched_freq > 0"),

@@ -152,6 +152,14 @@ def test_window_hebbian_signs():
     assert abs(rows[0]) <= 0.1 * min(abs(rows[1]), abs(rows[-1]))
 
 
+def test_window_refuses_no_settling_frame():
+    """The run ends settle_frames frames after the later spike's frame
+    begins: with none it never fired, and the -2, 0, +2 rows read -0.0016,
+    0 and 0.0045 against -0.024, 0.0039 and 0.032."""
+    with pytest.raises(ConfigError, match="settle_frames >= 1"):
+        stdp_window(make_config(n_pre=1), [-2, 0, 2], settle_frames=0)
+
+
 def test_window_antihebbian_exact_mirror():
     exc = stdp_window(make_config(n_pre=1, polarity="excitatory"), [-2, 0, 1])
     inh = stdp_window(make_config(n_pre=1, polarity="inhibitory"), [-2, 0, 1])
