@@ -45,7 +45,9 @@ class WindowSpec(Params):
 @functools.lru_cache(maxsize=16)
 def _law(params):
     """params.build_law(), once per distinct set of constant values: equal
-    params (frozen, so hashed by value) share one law object."""
+    params (frozen, so hashed by value) share one law object.  Building a law
+    picks its window and makes its closures, and `dwdt` and every synapse a
+    run builds read `params.law`, so this saves building it at each."""
     return params.build_law()
 
 
@@ -205,9 +207,9 @@ class SweepSeries:
 
 
 def hysteresis_sweep(params, state: MemristorState, drive: SineDrive,
-                     duration: float, dt: float, sample_every: int = 10) -> SweepSeries:
+                     duration: float, dt: float, sample_every: int) -> SweepSeries:
     """Integrate one device under a sinusoidal drive, sampling it every
-    `sample_every` * dt.
+    `sample_every` * dt (`hysteresis.sample_every` * `clock.dt`).
 
     Error-controlled Dormand-Prince 5(4) steps, no shorter than dt, end on
     every sample time (`_kernels.sine_sweep`); the drive is evaluated at the

@@ -426,26 +426,26 @@ def run_synapse_pd(cfg: Config, outdir: Path) -> list[Path]:
 
 
 def calibration_values(cfg: Config) -> tuple[float, float, float]:
-    """Weight increments of one strong and one weak pulse from the canonical
-    half-range state, plus their ratio.  A pulse that ends on the far bound
-    of `weight_range` saturates the weight, so no ratio is measured."""
+    """Weight increments of one strong and one weak pulse from one synapse
+    programmed to the canonical half-range state, plus their ratio.  A pulse
+    that ends within the programming tolerance of the far bound of
+    `weight_range` saturates the weight, so no ratio is measured."""
     dt = cfg["clock.dt"]
     pulse = cfg["calibration.pulse_seconds"]
-    strong = 2.0 * cfg["lif.v_cc"]
-    weak = cfg["lif.v_cc"]
+    tolerance = 1e-3
+    programmed = SynapseAssembly.fresh(synapse_config(cfg))
+    psi0 = programmed.program_to_weight(programmed.config.sign * 0.5, tolerance, dt=dt)
+    far = max(programmed.weight_range(), key=abs)
 
     def pulse_delta(level):
-        syn = SynapseAssembly.fresh(synapse_config(cfg))
-        psi0 = syn.program_to_weight(syn.config.sign * 0.5, tolerance=1e-3, dt=dt)
-        syn.drive(level, dt, duration=pulse)
-        far = max(syn.weight_range(), key=abs)
-        if syn.weight() == far:
+        syn = programmed.copy().drive(level, dt, duration=pulse)
+        if abs(syn.weight() - far) <= tolerance:
             raise SimulationFault(f"the {level:g} V pulse saturates the weight at {far:.6g}, "
                                   "the far bound of its range: no weak/strong ratio")
         return syn.weight() - psi0
 
-    d_strong = pulse_delta(strong)
-    d_weak = pulse_delta(weak)
+    d_strong = pulse_delta(2.0 * cfg["lif.v_cc"])
+    d_weak = pulse_delta(cfg["lif.v_cc"])
     if d_strong == 0.0:
         raise SimulationFault("the strong pulse left the weight unchanged: no weak/strong ratio")
     return d_strong, d_weak, d_weak / d_strong

@@ -17,16 +17,18 @@ no shorter than dt), the LIF membrane advances with the exact constant-input
 exponential, and traces decay analytically.  Everything is deterministic: identical
 configurations give bit-identical results.
 
-Synapses in lockstep are stepped once per frame.  A synapse's frame is a
-function of its state `w` (the excitatory-frame branch-1 pair, a tuple),
-its pre's trace and whether its pre fired, and of nothing else per synapse:
-the config, the post neuron and the post's PWM width are shared.  So each
-frame groups the synapses on exactly that key (float equality, as in the
-`synapse._branch` cache key), steps each group's lowest-index synapse, and
-gives every other member its state, transmitted output and weight: what
-stepping it would give, bit for bit.  Groups are stepped slot by slot in
-index order, so a fault names the synapse that stepping each one would have
-named.  The experiments likewise set up one fresh synapse and copy its state.
+Each distinct synapse frame is stepped once per run.  A synapse's frame is
+a function of its state `w` (the excitatory-frame branch-1 pair, a tuple),
+its pre's trace and fire, and the post's trace and fire (the post PWM
+width), given the run's config.  Each frame groups the synapses on exactly
+that key (float equality).  The network's memo maps a key to its frame's new
+state, transmitted output and weight; a group found there takes them, and
+any other steps its lowest-index synapse and enters the result, which every
+member takes: what stepping it would give, bit for bit.  Misses step slot by
+slot in index order, so a fault names the synapse that stepping each one
+would have named, and no faulting state is entered.  The memo is emptied at
+a frame start once it holds over MEMO_ENTRIES results.  The experiments
+likewise set up one fresh synapse and copy its state.
 """
 from __future__ import annotations
 
@@ -42,6 +44,10 @@ from .plasticity import (ClockParams, TraceParams, differential_frame, pwm_encod
                          trace_step)
 from .synapse import SynapseAssembly, SynapseConfig
 
+# 1 024 results are about 0.3 MB; a 300-epoch 3x3 run enters 13 000, and at
+# this bound takes 0.4 % more stage evaluations than with all of them kept.
+MEMO_ENTRIES = 1024
+
 
 @dataclass(frozen=True)
 class StimulusProgram:
@@ -51,7 +57,7 @@ class StimulusProgram:
     """
 
     schedule: tuple[tuple[int, int], ...]
-    epoch_frames: int = 10
+    epoch_frames: int
     n_epochs: int = 1
 
     def validate(self):
@@ -68,7 +74,7 @@ class StimulusProgram:
         return tuple(p for f, p in self.schedule if f == epoch_frame)
 
     @classmethod
-    def empty(cls, epoch_frames: int = 10, n_epochs: int = 1) -> "StimulusProgram":
+    def empty(cls, epoch_frames: int, n_epochs: int = 1) -> "StimulusProgram":
         return cls(schedule=(), epoch_frames=epoch_frames, n_epochs=n_epochs)
 
 
@@ -104,11 +110,13 @@ class Network:
     """One simulation instance; single-threaded stepping.
 
     Pre i drives synapse i.  A pre never integrates: a fire command only
-    latches it (`pre_loaded`) until the next frame edge.
+    latches it (`pre_loaded`) until the next frame edge.  Networks of one
+    config may share one frame `memo` (see the module docstring).
     """
 
-    def __init__(self, config: NetworkConfig):
+    def __init__(self, config: NetworkConfig, memo: dict | None = None):
         self.config = config.validate()
+        self.memo = {} if memo is None else memo
         self.frame = 0  # the next frame's number
         self.synapses = [SynapseAssembly.fresh(config.synapse) for _ in range(config.n_pre)]
         self.post = LifNeuron(config.lif, n_inputs=config.n_pre)
@@ -189,49 +197,64 @@ class Network:
         post_v_edge = post.state.v_mp
         post_fired = post.trigger_tick(frame_edge=True)
 
-        # lockstep groups (see the module docstring), each stepped on its
-        # lowest index; the key holds every per-synapse input of the frame
+        # groups on every input of a synapse's frame (see the module
+        # docstring); those not in the memo are stepped on their lowest index
+        memo = self.memo
+        if len(memo) > MEMO_ENTRIES:
+            memo.clear()
         groups = {}
         for si, syn in enumerate(self.synapses):
-            groups.setdefault((syn.w, self.pre_traces[si], si in fired), []).append(si)
+            key = (syn.w, self.pre_traces[si], si in fired, self.post_trace, post_fired)
+            groups.setdefault(key, []).append(si)
         width_b = self._sample_width(self.post_trace, post_fired)
-        drives = [(m, differential_frame(m[0] in fired, post_fired,
-                                         self._sample_width(self.pre_traces[m[0]], m[0] in fired),
-                                         width_b, v_cc, slot))
-                  for m in groups.values()]
+        stepped = [(key, m, differential_frame(m[0] in fired, post_fired,
+                                               self._sample_width(self.pre_traces[m[0]],
+                                                                  m[0] in fired),
+                                               width_b, v_cc, slot))
+                   for key, m in groups.items() if key not in memo]
 
         # slot 0: transmission.  Weighted outputs are evaluated from the
         # entry weights, then the spike biases the synapse for the slot.
-        post_inputs = [0.0] * cfg.n_pre
-        for members, _ in drives:
+        v_outs = {}
+        for key, members, _ in stepped:
             si = members[0]
+            v_outs[key] = 0.0
             if si in fired:
                 try:
-                    v_out = self.synapses[si].transmit(v_cc, dt, duration=slot)
+                    v_outs[key] = self.synapses[si].transmit(v_cc, dt, duration=slot)
                 except SimulationFault as exc:
                     raise SimulationFault(f"slot 0, synapse {si}: {exc}") from None
-                for m in members:
-                    post_inputs[m] = v_out
+        post_inputs = [0.0] * cfg.n_pre
+        for key, members in groups.items():
+            v_out = v_outs[key] if key in v_outs else memo[key][1]
+            for m in members:
+                post_inputs[m] = v_out
         post.integrate(post_inputs, slot)
         post.trigger_tick(frame_edge=False)
         inject_loads(0)
 
         # slots 1 and 2: programming segments; the post membrane just leaks.
         for slot_idx in (1, 2):
-            for members, segs in drives:
+            for _, members, segs in stepped:
                 self._step_synapse_segments(members[0], segs[slot_idx - 1], slot_idx)
             post.integrate([0.0] * cfg.n_pre, slot)
             post.trigger_tick(frame_edge=False)
             inject_loads(slot_idx)
 
-        # each member leaves the frame in its group's state
-        weights = [0.0] * cfg.n_pre
-        for members, _ in drives:
+        # a finite result enters the memo; each member leaves the frame in
+        # its group's state
+        for key, members, _ in stepped:
             lead = self.synapses[members[0]]
-            w = weights[members[0]] = lead.weight()
-            for m in members[1:]:
-                self.synapses[m].w = lead.w
-                weights[m] = w
+            weight = lead.weight()
+            if not math.isfinite(weight):
+                raise SimulationFault("non-finite synapse state")
+            memo[key] = (lead.w, v_outs[key], weight)
+        weights = [0.0] * cfg.n_pre
+        for key, members in groups.items():
+            w, _, weight = memo[key]
+            for m in members:
+                self.synapses[m].w = w
+                weights[m] = weight
 
         # traces: held at v_p through the owner's firing frame, else decay
         # across the whole frame width.
@@ -241,13 +264,9 @@ class Network:
         self.post_trace = trace_step(cfg.trace, self.post_trace, post_fired, frame_w)
 
         self.frame += 1
-
-        weights = tuple(weights)
-        if not all(math.isfinite(w) for w in weights):
-            raise SimulationFault("non-finite synapse state")
         return FrameReport(frame=frame_idx, t=t0, pre_fired=pre_fired,
                            post_fired=post_fired, post_v_mp_at_edge=post_v_edge,
-                           weights=weights)
+                           weights=tuple(weights))
 
 
 @dataclass
@@ -302,7 +321,7 @@ def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
 # -- timing-window experiment -------------------------------------------------
 
 
-def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
+def stdp_window(config: NetworkConfig, offsets, settle_frames: int,
                 phase_slot: int | None = None):
     """Weight change induced by exactly one pre/post spike pair per offset.
 
@@ -312,7 +331,9 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
     post first), the run continues until the traces have effectively
     extinguished (`settle_frames` frames from the later spike's frame, that
     frame included), and the net weight change is recorded.  Returns rows
-    (offset_frames, offset_seconds, d_weight).
+    (offset_frames, offset_seconds, d_weight).  The networks of all offsets
+    share one frame memo: the frames before the later spike repeat across
+    offsets.
 
     With phase_slot=None the fire commands arrive on the edges themselves;
     otherwise the triggers are loaded after that slot of the preceding frame,
@@ -327,9 +348,9 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int = 10,
     # programming serves every offset
     programmed = SynapseAssembly.fresh(cfg.synapse)
     programmed.program_to_weight(cfg.synapse.sign * 0.5, tolerance=1e-3, dt=cfg.clock.dt)
-    rows = []
+    rows, memo = [], {}
     for off in offsets:
-        net = Network(cfg)
+        net = Network(cfg, memo)
         net.synapses[0].w = programmed.w
         psi0 = net.synapses[0].weight()
         pre_frame = 1 + max(0, -off)

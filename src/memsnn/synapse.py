@@ -32,19 +32,11 @@ addition commutes).  So at every step the inhibitory pair is its twin's
 swapped, and its weight, gain*(v- - v+) in the twin's tap voltages, is
 exactly -(gain*(v+ - v-)).
 
-Identical branch integrations run once.  Synapses that fire together hold
-the same state and receive the same drives, so the network engine steps
-each such lockstep group once per frame and copies the result to its members
-(see network.py).  Repeats across frames and within programming remain:
-saturated synapses repeat their epoch's drives bit for bit.  So the driver
-call is memoized in a bounded LRU cache (`_branch`).  Its key holds every
-input of the drivers, which are pure functions of their arguments, so a hit
-is bit for bit what integrating again would give (see
-SynapseAssembly._integrate).
+Repeated drives are not looked up here: the network engine steps each
+distinct synapse frame once per run (see network.py).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,17 +71,6 @@ class SynapseConfig(Params):
         """+1.0 excitatory, -1.0 inhibitory: the factor that reads a bridge's
         weight off its excitatory-frame state (see the module docstring)."""
         return 1.0 if self.polarity == EXCITATORY else -1.0
-
-
-@functools.lru_cache(maxsize=256)
-def _branch(driver, tol, *args):
-    """driver(*args), memoized.  `tol` is K.SEGMENT_TOL, which the
-    error-controlled driver reads itself; it is passed only to be keyed on.
-    Lockstep synapses are stepped once per frame by the engine, so the hits
-    here are repeats across frames (a saturated synapse repeats its epoch's
-    drives) and within programming.  256 entries (about 0.1 MB) catch every
-    repeat of the 3x3 pattern runs."""
-    return driver(*args)
 
 
 class SynapseAssembly:
@@ -181,17 +162,8 @@ class SynapseAssembly:
         branch 2 solves branch 1's ODE with its two devices swapped, so
         integrating the pair steps all four devices; no other state exists
         to fall out of mirror.  A non-finite state raises SimulationFault
-        before integrating.
-
-        The driver call goes through the `_branch` cache.  Its key holds the
-        driver, and for the fixed-step driver of `apply_differential` its
-        RK4 step, as `_kernels` holds them at this call (so patched or
-        wrapped kernels never share an entry with the originals),
-        SEGMENT_TOL, w1, w2, the bounds, duration, dt, o1, o2, r1, v_ab and
-        the device law's `branch_rates`, one object per distinct set of
-        device constants (see device._law).
-        The drivers are pure functions of exactly these, so a repeated drive
-        returns what integrating it again would, bit for bit.
+        before integrating.  The drivers are looked up in `_kernels` at
+        each call, so a patched or wrapped kernel is the one that runs.
         """
         if not math.isfinite(v_ab):
             raise SimulationFault(f"non-finite drive voltage {v_ab!r}")
@@ -208,10 +180,9 @@ class SynapseAssembly:
                 self._o1, self._o2, self._r1, v_ab, self._rates)
         try:
             if adaptive:
-                w1, w2 = _branch(K.branch_segment, K.SEGMENT_TOL, *args)
+                w1, w2 = K.branch_segment(*args)
             else:
-                w1, w2 = _branch(K.branch_step, K.SEGMENT_TOL,
-                                 self.config.device.branch_rk4, *args)
+                w1, w2 = K.branch_step(self.config.device.branch_rk4, *args)
         except OverflowError:
             raise SimulationFault(f"device rate overflow under {v_ab!r} V drive") from None
         if adaptive and not (math.isfinite(w1) and math.isfinite(w2)):
@@ -230,8 +201,8 @@ class SynapseAssembly:
         self.drive(v_in, dt, duration)
         return v_out
 
-    def program_to_weight(self, target: float, tolerance: float = 1e-3,
-                          dt: float = 1e-5, max_seconds: float = 5.0) -> float:
+    def program_to_weight(self, target: float, tolerance: float = 1e-3, *, dt: float,
+                          max_seconds: float = 5.0) -> float:
         """Closed-loop programming with +/-PULSE_LEVEL micro-pulses of width dt.
 
         Pulses towards `target` until the weight is within `tolerance` of it

@@ -19,17 +19,19 @@ from test_synapse import nodal_weight, assembly_at
 
 P = MemristorParams()
 CFG = load_config(None)
+SETTLE = CFG["stdp.settle_frames"]
 
 
 @pytest.fixture(scope="module")
 def window_rows():
     t0 = time.perf_counter()
     offsets = list(range(-6, 7))
-    exc = stdp_window(network_config(CFG, n_pre=1), offsets)
+    exc = stdp_window(network_config(CFG, n_pre=1), offsets, SETTLE)
     inh_cfg = network_config(CFG, n_pre=1)
     from dataclasses import replace
     inh = stdp_window(replace(inh_cfg, synapse=replace(inh_cfg.synapse,
-                                                       polarity="inhibitory")), offsets)
+                                                       polarity="inhibitory")), offsets,
+                      SETTLE)
     return exc, inh, time.perf_counter() - t0
 
 
@@ -144,9 +146,9 @@ def test_criterion_5_msq_stdp_window(window_rows):
     # quantization: loading the trigger in any slot of the preceding frame
     # gives bit-identical weight changes
     cfg1 = network_config(CFG, n_pre=1)
-    base = stdp_window(cfg1, [1, -1], phase_slot=None)
+    base = stdp_window(cfg1, [1, -1], SETTLE, phase_slot=None)
     for phase in (0, 1, 2):
-        rows = stdp_window(cfg1, [1, -1], phase_slot=phase)
+        rows = stdp_window(cfg1, [1, -1], SETTLE, phase_slot=phase)
         assert all(a[2] == b[2] for a, b in zip(rows, base))
 
     # Hebbian signs where the timing component dominates the weak-signal floor
@@ -215,11 +217,12 @@ def test_criterion_8_vteam_variant_window():
     t0 = time.perf_counter()
     vcfg = vteam_variant(CFG)
     offsets = list(range(-6, 7))
-    exc = stdp_window(network_config(vcfg, n_pre=1), offsets)
+    exc = stdp_window(network_config(vcfg, n_pre=1), offsets, SETTLE)
     from dataclasses import replace
     ncfg = network_config(vcfg, n_pre=1)
     inh = stdp_window(replace(ncfg, synapse=replace(ncfg.synapse,
-                                                    polarity="inhibitory")), offsets)
+                                                    polarity="inhibitory")), offsets,
+                      SETTLE)
     w = {r[0]: r[2] for r in exc}
     wi = {r[0]: r[2] for r in inh}
 

@@ -1,5 +1,6 @@
 import math
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,17 @@ def test_memristance_boundaries():
     assert P.law.resistance(0.0) == 16000.0
     assert P.law.resistance(D) == 100.0
     assert P.law.resistance(D / 2) == pytest.approx(8050.0, rel=1e-12)
+
+
+def test_equal_params_share_one_law():
+    """Equal but distinct device params share one law object; another
+    device constant, window kind or window exponent builds another."""
+    equal = MemristorParams()
+    assert equal == P and equal is not P and equal.law is P.law
+    others = (replace(P, mu_v=1.01e-14), replace(P, window=replace(P.window, kind="biolek")),
+              replace(P, window=replace(P.window, p=5)))
+    laws = [P.law] + [d.law for d in others]
+    assert all(a is not b for i, a in enumerate(laws) for b in laws[i + 1:])
 
 
 def test_joule_values():

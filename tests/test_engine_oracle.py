@@ -67,6 +67,18 @@ def test_engine_matches_fixed_step_oracle_on_drawn_programs(monkeypatch):
     SEGMENT_TOL.  (The zero-init runs stay at round-off error at every
     tolerance; the midpoint runs carry the fall.)"""
     errors, fired = [], []
+    fixed = {}
+
+    def fixed_step(syn, v_ab, dt, duration=None):
+        """`apply_differential`, memoized over the drawn runs, which repeat
+        their init: the 1 s zero-init drive is 10^6 RK4 steps for VTEAM.
+        Polarity is only a sign on the readout, so the key leaves it out."""
+        key = (syn.w, syn.config.device, syn.config.r1, v_ab, dt, duration)
+        if key not in fixed:
+            fixed[key] = SynapseAssembly.apply_differential(syn, v_ab, dt, duration).w
+        syn.w = fixed[key]
+        return syn
+
     for case in itertools.product(sorted(VARIANTS), ("excitatory", "inhibitory"),
                                   ("zero", "midpoint")):
         kind, polarity, init = case
@@ -81,8 +93,7 @@ def test_engine_matches_fixed_step_oracle_on_drawn_programs(monkeypatch):
             cfg = replace(cfg, synapse=replace(cfg.synapse, polarity=polarity),
                           lif=replace(cfg.lif, v_th=v_th))
             run = (cfg, program, init)
-            ref_fires, ref = frames_of(monkeypatch, run,
-                                       drive=SynapseAssembly.apply_differential)
+            ref_fires, ref = frames_of(monkeypatch, run, drive=fixed_step)
             errs = []
             for tol in TOLERANCES:
                 fires, got = frames_of(monkeypatch, run, tol=tol)

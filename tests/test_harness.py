@@ -153,11 +153,14 @@ def test_switch_rate_rate_overflow_exits_3(tmp_path, capsys, override):
 
 def test_calibration_saturated_pulse_exits_3(tmp_path, capsys):
     # at q = 1 both pulses drive the weight from 0.366 to the far corner
-    # 1.093; this once wrote ratio 1 with exit 0
-    assert main(["weak-strong-calibration", "--out", str(tmp_path),
-                 "--set", "device.q=1"]) == 3
-    assert "saturates the weight" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    # 1.093; this once wrote ratio 1 with exit 0.  A 1 s strong pulse ends
+    # 4.7e-11 short of the corner, where one more dt moves it 1.1e-14; this
+    # once wrote ratio 0.363 with exit 0.
+    for i, override in enumerate(("device.q=1", "calibration.pulse_seconds=1")):
+        out = tmp_path / str(i)
+        assert main(["weak-strong-calibration", "--out", str(out), "--set", override]) == 3
+        assert "saturates the weight" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
 
 def test_pattern_learn_cli_short_run(tmp_path):

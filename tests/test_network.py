@@ -5,6 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from memsnn import network
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
 from memsnn.network import (Network, NetworkConfig, StimulusParams, StimulusProgram,
@@ -12,6 +13,9 @@ from memsnn.network import (Network, NetworkConfig, StimulusParams, StimulusProg
 from memsnn.plasticity import ClockParams
 from memsnn.synapse import SynapseAssembly, SynapseConfig
 from test_synapse import counted_drives, counting
+
+STOCK = load_config(None)
+SETTLE = STOCK["stdp.settle_frames"]
 
 
 def make_config(n_pre=1, polarity="excitatory", **kw):
@@ -137,16 +141,16 @@ def test_stimulus_program_validation():
 
 def test_window_quantized_in_subframe_phase():
     cfg = make_config(n_pre=1)
-    base = stdp_window(cfg, [1, -2], phase_slot=None)
+    base = stdp_window(cfg, [1, -2], SETTLE, phase_slot=None)
     for phase in (0, 1, 2):
-        rows = stdp_window(cfg, [1, -2], phase_slot=phase)
+        rows = stdp_window(cfg, [1, -2], SETTLE, phase_slot=phase)
         for r, rb in zip(rows, base):
             assert r[2] == rb[2]  # bitwise equal
 
 
 def test_window_hebbian_signs():
     cfg = make_config(n_pre=1)
-    rows = dict((r[0], r[2]) for r in stdp_window(cfg, [-2, -1, 0, 1, 2]))
+    rows = dict((r[0], r[2]) for r in stdp_window(cfg, [-2, -1, 0, 1, 2], SETTLE))
     assert rows[1] > 0.0 and rows[2] > 0.0
     assert rows[-1] < 0.0 and rows[-2] < 0.0
     assert abs(rows[0]) <= 0.1 * min(abs(rows[1]), abs(rows[-1]))
@@ -161,8 +165,8 @@ def test_window_refuses_no_settling_frame():
 
 
 def test_window_antihebbian_exact_mirror():
-    exc = stdp_window(make_config(n_pre=1, polarity="excitatory"), [-2, 0, 1])
-    inh = stdp_window(make_config(n_pre=1, polarity="inhibitory"), [-2, 0, 1])
+    exc = stdp_window(make_config(n_pre=1, polarity="excitatory"), [-2, 0, 1], SETTLE)
+    inh = stdp_window(make_config(n_pre=1, polarity="inhibitory"), [-2, 0, 1], SETTLE)
     for (off_e, _, de), (off_i, _, di) in zip(exc, inh):
         assert off_e == off_i
         assert di == pytest.approx(-de, rel=1e-9, abs=1e-15)
@@ -181,7 +185,7 @@ def test_post_fires_frame_after_pattern_once_trained():
 def test_zero_init_zeroes_either_polarity():
     """The zero init drives both polarities toward their zero-weight corner:
     the inhibitory weights are the exact negatives of the excitatory ones."""
-    stim = StimulusProgram.empty(n_epochs=1)
+    stim = StimulusProgram.empty(STOCK["stimulus.epoch_frames"], n_epochs=1)
     exc = pattern_learning(make_config(n_pre=2), stim, init="zero").final_weights
     inh = pattern_learning(make_config(n_pre=2, polarity="inhibitory"), stim,
                            init="zero").final_weights
@@ -300,6 +304,95 @@ def test_short_pattern_run_weight_calls(monkeypatch):
     pattern_learning(network_config(load_config(None)), StimulusParams().program(20),
                      init="zero")
     assert 0 < calls[0] <= 1100
+
+
+def reported(monkeypatch):
+    """Record every FrameReport of the runs that follow, floats as hex."""
+    reports = []
+    run_frame = Network.run_frame
+
+    def recorded(net, *args, **kwargs):
+        rep = run_frame(net, *args, **kwargs)
+        reports.append((rep.frame, rep.t.hex(), rep.pre_fired, rep.post_fired,
+                        rep.post_v_mp_at_edge.hex(), [w.hex() for w in rep.weights]))
+        return rep
+
+    monkeypatch.setattr(Network, "run_frame", recorded)
+    return reports
+
+
+@pytest.mark.parametrize("init", ["zero", "midpoint"])
+def test_memo_bound_changes_cost_not_results(init, monkeypatch):
+    """A memo emptied at every frame start keeps only the lockstep groups of
+    one frame: 20-epoch runs report bit for bit what the default memo does.
+    The zero-init run costs more stage evaluations without its repeats
+    across frames; the midpoint run repeats no frame in its first 20
+    epochs, so it costs the same."""
+    calls, reports = counting(monkeypatch), reported(monkeypatch)
+    costs, runs = [], []
+    for bound in (network.MEMO_ENTRIES, 0):
+        monkeypatch.setattr(network, "MEMO_ENTRIES", bound)
+        calls[0] = 0
+        reports.clear()
+        pattern_learning(network_config(STOCK), StimulusParams().program(20), init=init)
+        costs.append(calls[0])
+        runs.append(list(reports))
+    assert len(runs[0]) == 200 and runs[0] == runs[1]
+    assert costs[1] > costs[0] if init == "zero" else costs[1] == costs[0]
+
+
+def test_memo_keys_on_the_post_inputs(monkeypatch):
+    """A synapse in the state and under the pre input of a memo entry, but
+    under another post trace or post fire, is stepped, not taken from the
+    memo: the post PWM width depends on both.  Under the entry's own inputs
+    it is taken from the memo, and costs no `drive`."""
+    cfg = make_config(n_pre=1)
+    programmed = SynapseAssembly.fresh(cfg.synapse)
+    programmed.program_to_weight(0.5, tolerance=1e-3, dt=cfg.clock.dt)
+    drives = counted_drives(monkeypatch)
+
+    def frame(memo, post_trace=0.0, forced_post=False):
+        net = Network(cfg, memo)
+        net.synapses[0].w = programmed.w
+        net.post_trace = post_trace
+        drives[0] = 0
+        return net.run_frame(forced_pre=(0,), forced_post=forced_post).weights[0], drives[0]
+
+    memo = {}
+    entry, cost = frame(memo)
+    assert cost > 0 and frame(memo) == (entry, 0)
+    for inputs in ({"post_trace": cfg.trace.v_p}, {"forced_post": True}):
+        weight, cost = frame(memo, **inputs)
+        assert cost > 0 and weight != entry
+        assert (weight, cost) == frame({}, **inputs)
+    assert len(memo) == 3
+
+
+def test_window_offsets_share_one_memo(monkeypatch):
+    """The networks of a window's offsets share one memo, so a window over
+    offsets 1-6 gives bit for bit the six single-offset windows, and its
+    frames cost fewer stage evaluations than theirs: each offset repeats the
+    frames of the shorter ones up to its post spike."""
+    calls = counting(monkeypatch)
+    in_frames = [0]
+    run_frame = Network.run_frame
+
+    def counted(net, *args, **kwargs):
+        before = calls[0]
+        try:
+            return run_frame(net, *args, **kwargs)
+        finally:
+            in_frames[0] += calls[0] - before
+
+    monkeypatch.setattr(Network, "run_frame", counted)
+    cfg = make_config(n_pre=1)
+    offsets = list(range(1, 7))
+    rows = stdp_window(cfg, offsets, SETTLE)
+    shared, in_frames[0] = in_frames[0], 0
+    single = [row for off in offsets for row in stdp_window(cfg, [off], SETTLE)]
+    assert [(o, t.hex(), d.hex()) for o, t, d in rows] == [
+        (o, t.hex(), d.hex()) for o, t, d in single]
+    assert 0 < shared < in_frames[0]
 
 
 def test_pattern_learning_rejects_bad_init():

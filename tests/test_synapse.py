@@ -11,7 +11,7 @@ from memsnn.device import (MemristorParams, MemristorState, SineDrive, VteamPara
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
 from memsnn.plasticity import pwm_encode
-from memsnn.synapse import EXCITATORY, INHIBITORY, SynapseAssembly, SynapseConfig, _branch
+from memsnn.synapse import EXCITATORY, INHIBITORY, SynapseAssembly, SynapseConfig
 
 CFG_EXC = SynapseConfig(polarity=EXCITATORY)
 CFG_INH = SynapseConfig(polarity=INHIBITORY)
@@ -286,7 +286,7 @@ def test_program_unreachable_target_names_range():
     for config, targets in ((CFG_EXC, (1.5, -0.5, 0.0, 0.003)), (CFG_VTEAM, (1.51, 0.05))):
         for target in targets:
             with pytest.raises(ConfigError, match="reachable range"):
-                SynapseAssembly.fresh(config).program_to_weight(target)
+                SynapseAssembly.fresh(config).program_to_weight(target, dt=DT)
 
 
 def test_config_validation():
@@ -364,7 +364,6 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
             syn = base.copy()
             w = syn.w
             calls.clear()
-            _branch.cache_clear()  # (-2 * v_cc, slot) may repeat (-4 V, 10 ms)
             step(syn, v, cfg.clock.dt, duration)
             [(driver, args)] = calls
             # the fixed-step driver's RK4 step leads, the law's rates close
@@ -530,9 +529,8 @@ def counting(monkeypatch, nan_from=math.inf):
     """Count the stage evaluations of every device law's `branch_rates`:
     each device class's `law` becomes one whose `branch_rates` counts, still
     one law per distinct set of constants.  Assemblies bind the law when
-    built, so only those built after this call count; their laws are never
-    the laws of earlier calls, so no cached drive is shared with those.
-    From the `nan_from`-th evaluation on, the rates are NaN."""
+    built, so only those built after this call count.  From the
+    `nan_from`-th evaluation on, the rates are NaN."""
     calls = [0]
     for cls in (MemristorParams, VteamParams):
         @functools.lru_cache(maxsize=None)
@@ -551,9 +549,10 @@ def counting(monkeypatch, nan_from=math.inf):
 
 
 @pytest.mark.parametrize("kind", sorted(ENGINE_CONFIGS))
-def test_cached_drive_is_the_integrated_drive(kind):
-    """A drive from a cold cache, its cached replay and a direct driver call
-    on branch 1 are bitwise equal, for both device kinds and both drivers."""
+def test_drive_is_the_integrated_drive(kind):
+    """A drive, its repeat and a direct driver call on branch 1 with a law
+    built apart from the device's shared one are bitwise equal, for both
+    device kinds and both drivers."""
     cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
     sc = cfg.synapse
     dev = sc.device
@@ -572,55 +571,12 @@ def test_cached_drive_is_the_integrated_drive(kind):
     base.program_to_weight(0.5, tolerance=1e-3, dt=cfg.clock.dt)
     slot = 1.0 / cfg.clock.base_freq
     for step, driver in zip(DRIVERS, ("branch_step", "branch_segment")):
-        _branch.cache_clear()
-        cold = base.copy()
-        step(cold, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
-        hits = _branch.cache_info().hits
-        warm = base.copy()
-        step(warm, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
-        assert _branch.cache_info().hits == hits + 1
+        first = base.copy()
+        step(first, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
+        again = base.copy()
+        step(again, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
         lead = (rk4,) if driver == "branch_step" else ()
         w1, w2 = getattr(K, driver)(*lead, *base.w, lo, hi, slot, cfg.clock.dt,
                                     o1, o2, sc.r1, 2 * cfg.lif.v_cc, law.branch_rates)
-        assert cold.w == warm.w == (w1, w2), step.__name__
-        assert cold.w != base.w
-
-
-def test_cache_key_covers_every_input(monkeypatch):
-    """Changing any one input of a cached drive integrates again: the
-    segment tolerance, the rate law, dt, duration, the voltage, a device
-    constant, the window kind and the window exponent each give a miss.
-    Equal but distinct device params share the law, so their drive is a
-    hit, and so is the same drive of the other polarity, which holds the
-    same excitatory-frame state.  Costs are stage evaluations of the law."""
-    calls = counting(monkeypatch)
-    fresh = SynapseAssembly.fresh(CFG_EXC)
-
-    def cost(config=CFG_EXC, v=4.0, dt=DT, duration=1e-3):
-        calls[0] = 0
-        SynapseAssembly(config, fresh.w).drive(v, dt, duration)
-        return calls[0]
-
-    assert cost() > 0
-    assert cost() == 0
-    dev = CFG_EXC.device
-    other_device = replace(CFG_EXC, device=replace(dev, mu_v=1.01e-14))
-    other_kind = replace(CFG_EXC, device=replace(dev, window=replace(dev.window, kind="biolek")))
-    other_p = replace(CFG_EXC, device=replace(dev, window=replace(dev.window, p=5)))
-    equal_device = replace(CFG_EXC, device=MemristorParams())
-    assert equal_device.device == dev and equal_device.device is not dev
-    assert cost(config=equal_device) == 0
-    assert cost(dt=DT / 2) > 0
-    assert cost(duration=2e-3) > 0
-    assert cost(v=3.5) > 0
-    assert cost(config=CFG_INH) == 0
-    assert cost(config=other_device) > 0
-    assert cost(config=other_kind) > 0
-    assert cost(config=other_p) > 0
-    monkeypatch.setattr(K, "SEGMENT_TOL", 1e-10)
-    assert cost() > 0
-    monkeypatch.setattr(K, "SEGMENT_TOL", 1e-12)
-    assert cost() == 0
-    repatched = counting(monkeypatch)
-    cost()
-    assert repatched[0] > 0
+        assert first.w == again.w == (w1, w2), step.__name__
+        assert first.w != base.w
