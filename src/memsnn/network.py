@@ -20,15 +20,15 @@ configurations give bit-identical results.
 Each distinct synapse frame is stepped once per run.  A synapse's frame is
 a function of its state `w` (the excitatory-frame branch-1 pair, a tuple),
 its pre's trace and fire, and the post's trace and fire (the post PWM
-width), given the run's config.  Each frame groups the synapses on exactly
-that key (float equality).  The network's memo maps a key to its frame's new
-state, transmitted output and weight; a group found there takes them, and
-any other steps its lowest-index synapse and enters the result, which every
-member takes: what stepping it would give, bit for bit.  Misses step slot by
-slot in index order, so a fault names the synapse that stepping each one
-would have named, and no faulting state is entered.  The memo is emptied at
-a frame start once it holds over MEMO_ENTRIES results.  The experiments
-likewise set up one fresh synapse and copy its state.
+width), given the run's config.  The network's memo maps that key (float
+equality) to the frame's new state, transmitted output and weight.  A frame
+visits the synapses in index order: one whose key the memo holds takes the
+entry, so synapses in lockstep within a frame share one stepping, and any
+other steps its whole frame, all three slots, and enters the result.  So a
+fault names the lowest-index synapse whose frame faults, at the first slot
+of that frame that faults, and no faulting state is entered.  The memo is
+emptied at a frame start once it holds over MEMO_ENTRIES results.  The
+experiments likewise set up one fresh synapse and copy its state.
 """
 from __future__ import annotations
 
@@ -69,9 +69,6 @@ class StimulusProgram:
             if pre < 0:
                 raise ConfigError("pre index must be >= 0")
         return self
-
-    def pres_firing(self, epoch_frame: int) -> tuple[int, ...]:
-        return tuple(p for f, p in self.schedule if f == epoch_frame)
 
     @classmethod
     def empty(cls, epoch_frames: int, n_epochs: int = 1) -> "StimulusProgram":
@@ -138,15 +135,31 @@ class Network:
         sampled = v_cp * math.exp(-slot / tp.tau)
         return pwm_encode(tp, sampled, slot, False)
 
-    def _step_synapse_segments(self, si: int, segments, slot_idx: int):
-        v_cc = self.config.lif.v_cc
+    def _step_frame(self, si: int, pre_fired: bool, post_fired: bool, width_b: float):
+        """Step synapse si through its whole frame: slot 0 transmits if its
+        pre fired, slots 1 and 2 drive its `differential_frame` segments.
+        Returns the new state, transmitted output and weight.  A fault names
+        its slot (slot 2 for a non-finite weight) and the synapse."""
+        cfg = self.config
+        dt, slot, v_cc = cfg.clock.dt, cfg.clock.slot_width, cfg.lif.v_cc
+        syn = self.synapses[si]
+        frame_segments = differential_frame(
+            pre_fired, post_fired, self._sample_width(self.pre_traces[si], pre_fired),
+            width_b, v_cc, slot)
+        slot_idx = 0
         try:
-            for duration, v in segments:
-                if abs(v) > 2.0 * v_cc + 1e-9:
-                    raise SimulationFault(f"differential drive {v} exceeds 2*v_cc")
-                self.synapses[si].drive(v, self.config.clock.dt, duration)
+            v_out = syn.transmit(v_cc, dt, duration=slot) if pre_fired else 0.0
+            for slot_idx, segments in enumerate(frame_segments, 1):
+                for duration, v in segments:
+                    if abs(v) > 2.0 * v_cc + 1e-9:
+                        raise SimulationFault(f"differential drive {v} exceeds 2*v_cc")
+                    syn.drive(v, dt, duration)
+            weight = syn.weight()
+            if not math.isfinite(weight):
+                raise SimulationFault("non-finite synapse state")
         except SimulationFault as exc:
             raise SimulationFault(f"slot {slot_idx}, synapse {si}: {exc}") from None
+        return syn.w, v_out, weight
 
     # -- frame execution ----------------------------------------------------
 
@@ -173,17 +186,9 @@ class Network:
     def _run_frame(self, forced_pre, forced_post, load_pre, load_post,
                    load_slot) -> FrameReport:
         cfg = self.config
-        dt, slot, v_cc = cfg.clock.dt, cfg.clock.slot_width, cfg.lif.v_cc
         frame_idx = self.frame
         t0 = frame_idx * cfg.clock.frame_width
         post = self.post
-
-        def inject_loads(after_slot: int):
-            if after_slot != load_slot:
-                return
-            self.pre_loaded.update(load_pre)
-            if load_post:
-                post.load_fire()
 
         # frame edge: forced commands arrive now; natural loads came from
         # comparator crossings during earlier frames.
@@ -197,64 +202,34 @@ class Network:
         post_v_edge = post.state.v_mp
         post_fired = post.trigger_tick(frame_edge=True)
 
-        # groups on every input of a synapse's frame (see the module
-        # docstring); those not in the memo are stepped on their lowest index
+        # each synapse's frame, keyed on all of its inputs (see the module
+        # docstring): a key the memo lacks is stepped on this synapse, and
+        # each synapse leaves the frame in its entry's state
         memo = self.memo
         if len(memo) > MEMO_ENTRIES:
             memo.clear()
-        groups = {}
-        for si, syn in enumerate(self.synapses):
-            key = (syn.w, self.pre_traces[si], si in fired, self.post_trace, post_fired)
-            groups.setdefault(key, []).append(si)
         width_b = self._sample_width(self.post_trace, post_fired)
-        stepped = [(key, m, differential_frame(m[0] in fired, post_fired,
-                                               self._sample_width(self.pre_traces[m[0]],
-                                                                  m[0] in fired),
-                                               width_b, v_cc, slot))
-                   for key, m in groups.items() if key not in memo]
+        results = []
+        for si, syn in enumerate(self.synapses):
+            pre = si in fired
+            key = (syn.w, self.pre_traces[si], pre, self.post_trace, post_fired)
+            result = memo.get(key)
+            if result is None:
+                result = memo[key] = self._step_frame(si, pre, post_fired, width_b)
+            syn.w = result[0]
+            results.append(result)
 
-        # slot 0: transmission.  Weighted outputs are evaluated from the
-        # entry weights, then the spike biases the synapse for the slot.
-        v_outs = {}
-        for key, members, _ in stepped:
-            si = members[0]
-            v_outs[key] = 0.0
-            if si in fired:
-                try:
-                    v_outs[key] = self.synapses[si].transmit(v_cc, dt, duration=slot)
-                except SimulationFault as exc:
-                    raise SimulationFault(f"slot 0, synapse {si}: {exc}") from None
-        post_inputs = [0.0] * cfg.n_pre
-        for key, members in groups.items():
-            v_out = v_outs[key] if key in v_outs else memo[key][1]
-            for m in members:
-                post_inputs[m] = v_out
-        post.integrate(post_inputs, slot)
-        post.trigger_tick(frame_edge=False)
-        inject_loads(0)
-
-        # slots 1 and 2: programming segments; the post membrane just leaks.
-        for slot_idx in (1, 2):
-            for _, members, segs in stepped:
-                self._step_synapse_segments(members[0], segs[slot_idx - 1], slot_idx)
-            post.integrate([0.0] * cfg.n_pre, slot)
+        # the post takes the outputs, weighted by the entry weights, in slot
+        # 0 and leaks through slots 1 and 2
+        post_inputs = [r[1] for r in results]
+        zeros = [0.0] * cfg.n_pre
+        for slot_idx in range(3):
+            post.integrate(zeros if slot_idx else post_inputs, cfg.clock.slot_width)
             post.trigger_tick(frame_edge=False)
-            inject_loads(slot_idx)
-
-        # a finite result enters the memo; each member leaves the frame in
-        # its group's state
-        for key, members, _ in stepped:
-            lead = self.synapses[members[0]]
-            weight = lead.weight()
-            if not math.isfinite(weight):
-                raise SimulationFault("non-finite synapse state")
-            memo[key] = (lead.w, v_outs[key], weight)
-        weights = [0.0] * cfg.n_pre
-        for key, members in groups.items():
-            w, _, weight = memo[key]
-            for m in members:
-                self.synapses[m].w = w
-                weights[m] = weight
+            if slot_idx == load_slot:
+                self.pre_loaded.update(load_pre)
+                if load_post:
+                    post.load_fire()
 
         # traces: held at v_p through the owner's firing frame, else decay
         # across the whole frame width.
@@ -264,9 +239,10 @@ class Network:
         self.post_trace = trace_step(cfg.trace, self.post_trace, post_fired, frame_w)
 
         self.frame += 1
+        # tuple of a list: tuple of a generator raised the memory peak
         return FrameReport(frame=frame_idx, t=t0, pre_fired=pre_fired,
                            post_fired=post_fired, post_v_mp_at_edge=post_v_edge,
-                           weights=tuple(weights))
+                           weights=tuple([r[2] for r in results]))
 
 
 @dataclass
@@ -297,9 +273,12 @@ def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
     weights = np.empty((program.n_epochs, n_syn))
     post_log = []
     first_fire_epoch = None
+    firing = {}  # epoch frame -> the pres scheduled in it
+    for f, p in program.schedule:
+        firing.setdefault(f, []).append(p)
     for epoch in range(program.n_epochs):
         for ef in range(program.epoch_frames):
-            report = net.run_frame(forced_pre=program.pres_firing(ef))
+            report = net.run_frame(forced_pre=firing.get(ef, ()))
             post_log.append((report.frame, report.t, report.post_v_mp_at_edge,
                              1 if report.post_fired else 0))
             if report.post_fired and first_fire_epoch is None:

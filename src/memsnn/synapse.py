@@ -64,6 +64,14 @@ class SynapseConfig(Params):
         if self.r1 != self.r2:
             raise ConfigError("r1 = r2")
         self.device.validate()
+        # every bridge starts with its devices on the bounds (fresh), where a
+        # window zero at both would hold them for good
+        win = self.device.window
+        f = K.window(win.kind, win.p, win.j)
+        if f(0.0, 1.0) == 0.0 and f(1.0, -1.0) == 0.0:
+            group = "vteam" if isinstance(self.device, VteamParams) else "device"
+            raise ConfigError(f"{group}.window.kind must be nonzero at the state bounds, "
+                              f"where every bridge starts: {win.kind!r} is zero at both")
         return self
 
     @property

@@ -371,3 +371,28 @@ def test_hysteresis_honours_vteam_device(tmp_path):
         assert data["R"][0] == pytest.approx(4500.0, rel=1e-12)
         assert np.all((data["R"] >= cfg["vteam.r_on"]) & (data["R"] <= cfg["vteam.r_off"]))
         assert np.ptp(data["w"]) > 0.0
+
+
+# each bridge experiment's argv, with the group whose window it reads
+BRIDGE_RUNS = [(("synapse-pd",), "device"), (("weak-strong-calibration",), "device"),
+               (("stdp-window",), "device"), (("stdp-window-vteam",), "vteam"),
+               (("pattern-learn", "--epochs", "1", "--init", "zero"), "device"),
+               (("pattern-learn", "--epochs", "1", "--init", "midpoint"), "device"),
+               (("pattern-learn", "--epochs", "1", "--set", "device.kind=vteam"), "vteam")]
+
+
+@pytest.mark.parametrize("kind", ["joglekar", "prodromakis", "strukov"])
+def test_bridge_refuses_a_window_zero_at_both_bounds(tmp_path, capsys, kind):
+    """These windows are zero at both state bounds, where a fresh bridge
+    starts, so its devices could never move: every bridge experiment exits
+    2 quoting the rule, at both inits, and writes no CSV.  The single-device
+    sweep still runs."""
+    for i, (argv, group) in enumerate(BRIDGE_RUNS):
+        out = tmp_path / str(i)
+        rc = main([*argv, "--set", f"{group}.window.kind={kind}", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {group}.window.kind must be nonzero at the state bounds")
+        assert not list(out.glob("*.csv"))
+    assert main(["hysteresis", "--set", f"device.window.kind={kind}",
+                 "--out", str(tmp_path / "sweep")]) == 0

@@ -395,6 +395,31 @@ def test_window_offsets_share_one_memo(monkeypatch):
     assert 0 < shared < in_frames[0]
 
 
+@pytest.mark.parametrize("init", ["zero", "midpoint"])
+@pytest.mark.parametrize("kind, epochs", [("zha", 300), ("biolek", 40), ("none", 40)])
+def test_dopant_bridge_keeps_its_total_depth(kind, epochs, init, monkeypatch):
+    """From the fresh corner w1 + w2 = D holds under every window a bridge
+    accepts, since each is symmetric under x -> 1 - x with the drive
+    reversed: to 1e-14 D after every frame of a pattern run.  It makes the
+    bridge current independent of the weight."""
+    cfg = network_config(load_config(None, [f"device.window.kind={kind}"]))
+    d = cfg.synapse.device.d
+    worst, frames = [0.0], [0]
+    run_frame = Network.run_frame
+
+    def checked(net, *args, **kwargs):
+        rep = run_frame(net, *args, **kwargs)
+        frames[0] += 1
+        worst[0] = max(worst[0], *(abs(w1 + w2 - d) for w1, w2 in
+                                   (syn.w for syn in net.synapses)))
+        return rep
+
+    monkeypatch.setattr(Network, "run_frame", checked)
+    res = pattern_learning(cfg, StimulusParams().program(epochs), init=init)
+    assert frames[0] == 10 * epochs and res.first_fire_epoch is not None
+    assert worst[0] <= 1e-14 * d
+
+
 def test_pattern_learning_rejects_bad_init():
     with pytest.raises(ConfigError):
         pattern_learning(make_config(n_pre=9), StimulusParams().program(1), init="random")
@@ -411,12 +436,21 @@ def test_stability_epoch_detects_settling():
 
 
 def test_fault_reports_frame_context():
-    from memsnn.errors import SimulationFault
+    # a frame with no drive finds the state non-finite at its weight check
     net = Network(make_config(n_pre=1))
     net.run_frame()
     net.synapses[0].w = (float("nan"), net.synapses[0].w[1])
-    with pytest.raises(SimulationFault, match="frame 1"):
+    with pytest.raises(SimulationFault,
+                       match="frame 1: slot 2, synapse 0: non-finite synapse state"):
         net.run_frame()
+    # each synapse steps its whole frame in index order: synapse 0's trace
+    # PWM in slot 1 faults before synapse 1's transmission in slot 0
+    net = Network(make_config(n_pre=2))
+    net.run_frame(forced_pre=(0,))
+    for syn in net.synapses:
+        syn.w = (float("nan"), syn.w[1])
+    with pytest.raises(SimulationFault, match="frame 1: slot 1, synapse 0: non-finite"):
+        net.run_frame(forced_pre=(1,))
     # a fault inside a lockstep group names the group's lowest index
     net = Network(make_config(n_pre=3))
     net.run_frame()
