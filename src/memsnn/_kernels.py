@@ -15,7 +15,7 @@ which takes `branch_rk4` substeps of at most dt and is kept as the tests'
 reference.  `sine_sweep` drives a single device for the hysteresis
 experiment with the same steps and step-size control, the drive evaluated
 at each stage's time.  All state is passed as scalars / preallocated
-float64 arrays.
+`array('d')` buffers.
 """
 import math
 from typing import Callable, NamedTuple

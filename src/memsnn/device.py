@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import _kernels as K
 from .errors import ConfigError, SimulationFault
@@ -188,20 +187,19 @@ class SineDrive:
 
 @dataclass
 class SweepSeries:
-    """Sampled (t, v, i, w, R) series from a drive sweep."""
+    """Sampled (t, v, i, w, R) series from a drive sweep, one `array('d')`
+    per column."""
 
-    t: np.ndarray
-    v: np.ndarray
-    i: np.ndarray
-    w: np.ndarray
-    r: np.ndarray
+    t: array
+    v: array
+    i: array
+    w: array
+    r: array
 
     def rows(self):
-        """The rows as Python floats, converted a block at a time, so that
+        """The rows as tuples of Python floats, read one at a time, so that
         no whole column is held as a list."""
-        cols = (self.t, self.v, self.i, self.w, self.r)
-        for k in range(0, len(self.t), 1024):
-            yield from zip(*(c[k:k + 1024].tolist() for c in cols))
+        return zip(self.t, self.v, self.i, self.w, self.r)
 
     HEADER = "t,v,i,w,R"
 
@@ -223,17 +221,15 @@ def hysteresis_sweep(params, state: MemristorState, drive: SineDrive,
         raise ConfigError("sample_every must be a positive integer")
     n_steps = int(round(duration / dt))
     n_samples = n_steps // sample_every + 1
-    t = np.empty(n_samples)
-    v = np.empty(n_samples)
-    i = np.empty(n_samples)
-    w = np.empty(n_samples)
-    r = np.empty(n_samples)
+    t, v, i, w, r = cols = [array("d", [0.0]) * n_samples for _ in range(5)]
     try:
         count = params.sine_sweep(state.w, float(state.orientation), drive.amplitude,
                                   drive.freq, duration, dt, sample_every,
                                   params.law, *params.state_range, t, v, i, w, r)
     except OverflowError:
         raise SimulationFault("device rate overflow during sweep") from None
-    if not np.all(np.isfinite(w[:count])):
+    for c in cols:
+        del c[count:]
+    if not all(map(math.isfinite, w)):
         raise SimulationFault("non-finite state during sweep")
-    return SweepSeries(t[:count], v[:count], i[:count], w[:count], r[:count])
+    return SweepSeries(*cols)

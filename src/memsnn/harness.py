@@ -22,12 +22,11 @@ import argparse
 import hashlib
 import itertools
 import math
+import numbers
 import sys
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from .device import (MemristorParams, MemristorState, SineDrive, VteamParams, dwdt,
                      hysteresis_sweep)
@@ -305,8 +304,9 @@ def _column(x):
     every cell of the column must have (None: any number)."""
     if isinstance(x, str):
         return "%s", str
-    if isinstance(x, (int, np.integer)):  # bool is an int
-        return "%d", (int, np.integer)
+    if isinstance(x, numbers.Integral):  # bool and numpy's integers register
+        # int first: every cell is checked, and an ABC's check costs 8x a type's
+        return "%d", (int, numbers.Integral)
     return "%.9g", None
 
 
@@ -315,11 +315,12 @@ def write_csv(path: Path, header: str, rows) -> Path:
     return `path`.
 
     Each column's format is chosen from its first cell: a string as it is,
-    an integer (bool and numpy's too) in decimal, any other number to 9
-    significant digits.  A later cell of another type in a string or integer
-    column raises TypeError, since `%d` would truncate a float.  Rows are
-    formatted and written CSV_BLOCK at a time, so a long row source, such as
-    `SweepSeries.rows()`, is never held whole as lines, text or bytes.
+    a `numbers.Integral` (bool and numpy's integers too) in decimal, any
+    other number to 9 significant digits.  A later cell of another type in a
+    string or integer column raises TypeError, since `%d` would truncate a
+    float.  Rows are formatted and written CSV_BLOCK at a time, so a long row
+    source, such as `SweepSeries.rows()`, is never held whole as lines, text
+    or bytes.
     """
     rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as out:
@@ -388,14 +389,20 @@ def run_switch_rate(cfg: Config, outdir: Path) -> list[Path]:
     params = cfg.group(MemristorParams)
     sr = cfg.group(SwitchRateParams)
     w = sr.w_frac * params.d
-    # Python floats, whose power law raises OverflowError where numpy's gives inf
-    currents = np.geomspace(sr.i_min, sr.i_max, sr.points)
-    rows = [(i, dwdt(params, MemristorState(w=w), i)) for i in currents.tolist()]
+    # log-spaced as numpy's geomspace spaces them, with exact endpoints
+    lo = math.log10(sr.i_min)
+    step = (math.log10(sr.i_max) - lo) / max(sr.points - 1, 1)
+    currents = [10.0 ** (k * step + lo) for k in range(sr.points)]
+    currents[0] = sr.i_min
+    if sr.points > 1:
+        currents[-1] = sr.i_max
+    rows = [(i, dwdt(params, MemristorState(w=w), i)) for i in currents]
     files = [write_csv(outdir / "switch_rate.csv", "i,rate", rows)]
     # rate surface over the state range, both current signs
     surf = []
-    for frac in np.linspace(0.0, 1.0, 21):
-        for i in np.concatenate([-currents[::6][::-1], currents[::6]]).tolist():
+    signed = [-i for i in reversed(currents[::6])] + currents[::6]
+    for frac in [k * 0.05 for k in range(20)] + [1.0]:
+        for i in signed:
             surf.append((frac, i, dwdt(params, MemristorState(w=frac * params.d), i)))
     files.append(write_csv(outdir / "switch_rate_surface.csv", "w_over_d,i,rate", surf))
     return files
@@ -483,10 +490,9 @@ def run_stdp_window_vteam(cfg: Config, outdir: Path) -> list[Path]:
 def run_pattern_learn(cfg: Config, outdir: Path) -> list[Path]:
     stim = cfg.group(StimulusParams).program(cfg["pattern.epochs"])
     result = pattern_learning(network_config(cfg), stim, init=cfg["pattern.init"])
-    n_syn = result.weights_per_epoch.shape[1]
+    n_syn = len(result.final_weights)
     header = "epoch," + ",".join(f"psi_{i + 1}" for i in range(n_syn))
-    rows = [(e + 1, *result.weights_per_epoch[e])
-            for e in range(result.weights_per_epoch.shape[0])]
+    rows = [(e + 1, *w) for e, w in enumerate(result.weights_per_epoch)]
     files = [write_csv(outdir / "weights.csv", header, rows)]
     files.append(write_csv(outdir / "post_log.csv", "frame,t,fired",
                            [(f, t, fired) for f, t, _, fired in result.post_log]))

@@ -32,10 +32,10 @@ experiments likewise set up one fresh synapse and copy its state.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .errors import ConfigError, SimulationFault
 from .neuron import LifNeuron, LifParams
@@ -249,10 +249,10 @@ class Network:
 class SimulationResult:
     """Per-epoch weight samples, the post event log and what they show."""
 
-    weights_per_epoch: np.ndarray          # (n_epochs, n_synapses)
+    weights_per_epoch: list[tuple[float, ...]]  # one n_synapses tuple per epoch
     post_log: list                         # (frame, t, v_mp_at_edge, fired)
     first_fire_epoch: int | None
-    final_weights: np.ndarray
+    final_weights: tuple[float, ...]       # the last epoch's, or the init's
     stability_epoch: int | None            # see stability_epoch()
     pattern_pres: tuple[int, ...]          # the pres of the earliest scheduled frame
     noise_pres: tuple[int, ...]            # the other pres
@@ -270,7 +270,7 @@ def run_simulation(config: NetworkConfig, program: StimulusProgram) -> Simulatio
 
 def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
     n_syn = len(net.synapses)
-    weights = np.empty((program.n_epochs, n_syn))
+    weights = []
     post_log = []
     first_fire_epoch = None
     firing = {}  # epoch frame -> the pres scheduled in it
@@ -283,7 +283,7 @@ def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
                              1 if report.post_fired else 0))
             if report.post_fired and first_fire_epoch is None:
                 first_fire_epoch = epoch
-        weights[epoch] = report.weights  # every epoch has a frame (validate)
+        weights.append(report.weights)  # every epoch has a frame (validate)
     if program.schedule:
         first_frame = min(f for f, _ in program.schedule)
         pattern = tuple(sorted({p for f, p in program.schedule if f == first_frame}))
@@ -291,8 +291,7 @@ def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
         pattern = ()
     return SimulationResult(weights_per_epoch=weights, post_log=post_log,
                             first_fire_epoch=first_fire_epoch,
-                            final_weights=weights[-1] if program.n_epochs
-                            else np.array(net.weights()),
+                            final_weights=weights[-1] if weights else net.weights(),
                             stability_epoch=stability_epoch(weights), pattern_pres=pattern,
                             noise_pres=tuple(i for i in range(n_syn) if i not in pattern))
 
@@ -372,19 +371,23 @@ class StimulusParams(Params):
                                n_epochs=n_epochs)
 
 
-def stability_epoch(weights: np.ndarray, window: int = 20, tol: float = 0.005) -> int | None:
+def stability_epoch(weights, window: int = 20, tol: float = 0.005) -> int | None:
     """First epoch after which every weight stays within tol of its trailing
-    mean over `window` epochs, through the end of the run."""
-    n = weights.shape[0]
+    mean over `window` epochs, through the end of the run.
+
+    `weights` holds one row of weights per epoch.  Each window's column sum
+    adds the column in epoch order, one `+` at a time: `sum()` compensates
+    from Python 3.12 on, and a sliding sum rounds differently.
+    """
+    n = len(weights)
     if n < window:
         return None
-    stable = np.zeros(n, dtype=bool)
-    for e in range(window - 1, n):
-        mean = weights[e - window + 1:e + 1].mean(axis=0)
-        stable[e] = bool(np.all(np.abs(weights[e] - mean) <= tol))
+    columns = list(zip(*weights))
     last_bad = -1
     for e in range(window - 1, n):
-        if not stable[e]:
+        a = e - window + 1
+        if not all(abs(c[e] - functools.reduce(operator.add, c[a:e + 1]) / window) <= tol
+                   for c in columns):
             last_bad = e
     first = last_bad + 1
     if first >= n:

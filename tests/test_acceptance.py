@@ -15,6 +15,7 @@ from memsnn.network import (NetworkConfig, StimulusParams, pattern_learning,
 from memsnn.synapse import SynapseAssembly, SynapseConfig
 
 from test_device import lobe_area
+from test_network import numpy_stability_epoch
 from test_synapse import nodal_weight, assembly_at
 
 P = MemristorParams()
@@ -63,7 +64,7 @@ def test_criterion_1_power_law_switching():
 def test_criterion_2_hysteresis():
     t0 = time.perf_counter()
     soft = hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), 0.2, 1e-5, 10)
-    v, i = soft.v, soft.i
+    v, i = np.asarray(soft.v), np.asarray(soft.i)
     idx = np.where(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
     worst = max(abs(i[k] + v[k] / (v[k] - v[k + 1]) * (i[k + 1] - i[k])) for k in idx)
     area = lobe_area(soft)
@@ -72,7 +73,7 @@ def test_criterion_2_hysteresis():
     n_per = (len(hard.t) - 1) // 2
     coverage = []
     for c in range(2):
-        r = hard.r[c * n_per:(c + 1) * n_per + 1]
+        r = np.asarray(hard.r)[c * n_per:(c + 1) * n_per + 1]
         coverage.append((r.max() - r.min()) / (P.r_off - P.r_on))
     elapsed = time.perf_counter() - t0
 
@@ -185,11 +186,12 @@ def test_criterion_6_pattern_learning_zero_init(pattern_runs):
     first = zero.first_fire_epoch + 1  # 1-based epoch count
     pat = list(zero.pattern_pres)
     noi = list(zero.noise_pres)
-    gap = zero.final_weights[pat].min() - zero.final_weights[noi].max()
-    last50 = np.abs(np.diff(zero.weights_per_epoch[-51:], axis=0)).max()
+    final, per_epoch = np.asarray(zero.final_weights), np.asarray(zero.weights_per_epoch)
+    gap = final[pat].min() - final[noi].max()
+    last50 = np.abs(np.diff(per_epoch[-51:], axis=0)).max()
     # separation stays put (non-decreasing) once converged
-    sep = (zero.weights_per_epoch[-50:, pat].min(axis=1)
-           - zero.weights_per_epoch[-50:, noi].max(axis=1))
+    sep = (per_epoch[-50:, pat].min(axis=1)
+           - per_epoch[-50:, noi].max(axis=1))
     assert np.all(np.diff(sep) >= -1e-4)
     assert first > 5
     assert first <= 50
@@ -205,7 +207,9 @@ def test_criterion_7_pattern_learning_midpoint_init(pattern_runs):
     zero, mid, _, t_mid = pattern_runs
     assert zero.stability_epoch is not None and mid.stability_epoch is not None
     assert mid.stability_epoch < zero.stability_epoch
-    map_diff = np.abs(zero.final_weights - mid.final_weights).max()
+    for run in (zero, mid):
+        assert run.stability_epoch == numpy_stability_epoch(np.asarray(run.weights_per_epoch))
+    map_diff = np.abs(np.asarray(zero.final_weights) - np.asarray(mid.final_weights)).max()
     assert map_diff <= 0.05
     assert t_mid < 120.0
     print(f"\nACCEPTANCE 7 PASS: stability epoch {mid.stability_epoch} < "
@@ -265,7 +269,8 @@ def test_criterion_9_engine_properties():
     # dt halving moves every logged weight by < 0.1% absolute
     from dataclasses import replace
     c = run_simulation(replace(cfg, clock=replace(cfg.clock, dt=cfg.clock.dt / 2)), stim)
-    dt_shift = np.max(np.abs(a.weights_per_epoch - c.weights_per_epoch))
+    dt_shift = np.max(np.abs(np.asarray(a.weights_per_epoch)
+                             - np.asarray(c.weights_per_epoch)))
     assert dt_shift < 1e-3
 
     # bridge weight matches the nodal-analysis oracle to 1e-12

@@ -169,12 +169,12 @@ def test_integrator_convergence_fourth_order():
 
 def test_sweep_zero_amplitude():
     series = hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(0.0, 10.0), 0.1, 1e-4, 10)
-    assert np.all(series.w == 5e-9)
-    assert np.all(series.i == 0.0)
+    assert np.all(np.asarray(series.w) == 5e-9)
+    assert np.all(np.asarray(series.i) == 0.0)
 
 
 def _crossing_currents(series):
-    v, i = series.v, series.i
+    v, i = np.asarray(series.v), np.asarray(series.i)
     idx = np.where(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
     out = []
     for k in idx:
@@ -185,7 +185,7 @@ def _crossing_currents(series):
 
 def lobe_area(series):
     """Sum of |enclosed area| per lobe, split at the drive zero crossings."""
-    v, i = series.v, series.i
+    v, i = np.asarray(series.v), np.asarray(series.i)
     cross = np.where(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
     bounds = [0, *cross, len(v) - 1]
     total = 0.0
@@ -205,7 +205,7 @@ def test_sweep_pinched_loop():
 def test_sweep_dt_convergence():
     a = hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), 0.1, 1e-5, 100)
     b = hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), 0.1, 5e-6, 200)
-    assert np.max(np.abs(a.w - b.w)) < 1e-3 * D
+    assert np.max(np.abs(np.asarray(a.w) - np.asarray(b.w))) < 1e-3 * D
 
 
 def fixed_step_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
@@ -271,10 +271,10 @@ def test_sweep_matches_fixed_step_oracle(monkeypatch):
             monkeypatch.setattr(K, "SEGMENT_TOL", tol)
             series = hysteresis_sweep(params, state, drive, duration, dt, every)
             assert np.array_equal(series.t, fine.t)
-            err = np.max(np.abs(series.w - fine.w)) / (hi - lo)
+            err = np.max(np.abs(np.asarray(series.w) - np.asarray(fine.w))) / (hi - lo)
             worst[tol] = max(worst[tol], err)
         # at the default tolerance, the last one set
-        assert err < np.max(np.abs(coarse.w - fine.w)) / (hi - lo), params
+        assert err < np.max(np.abs(np.asarray(coarse.w) - np.asarray(fine.w))) / (hi - lo), params
     assert worst[1e-8] > worst[1e-10] > worst[1e-12], worst
 
 

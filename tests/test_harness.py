@@ -1,16 +1,22 @@
+import os
 import signal
+import subprocess
+import sys
 import typing
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memsnn
 from memsnn import _kernels as K
-from memsnn.device import MemristorParams, VteamParams
+from memsnn.device import MemristorParams, MemristorState, VteamParams, dwdt
 from memsnn.errors import ConfigError
 from memsnn.harness import (EXPERIMENTS, GROUPS, RUNNERS, SCHEMA, ExperimentSpec,
                             SwitchRateParams, load_config, main, run_experiment,
-                            run_hysteresis, validate_config, vteam_variant)
+                            run_hysteresis, run_switch_rate, validate_config, vteam_variant,
+                            write_csv)
 from memsnn.network import StimulusParams
 from memsnn.params import Params
 from memsnn.synapse import SynapseConfig
@@ -396,3 +402,67 @@ def test_bridge_refuses_a_window_zero_at_both_bounds(tmp_path, capsys, kind):
         assert not list(out.glob("*.csv"))
     assert main(["hysteresis", "--set", f"device.window.kind={kind}",
                  "--out", str(tmp_path / "sweep")]) == 0
+
+
+# small budgets for every experiment; pattern-learn takes --epochs
+SMALL = ["--set", "hysteresis.pinched_cycles=1", "--set", "hysteresis.hard_cycles=1",
+         "--set", "hysteresis.hard_freq=10", "--set", "pd.cycles=1",
+         "--set", "stdp.max_offset=1", "--set", "stdp.settle_frames=2"]
+
+NO_NUMPY_RUN = """
+import sys
+from memsnn.harness import EXPERIMENTS, main
+runs = [[name] for name in EXPERIMENTS if name != "pattern-learn"]
+runs += [["pattern-learn", "--epochs", "2", "--init", init] for init in ("zero", "midpoint")]
+for k, argv in enumerate(runs):
+    if main(argv + sys.argv[2:] + ["--out", f"{sys.argv[1]}/{k}"]) != 0:
+        sys.exit(f"{argv} failed")
+print(len(runs), "numpy" in sys.modules)
+"""
+
+
+def test_runtime_imports_only_the_standard_library(tmp_path):
+    """The package runs without numpy: a fresh interpreter that imports the
+    harness and runs all 7 experiments (pattern-learn at both inits) has not
+    imported it.  A subprocess, since the tests themselves import numpy."""
+    env = {**os.environ, "PYTHONPATH": str(Path(memsnn.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN, str(tmp_path), *SMALL],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "8 False"  # runs, numpy imported
+
+
+def numpy_switch_rate(cfg, outdir):
+    """`run_switch_rate` with its currents and fractions spaced by numpy,
+    as they were before the package dropped it: the oracle of its spacing."""
+    params = cfg.group(MemristorParams)
+    sr = cfg.group(SwitchRateParams)
+    w = sr.w_frac * params.d
+    currents = np.geomspace(sr.i_min, sr.i_max, sr.points)
+    write_csv(outdir / "switch_rate.csv", "i,rate",
+              [(i, dwdt(params, MemristorState(w=w), i)) for i in currents.tolist()])
+    signed = np.concatenate([-currents[::6][::-1], currents[::6]]).tolist()
+    write_csv(outdir / "switch_rate_surface.csv", "w_over_d,i,rate",
+              [(frac, i, dwdt(params, MemristorState(w=frac * params.d), i))
+               for frac in np.linspace(0.0, 1.0, 21).tolist() for i in signed])
+
+
+def test_switch_rate_csvs_equal_numpy_spacing(tmp_path):
+    """switch-rate's log-spaced currents and linear fractions give the CSVs
+    that np.geomspace and np.linspace give, over a seeded grid of current
+    ranges, point counts (1 and 2 included) and device.q."""
+    rng = np.random.default_rng(22)
+    ours, theirs = tmp_path / "ours", tmp_path / "numpy"
+    ours.mkdir()
+    theirs.mkdir()
+    for k in range(200):
+        i_min = 10.0 ** rng.uniform(-8.0, -2.0)
+        points = (1, 2, 61, int(rng.integers(3, 200)))[k % 4]
+        cfg = load_config(None, [f"switchrate.i_min={i_min!r}",
+                                 f"switchrate.i_max={i_min * 10.0 ** rng.uniform(0.01, 4.0)!r}",
+                                 f"switchrate.points={points}",
+                                 f"device.q={int(rng.integers(1, 6))}"])
+        run_switch_rate(cfg, ours)
+        numpy_switch_rate(cfg, theirs)
+        for name in ("switch_rate.csv", "switch_rate_surface.csv"):
+            assert (ours / name).read_bytes() == (theirs / name).read_bytes(), (k, name)

@@ -7,9 +7,10 @@ import pytest
 
 from memsnn import network
 from memsnn.errors import ConfigError, SimulationFault
-from memsnn.harness import load_config, network_config, vteam_variant
+from memsnn.harness import load_config, main, network_config, vteam_variant
 from memsnn.network import (Network, NetworkConfig, StimulusParams, StimulusProgram,
                             pattern_learning, run_simulation, stability_epoch, stdp_window)
+from memsnn.neuron import LifNeuron
 from memsnn.plasticity import ClockParams
 from memsnn.synapse import SynapseAssembly, SynapseConfig
 from test_synapse import counted_drives, counting
@@ -79,7 +80,7 @@ def test_run_simulation_empty_program():
     assert res.first_fire_epoch is None and res.stability_epoch is None
     assert res.pattern_pres == () and res.noise_pres == (0, 1)
     assert all(row[3] == 0 for row in res.post_log)
-    assert np.all(res.weights_per_epoch == res.weights_per_epoch[0])
+    assert np.all(np.asarray(res.weights_per_epoch) == res.weights_per_epoch[0])
 
 
 def test_run_simulation_deterministic():
@@ -97,7 +98,8 @@ def test_dt_halving_changes_weights_below_tenth_percent():
     stim = StimulusProgram(schedule=((0, 0), (2, 1)), epoch_frames=4, n_epochs=6)
     a = run_simulation(make_config(n_pre=2, clock=ClockParams(dt=1e-5)), stim)
     b = run_simulation(make_config(n_pre=2, clock=ClockParams(dt=5e-6)), stim)
-    assert np.max(np.abs(a.weights_per_epoch - b.weights_per_epoch)) < 1e-3
+    assert np.max(np.abs(np.asarray(a.weights_per_epoch)
+                         - np.asarray(b.weights_per_epoch))) < 1e-3
 
 
 @pytest.mark.parametrize("variant", [lambda cfg: cfg, vteam_variant], ids=["proposed", "vteam"])
@@ -186,17 +188,17 @@ def test_zero_init_zeroes_either_polarity():
     """The zero init drives both polarities toward their zero-weight corner:
     the inhibitory weights are the exact negatives of the excitatory ones."""
     stim = StimulusProgram.empty(STOCK["stimulus.epoch_frames"], n_epochs=1)
-    exc = pattern_learning(make_config(n_pre=2), stim, init="zero").final_weights
-    inh = pattern_learning(make_config(n_pre=2, polarity="inhibitory"), stim,
-                           init="zero").final_weights
+    exc = np.asarray(pattern_learning(make_config(n_pre=2), stim, init="zero").final_weights)
+    inh = np.asarray(pattern_learning(make_config(n_pre=2, polarity="inhibitory"), stim,
+                                      init="zero").final_weights)
     assert np.all(exc > 0.0) and np.all(exc < 0.01)
     assert list(inh) == list(-exc)
 
 
 @pytest.mark.parametrize("init", ["zero", "midpoint"])
-def test_zero_epoch_run_reports_the_init_weights(init):
+def test_zero_epoch_run_reports_the_init_weights(init, tmp_path):
     """With no epoch run, the final weights are the ones the init left (about
-    0.0034 and 0.5), not 0."""
+    0.0034 and 0.5), not 0, and weights.csv still names all nine columns."""
     cfg = make_config(n_pre=9)
     res = pattern_learning(cfg, StimulusParams().program(n_epochs=0), init=init)
     first = SynapseAssembly.fresh(cfg.synapse)
@@ -204,7 +206,10 @@ def test_zero_epoch_run_reports_the_init_weights(init):
         first.drive(-4.0, cfg.clock.dt, duration=1.0)
     else:
         first.program_to_weight(0.5, tolerance=0.01, dt=cfg.clock.dt)
-    assert res.weights_per_epoch.shape == (0, 9)
+    assert len(res.weights_per_epoch) == 0
+    assert main(["pattern-learn", "--epochs", "0", "--init", init, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "weights.csv").read_text() == (
+        "epoch," + ",".join(f"psi_{i}" for i in range(1, 10)) + "\n")
     assert list(res.final_weights) == [first.weight()] * 9
     assert first.weight() == pytest.approx(0.0034 if init == "zero" else 0.5, abs=0.01)
 
@@ -425,6 +430,57 @@ def test_pattern_learning_rejects_bad_init():
         pattern_learning(make_config(n_pre=9), StimulusParams().program(1), init="random")
 
 
+def numpy_stability_epoch(weights, window=20, tol=0.005):
+    """`stability_epoch` as it was written with numpy: the oracle of the
+    pure-Python one, whose column sums must add in numpy's axis-0 order."""
+    n = weights.shape[0]
+    if n < window:
+        return None
+    stable = np.zeros(n, dtype=bool)
+    for e in range(window - 1, n):
+        mean = weights[e - window + 1:e + 1].mean(axis=0)
+        stable[e] = bool(np.all(np.abs(weights[e] - mean) <= tol))
+    last_bad = -1
+    for e in range(window - 1, n):
+        if not stable[e]:
+            last_bad = e
+    first = last_bad + 1
+    if first >= n:
+        return None
+    return max(first, window - 1)
+
+
+def test_stability_epoch_matches_numpy_oracle():
+    """Seeded weight walks whose steps shrink at drawn rates settle at many
+    epochs, or never: the pure-Python epoch equals the numpy one on each.
+    A deviation of exactly tol is stable, with tol one ulp smaller it is not,
+    fewer epochs than the window have no stable epoch, and the window's sums
+    add in epoch order."""
+    rng = np.random.default_rng(22)
+    seen = set()
+    for _ in range(1000):
+        n = int(rng.integers(0, 120))
+        scale = rng.uniform(1e-3, 2e-2) * np.exp(-np.arange(n) / rng.uniform(5.0, 60.0))
+        # two or more columns: numpy sums a single column pairwise
+        walk = np.cumsum(rng.standard_normal((n, int(rng.integers(2, 10)))) * scale[:, None],
+                         axis=0)
+        epoch = stability_epoch([tuple(row) for row in walk.tolist()])
+        assert epoch == numpy_stability_epoch(walk)
+        seen.add(epoch)
+    assert None in seen and len(seen) > 20
+    rows = [(0.0, 0.5)] * 19 + [(0.25, 0.5)]  # n == window
+    tol = 0.25 - 0.25 / 20
+    for t, expected in ((tol, 19), (math.nextafter(tol, 0.0), None)):
+        assert stability_epoch(rows, tol=t) == expected
+        assert numpy_stability_epoch(np.array(rows), tol=t) == expected
+    assert stability_epoch(rows[:19], tol=tol) is None
+    # the 1e-16s vanish one at a time against 1.0, in epoch order, so the
+    # mean is 0.05 exactly; summed in any other order they would not
+    rows = [(1.0, 0.0)] + [(1e-16, 0.0)] * 18 + [(0.0, 0.0)]
+    assert stability_epoch(rows, tol=0.05) == 19
+    assert numpy_stability_epoch(np.array(rows), tol=0.05) == 19
+
+
 def test_stability_epoch_detects_settling():
     flat = np.ones((60, 2))
     ramp = np.vstack([np.linspace(0, 1, 30), np.linspace(0, 1, 30)]).T
@@ -433,6 +489,28 @@ def test_stability_epoch_detects_settling():
     s = stability_epoch(w)
     assert s is not None and 25 <= s <= 50
     assert stability_epoch(np.vstack([np.linspace(0, 5, 60), np.linspace(0, 5, 60)]).T) is None
+
+
+def test_post_sums_its_inputs_in_synapse_order(monkeypatch):
+    """`LifNeuron.integrate` sums input by input, so the fire log depends on
+    the order: slot 0 hands it the transmitted outputs of a 3-pre network
+    with distinct weights in synapse index order."""
+    cfg = make_config(n_pre=3)
+    net = Network(cfg)
+    expected = []
+    for syn, target in zip(net.synapses, (0.2, 0.8, 0.5)):
+        syn.program_to_weight(target, tolerance=0.01, dt=cfg.clock.dt)
+        twin = SynapseAssembly.fresh(cfg.synapse)
+        twin.w = syn.w
+        expected.append(twin.transmit(cfg.lif.v_cc, cfg.clock.dt, duration=cfg.clock.slot_width))
+    assert len(set(expected)) == 3
+    seen = []
+    integrate = LifNeuron.integrate
+    monkeypatch.setattr(LifNeuron, "integrate",
+                        lambda self, inputs, dt: seen.append(list(inputs)) or integrate(
+                            self, inputs, dt))
+    net.run_frame(forced_pre=(0, 1, 2))
+    assert seen[0] == expected
 
 
 def test_fault_reports_frame_context():
