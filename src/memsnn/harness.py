@@ -466,11 +466,11 @@ def run_calibration(cfg: Config, outdir: Path) -> list[Path]:
 
 def _window_files(cfg: Config, outdir: Path, suffix: str) -> list[Path]:
     offsets = list(range(-cfg["stdp.max_offset"], cfg["stdp.max_offset"] + 1))
-    files = []
+    files, memo = [], {}  # excitatory-frame entries: both polarities share it
     for polarity in ("excitatory", "inhibitory"):
         ncfg = network_config(cfg, n_pre=1)
         ncfg = replace(ncfg, synapse=replace(ncfg.synapse, polarity=polarity))
-        rows = stdp_window(ncfg, offsets, settle_frames=cfg["stdp.settle_frames"])
+        rows = stdp_window(ncfg, offsets, settle_frames=cfg["stdp.settle_frames"], memo=memo)
         files.append(write_csv(outdir / f"stdp_window_{polarity}{suffix}.csv",
                                "dt_frames,dt_seconds,dpsi", rows))
     return files

@@ -21,14 +21,20 @@ Each distinct synapse frame is stepped once per run.  A synapse's frame is
 a function of its state `w` (the excitatory-frame branch-1 pair, a tuple),
 its pre's trace and fire, and the post's trace and fire (the post PWM
 width), given the run's config.  The network's memo maps that key (float
-equality) to the frame's new state, transmitted output and weight.  A frame
-visits the synapses in index order: one whose key the memo holds takes the
-entry, so synapses in lockstep within a frame share one stepping, and any
-other steps its whole frame, all three slots, and enters the result.  So a
-fault names the lowest-index synapse whose frame faults, at the first slot
-of that frame that faults, and no faulting state is entered.  The memo is
-emptied at a frame start once it holds over MEMO_ENTRIES results.  The
-experiments likewise set up one fresh synapse and copy its state.
+equality) to the frame's new state, transmitted output and weight, all in
+the excitatory frame: the network multiplies the output and the weight by
+its `synapse.sign` where it reads them, which is exact.  The state
+trajectory does not depend on polarity (see synapse.py), so networks whose
+configs differ at most in `synapse.polarity` may share one memo; where
+their posts fire differently the keys differ and the second simply misses.
+A frame visits the synapses in index order: one whose key the memo holds
+takes the entry, so synapses in lockstep within a frame share one stepping,
+and any other steps its whole frame, all three slots, and enters the
+result.  So a fault names the lowest-index synapse whose frame faults, at
+the first slot of that frame that faults, and no faulting state is entered.
+The memo is emptied at a frame start once it holds over MEMO_ENTRIES
+results.  The experiments likewise set up one fresh synapse and copy its
+state.
 """
 from __future__ import annotations
 
@@ -107,13 +113,19 @@ class Network:
     """One simulation instance; single-threaded stepping.
 
     Pre i drives synapse i.  A pre never integrates: a fire command only
-    latches it (`pre_loaded`) until the next frame edge.  Networks of one
-    config may share one frame `memo` (see the module docstring).
+    latches it (`pre_loaded`) until the next frame edge.  Networks whose
+    configs differ at most in `synapse.polarity` may share one frame `memo`:
+    its entries are excitatory-frame (see the module docstring).
     """
 
     def __init__(self, config: NetworkConfig, memo: dict | None = None):
         self.config = config.validate()
         self.memo = {} if memo is None else memo
+        # per-frame constants, derived once
+        clock = config.clock
+        self._dt, self._v_cc, self._sign = clock.dt, config.lif.v_cc, config.synapse.sign
+        self._slot, self._frame_width = clock.slot_width, clock.frame_width
+        self._slot_decay = math.exp(-self._slot / config.trace.tau)  # trace at the slot-1 start
         self.frame = 0  # the next frame's number
         self.synapses = [SynapseAssembly.fresh(config.synapse) for _ in range(config.n_pre)]
         self.post = LifNeuron(config.lif, n_inputs=config.n_pre)
@@ -129,19 +141,17 @@ class Network:
     def _sample_width(self, v_cp: float, fired: bool) -> float:
         """PWM width for this frame: trace sampled at the slot-1 start."""
         tp = self.config.trace
-        slot = self.config.clock.slot_width
         if fired:
-            return pwm_encode(tp, tp.v_p, slot, True)
-        sampled = v_cp * math.exp(-slot / tp.tau)
-        return pwm_encode(tp, sampled, slot, False)
+            return pwm_encode(tp, tp.v_p, self._slot, True)
+        return pwm_encode(tp, v_cp * self._slot_decay, self._slot, False)
 
     def _step_frame(self, si: int, pre_fired: bool, post_fired: bool, width_b: float):
         """Step synapse si through its whole frame: slot 0 transmits if its
         pre fired, slots 1 and 2 drive its `differential_frame` segments.
-        Returns the new state, transmitted output and weight.  A fault names
-        its slot (slot 2 for a non-finite weight) and the synapse."""
-        cfg = self.config
-        dt, slot, v_cc = cfg.clock.dt, cfg.clock.slot_width, cfg.lif.v_cc
+        Returns the memo entry: the new state and the excitatory-frame
+        transmitted output and weight.  A fault names its slot (slot 2 for a
+        non-finite weight) and the synapse."""
+        dt, slot, v_cc, sign = self._dt, self._slot, self._v_cc, self._sign
         syn = self.synapses[si]
         frame_segments = differential_frame(
             pre_fired, post_fired, self._sample_width(self.pre_traces[si], pre_fired),
@@ -159,7 +169,7 @@ class Network:
                 raise SimulationFault("non-finite synapse state")
         except SimulationFault as exc:
             raise SimulationFault(f"slot {slot_idx}, synapse {si}: {exc}") from None
-        return syn.w, v_out, weight
+        return syn.w, sign * v_out, sign * weight
 
     # -- frame execution ----------------------------------------------------
 
@@ -187,7 +197,7 @@ class Network:
                    load_slot) -> FrameReport:
         cfg = self.config
         frame_idx = self.frame
-        t0 = frame_idx * cfg.clock.frame_width
+        t0 = frame_idx * self._frame_width
         post = self.post
 
         # frame edge: forced commands arrive now; natural loads came from
@@ -219,12 +229,13 @@ class Network:
             syn.w = result[0]
             results.append(result)
 
-        # the post takes the outputs, weighted by the entry weights, in slot
-        # 0 and leaks through slots 1 and 2
-        post_inputs = [r[1] for r in results]
+        # the post takes the outputs, signed by the polarity, in slot 0 and
+        # leaks through slots 1 and 2
+        sign, slot = self._sign, self._slot
+        post_inputs = [sign * r[1] for r in results]
         zeros = [0.0] * cfg.n_pre
         for slot_idx in range(3):
-            post.integrate(zeros if slot_idx else post_inputs, cfg.clock.slot_width)
+            post.integrate(zeros if slot_idx else post_inputs, slot)
             post.trigger_tick(frame_edge=False)
             if slot_idx == load_slot:
                 self.pre_loaded.update(load_pre)
@@ -233,7 +244,7 @@ class Network:
 
         # traces: held at v_p through the owner's firing frame, else decay
         # across the whole frame width.
-        frame_w = cfg.clock.frame_width
+        frame_w = self._frame_width
         self.pre_traces = [trace_step(cfg.trace, v, si in fired, frame_w)
                            for si, v in enumerate(self.pre_traces)]
         self.post_trace = trace_step(cfg.trace, self.post_trace, post_fired, frame_w)
@@ -242,7 +253,7 @@ class Network:
         # tuple of a list: tuple of a generator raised the memory peak
         return FrameReport(frame=frame_idx, t=t0, pre_fired=pre_fired,
                            post_fired=post_fired, post_v_mp_at_edge=post_v_edge,
-                           weights=tuple([r[2] for r in results]))
+                           weights=tuple([sign * r[2] for r in results]))
 
 
 @dataclass
@@ -300,7 +311,7 @@ def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
 
 
 def stdp_window(config: NetworkConfig, offsets, settle_frames: int,
-                phase_slot: int | None = None):
+                phase_slot: int | None = None, memo: dict | None = None):
     """Weight change induced by exactly one pre/post spike pair per offset.
 
     For each frame offset a fresh network starts from the synapse state of
@@ -310,8 +321,10 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int,
     extinguished (`settle_frames` frames from the later spike's frame, that
     frame included), and the net weight change is recorded.  Returns rows
     (offset_frames, offset_seconds, d_weight).  The networks of all offsets
-    share one frame memo: the frames before the later spike repeat across
-    offsets.
+    share one frame memo, `memo` if given: the frames before the later spike
+    repeat across offsets.  Its entries are excitatory-frame, so the windows
+    of configs that differ at most in `synapse.polarity` may share it; at
+    the defaults the inhibitory window then steps no frame of its own.
 
     With phase_slot=None the fire commands arrive on the edges themselves;
     otherwise the triggers are loaded after that slot of the preceding frame,
@@ -326,7 +339,8 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int,
     # programming serves every offset
     programmed = SynapseAssembly.fresh(cfg.synapse)
     programmed.program_to_weight(cfg.synapse.sign * 0.5, tolerance=1e-3, dt=cfg.clock.dt)
-    rows, memo = [], {}
+    rows = []
+    memo = {} if memo is None else memo
     for off in offsets:
         net = Network(cfg, memo)
         net.synapses[0].w = programmed.w

@@ -41,8 +41,11 @@ class ClockParams(Params):
     def validate(self, prefix: str = ""):
         super().validate(prefix)  # positive before the division
         steps = self.slot_width / self.dt
+        if round(steps) < 1:  # else a slot under 1e-9 dt passes as 0 steps
+            raise ConfigError(f"at least one {prefix}dt per slot: "
+                              f"{prefix}dt <= 1 / {prefix}base_freq")
         if abs(steps - round(steps)) > 1e-9:
-            raise ConfigError("dt must divide the slot width")
+            raise ConfigError(f"{prefix}dt must divide the slot width")
         return self
 
     @property

@@ -298,6 +298,13 @@ BAD_VALUES = [
     ("switch-rate", "stimulus.pattern_frame=10", "scheduled frame 10 outside epoch of 10"),
     ("stdp-window", "network.n_pre=0", "network.n_pre >= 1"),
     ("pattern-learn", "stimulus.epoch_frames=0", "stimulus.epoch_frames >= 1"),
+    # from 1e14 Hz a slot is at most 1e-9 dt, which rounds to 0 within the
+    # divisibility check: both once ran, the pattern leaving every weight at rest
+    ("stdp-window", "clock.base_freq=1e15",
+     "at least one clock.dt per slot: clock.dt <= 1 / clock.base_freq"),
+    ("pattern-learn", "clock.base_freq=1e14",
+     "at least one clock.dt per slot: clock.dt <= 1 / clock.base_freq"),
+    ("stdp-window", "clock.dt=3e-5", "clock.dt must divide the slot width"),
 ]
 
 

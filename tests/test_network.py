@@ -1,6 +1,7 @@
 import math
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -373,12 +374,9 @@ def test_memo_keys_on_the_post_inputs(monkeypatch):
     assert len(memo) == 3
 
 
-def test_window_offsets_share_one_memo(monkeypatch):
-    """The networks of a window's offsets share one memo, so a window over
-    offsets 1-6 gives bit for bit the six single-offset windows, and its
-    frames cost fewer stage evaluations than theirs: each offset repeats the
-    frames of the shorter ones up to its post spike."""
-    calls = counting(monkeypatch)
+def counted_in_frames(monkeypatch, calls):
+    """The part of the counter `calls` spent inside `Network.run_frame`, so
+    a window's closed-loop programming is left out."""
     in_frames = [0]
     run_frame = Network.run_frame
 
@@ -390,6 +388,15 @@ def test_window_offsets_share_one_memo(monkeypatch):
             in_frames[0] += calls[0] - before
 
     monkeypatch.setattr(Network, "run_frame", counted)
+    return in_frames
+
+
+def test_window_offsets_share_one_memo(monkeypatch):
+    """The networks of a window's offsets share one memo, so a window over
+    offsets 1-6 gives bit for bit the six single-offset windows, and its
+    frames cost fewer stage evaluations than theirs: each offset repeats the
+    frames of the shorter ones up to its post spike."""
+    in_frames = counted_in_frames(monkeypatch, counting(monkeypatch))
     cfg = make_config(n_pre=1)
     offsets = list(range(1, 7))
     rows = stdp_window(cfg, offsets, SETTLE)
@@ -398,6 +405,65 @@ def test_window_offsets_share_one_memo(monkeypatch):
     assert [(o, t.hex(), d.hex()) for o, t, d in rows] == [
         (o, t.hex(), d.hex()) for o, t, d in single]
     assert 0 < shared < in_frames[0]
+
+
+def polarity_pair(cfg, n_pre):
+    exc = network_config(cfg, n_pre=n_pre)
+    return exc, replace(exc, synapse=replace(exc.synapse, polarity="inhibitory"))
+
+
+def hexed(rows):
+    return [(o, t.hex(), d.hex()) for o, t, d in rows]
+
+
+@pytest.mark.parametrize("phase_slot", [None, 0, 1, 2])
+@pytest.mark.parametrize("case", ["dopant", "vteam", "self-firing post"])
+def test_window_polarities_share_one_memo(case, phase_slot, monkeypatch):
+    """Memo entries are excitatory-frame, so the inhibitory window computed
+    on the excitatory window's memo, or the excitatory on the inhibitory's,
+    equals each computed on a memo of its own, bit for bit.  At the defaults
+    the second window steps no frame.  At lif.v_th=-0.01 the excitatory post
+    fires by itself in frame 2 and the inhibitory one does not: there the
+    keys differ and the second window steps frames of its own."""
+    cfg = load_config(None, ["lif.v_th=-0.01"] if case == "self-firing post" else [])
+    cfg = vteam_variant(cfg) if case == "vteam" else cfg
+    settle = cfg["stdp.settle_frames"]
+    offsets = [-2, -1, 0, 1, 2]
+    pair = polarity_pair(cfg, n_pre=1)
+    drives = counted_in_frames(monkeypatch, counted_drives(monkeypatch))
+    alone = [hexed(stdp_window(c, offsets, settle, phase_slot)) for c in pair]
+    for order in (pair, pair[::-1]):
+        memo = {}
+        first = stdp_window(order[0], offsets, settle, phase_slot, memo)
+        drives[0] = 0
+        second = stdp_window(order[1], offsets, settle, phase_slot, memo)
+        assert [hexed(first), hexed(second)] == (alone if order is pair else alone[::-1])
+        assert (drives[0] > 0) == (case == "self-firing post")
+
+
+def test_polarities_on_one_memo_weigh_exact_negatives(monkeypatch):
+    """An excitatory and an inhibitory 3-pre network under one forced pre
+    and post schedule: run on one memo, in either order, every frame's
+    weights are exact negatives, and the network that runs second takes
+    every frame from the memo and makes no `drive` call."""
+    schedule = [((f % 3,) if f % 4 else (0, 2), f % 5 == 2) for f in range(40)]
+    drives = counted_drives(monkeypatch)
+    pair = polarity_pair(STOCK, n_pre=3)
+    for order in (pair, pair[::-1]):
+        memo, runs = {}, []
+        for ncfg in order:
+            net = Network(ncfg, memo)
+            drives[0] = 0
+            runs.append([net.run_frame(forced_pre=pre, forced_post=post)
+                         for pre, post in schedule])
+        assert drives[0] == 0
+        exc, inh = runs if order is pair else runs[::-1]
+        assert [r.post_fired for r in exc] == [r.post_fired for r in inh] == [
+            post for _, post in schedule]
+        assert [[(-w).hex() for w in r.weights] for r in exc] == [
+            [w.hex() for w in r.weights] for r in inh]
+        assert all(w > 0.0 for r in exc for w in r.weights)
+        assert exc[-1].weights != exc[0].weights
 
 
 @pytest.mark.parametrize("init", ["zero", "midpoint"])
