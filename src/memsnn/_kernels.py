@@ -2,20 +2,24 @@
 
 Each device model has one rate law, built once from its constants by
 `dopant_law` or `vteam_law` with the boundary window picked by `window`.  A
-`Law` holds the law's four uses with the constants bound: the resistance
-R(w), the rate in the device's own frame, the rate under a voltage across
-the device alone, and the two rates of a bridge branch whose devices share
-one current.  Every kernel below takes the law, not its constants, so the
-same `branch_rk4` step and the same `sine_sweep` serve both models.
+`Law` holds the law's uses with the constants bound: the resistance R(w),
+the rate in the device's own frame, the rate under a voltage across the
+device alone, the two rates of a bridge branch whose devices share one
+current, and, for the dopant law only, the one-state rate of a branch on
+its manifold w1 + w2 = D.  Every kernel below takes the law, not its
+constants, so the same `branch_rk4` step and the same `sine_sweep` serve
+both models.
 
-Two drivers integrate a branch under constant drive: the error-controlled
-`branch_segment`, which takes embedded Dormand-Prince 5(4) steps no shorter
-than dt and serves every production path, and the fixed-step `branch_step`,
-which takes `branch_rk4` substeps of at most dt and is kept as the tests'
-reference.  `sine_sweep` drives a single device for the hysteresis
-experiment with the same steps and step-size control, the drive evaluated
-at each stage's time.  All state is passed as scalars / preallocated
-`array('d')` buffers.
+Three drivers integrate a branch under constant drive.  The
+error-controlled ones take embedded Dormand-Prince 5(4) steps no shorter
+than dt and serve every production path: `manifold_segment` integrates one
+device of a dopant branch on its manifold, where the branch current is
+constant, and `branch_segment` integrates both devices of any other pair.
+The fixed-step `branch_step` takes `branch_rk4` substeps of at most dt on
+both devices and is kept as the tests' reference.  `sine_sweep` drives a
+single device for the hysteresis experiment with the same steps and
+step-size control, the drive evaluated at each stage's time.  All state is
+passed as scalars / preallocated `array('d')` buffers.
 """
 import math
 from typing import Callable, NamedTuple
@@ -85,6 +89,10 @@ class Law(NamedTuple):
     # (dw1/dt, dw2/dt) of a branch (see branch_rk4): `rate` at each device's
     # drive, written out in one call, since it runs at every stage
     branch_rates: Callable
+    # for a law whose branch conserves w1 + w2 (see manifold_segment), the
+    # one-state rate: manifold_rate(o, r_series, v) is w -> dw/dt of the
+    # device of orientation o; None for a law whose branch does not
+    manifold_rate: Callable | None = None
 
 
 def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, win):
@@ -143,7 +151,29 @@ def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, win):
         return (k * (p if o1 * s >= 0.0 else -p) * win(x1, o1 * i),
                 k * (p if o2 * s >= 0.0 else -p) * win(x2, o2 * i))
 
-    return Law(resistance, rate, sweep_rate, branch_rates)
+    r_branch = r_on + r_off
+
+    def manifold_rate(o, r_series, v):
+        # on the manifold w1 + w2 = D the two devices' resistances sum to
+        # r_on + r_off, so the branch current, and with it the Joule power,
+        # is constant over a segment and only the window varies
+        i = v / (r_branch + r_series)
+        s = i / i0
+        p = a0 * abs(s) ** n
+        amp = k * (p if o * s >= 0.0 else -p)
+        direction = o * i
+
+        def rate(w):
+            x = w / d
+            if x < 0.0:
+                x = 0.0
+            elif x > 1.0:
+                x = 1.0
+            return amp * win(x, direction)
+
+        return rate
+
+    return Law(resistance, rate, sweep_rate, branch_rates, manifold_rate)
 
 
 def vteam_law(v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, win):
@@ -342,6 +372,64 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
         t += h
         h = max(h * grow, dt)
         a1, b1 = a7, b7
+
+
+def manifold_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, manifold_rate):
+    """branch_segment for a branch on its manifold: the device of
+    orientation -1 sits at (lo + hi) minus the other's state, and the law
+    keeps it there (w1 + w2 = D for the dopant law, whose windows are
+    symmetric under x -> 1 - x with the drive reversed).  The device of
+    orientation +1 is integrated alone, at its `manifold_rate`, with
+    branch_segment's steps, controller and NaN rules, and the other is
+    written as its mirror.  Choosing the device by orientation, not by
+    position, keeps a call on (w2, w1, o2, o1) the swap of this one."""
+    swap = o1 < 0.0
+    w = w2 if swap else w1
+    rate = manifold_rate(o2 if swap else o1, r_series, v)
+    tol = SEGMENT_TOL * (hi - lo)
+    t = 0.0
+    h = duration
+    k1 = rate(w)
+    while True:
+        last = h >= duration - t
+        if last:
+            h = duration - t
+        k2 = rate(w + h * (0.2 * k1))
+        k3 = rate(w + h * ((3 / 40) * k1 + (9 / 40) * k2))
+        k4 = rate(w + h * ((44 / 45) * k1 - (56 / 15) * k2 + (32 / 9) * k3))
+        k5 = rate(w + h * ((19372 / 6561) * k1 - (25360 / 2187) * k2
+                           + (64448 / 6561) * k3 - (212 / 729) * k4))
+        k6 = rate(w + h * ((9017 / 3168) * k1 - (355 / 33) * k2 + (46732 / 5247) * k3
+                           + (49 / 176) * k4 - (5103 / 18656) * k5))
+        y = w + h * ((35 / 384) * k1 + (500 / 1113) * k3 + (125 / 192) * k4
+                     - (2187 / 6784) * k5 + (11 / 84) * k6)
+        floor = h <= dt * (1.0 + 1e-9)
+        if not (floor and last):
+            k7 = rate(y)
+        if floor:
+            if math.isnan(y):
+                w = math.nan
+                break
+            grow = 2.0
+        else:
+            z = w + h * ((5179 / 57600) * k1 + (7571 / 16695) * k3 + (393 / 640) * k4
+                         - (92097 / 339200) * k5 + (187 / 2100) * k6 + (1 / 40) * k7)
+            err = _step_error(w, y, z, lo, hi)
+            if not math.isfinite(err):
+                w = math.nan
+                break
+            grow = _step_factor(err, tol)
+            if err > tol:
+                h = max(h * grow, dt)
+                continue
+        w = _clamp(y, lo, hi)
+        if last:
+            break
+        t += h
+        h = max(h * grow, dt)
+        k1 = k7
+    mirror = (lo + hi) - w
+    return (mirror, w) if swap else (w, mirror)
 
 
 def branch_rk4(w1, w2, h, o1, o2, r_series, v, rates):

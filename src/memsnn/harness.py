@@ -31,7 +31,8 @@ from pathlib import Path
 from .device import (MemristorParams, MemristorState, SineDrive, VteamParams, dwdt,
                      hysteresis_sweep)
 from .errors import ConfigError, SimulationFault
-from .network import NetworkConfig, StimulusParams, pattern_learning, stdp_window
+from .network import (NetworkConfig, StimulusParams, pattern_learning, stdp_window,
+                      window_start)
 from .neuron import LifParams
 from .params import AT_LEAST_ONE, NONNEGATIVE, POSITIVE, Params, key, one_of
 from .plasticity import ClockParams, TraceParams
@@ -323,6 +324,10 @@ def write_csv(path: Path, header: str, rows) -> Path:
     or bytes.
     """
     rows = iter(rows)
+    # an earlier run's output is unlinked, not truncated: truncating or
+    # replacing a file that holds data can block on flushing its old blocks
+    # (about 60 ms a file on ext4), where unlinking costs 0.02 ms
+    path.unlink(missing_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(header + "\n")
         block = list(itertools.islice(rows, CSV_BLOCK))
@@ -354,7 +359,9 @@ def write_manifest(outdir: Path, name: str, cfg: Config, files: list[Path]):
             while chunk := data.read(1 << 16):
                 sha.update(chunk)
         lines.append(f"sha256 {sha.hexdigest()}  {f.name}")
-    (outdir / "manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = outdir / "manifest"
+    manifest.unlink(missing_ok=True)  # not truncated: see write_csv
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # -- experiments ----------------------------------------------------------------
@@ -466,11 +473,14 @@ def run_calibration(cfg: Config, outdir: Path) -> list[Path]:
 
 def _window_files(cfg: Config, outdir: Path, suffix: str) -> list[Path]:
     offsets = list(range(-cfg["stdp.max_offset"], cfg["stdp.max_offset"] + 1))
-    files, memo = [], {}  # excitatory-frame entries: both polarities share it
+    ncfg = network_config(cfg, n_pre=1)
+    # the start state and the excitatory-frame memo entries do not depend on
+    # the polarity: both windows share them
+    files, memo, start = [], {}, window_start(ncfg)
     for polarity in ("excitatory", "inhibitory"):
-        ncfg = network_config(cfg, n_pre=1)
-        ncfg = replace(ncfg, synapse=replace(ncfg.synapse, polarity=polarity))
-        rows = stdp_window(ncfg, offsets, settle_frames=cfg["stdp.settle_frames"], memo=memo)
+        pcfg = replace(ncfg, synapse=replace(ncfg.synapse, polarity=polarity))
+        rows = stdp_window(pcfg, offsets, settle_frames=cfg["stdp.settle_frames"], memo=memo,
+                           start=start)
         files.append(write_csv(outdir / f"stdp_window_{polarity}{suffix}.csv",
                                "dt_frames,dt_seconds,dpsi", rows))
     return files

@@ -310,21 +310,36 @@ def _run_program(net: Network, program: StimulusProgram) -> SimulationResult:
 # -- timing-window experiment -------------------------------------------------
 
 
+def window_start(config: NetworkConfig) -> tuple[float, float]:
+    """The excitatory-frame state a timing window starts from: a fresh
+    synapse after one closed-loop programming to |weight| 0.5.  It does not
+    depend on `synapse.polarity`: the inhibitory programming compares and
+    pulses as the excitatory one does, each sign applied twice, so it ends
+    in the same state bit for bit."""
+    programmed = SynapseAssembly.fresh(config.synapse)
+    programmed.program_to_weight(config.synapse.sign * 0.5, tolerance=1e-3,
+                                 dt=config.clock.dt)
+    return programmed.w
+
+
 def stdp_window(config: NetworkConfig, offsets, settle_frames: int,
-                phase_slot: int | None = None, memo: dict | None = None):
+                phase_slot: int | None = None, memo: dict | None = None,
+                start: tuple[float, float] | None = None):
     """Weight change induced by exactly one pre/post spike pair per offset.
 
-    For each frame offset a fresh network starts from the synapse state of
-    one closed-loop programming to |weight| 0.5, a single pre spike and a
-    single post spike are placed `offset` frames apart (negative offsets mean
-    post first), the run continues until the traces have effectively
-    extinguished (`settle_frames` frames from the later spike's frame, that
-    frame included), and the net weight change is recorded.  Returns rows
+    For each frame offset a fresh network starts from the synapse state
+    `start` (by default `window_start(config)`: one programming serves every
+    offset), a single pre spike and a single post spike are placed `offset`
+    frames apart (negative offsets mean post first), the run continues until
+    the traces have effectively extinguished (`settle_frames` frames from
+    the later spike's frame, that frame included), and the net weight
+    change is recorded.  Returns rows
     (offset_frames, offset_seconds, d_weight).  The networks of all offsets
     share one frame memo, `memo` if given: the frames before the later spike
     repeat across offsets.  Its entries are excitatory-frame, so the windows
-    of configs that differ at most in `synapse.polarity` may share it; at
-    the defaults the inhibitory window then steps no frame of its own.
+    of configs that differ at most in `synapse.polarity` may share it, and
+    their `window_start`; at the defaults the inhibitory window then steps
+    no frame of its own.
 
     With phase_slot=None the fire commands arrive on the edges themselves;
     otherwise the triggers are loaded after that slot of the preceding frame,
@@ -335,15 +350,12 @@ def stdp_window(config: NetworkConfig, offsets, settle_frames: int,
         raise ConfigError("settle_frames >= 1")
     cfg = replace(config, n_pre=1).validate()
     frame_w = cfg.clock.frame_width
-    # fresh synapses are equal and programming is deterministic, so one
-    # programming serves every offset
-    programmed = SynapseAssembly.fresh(cfg.synapse)
-    programmed.program_to_weight(cfg.synapse.sign * 0.5, tolerance=1e-3, dt=cfg.clock.dt)
+    start = window_start(cfg) if start is None else start
     rows = []
     memo = {} if memo is None else memo
     for off in offsets:
         net = Network(cfg, memo)
-        net.synapses[0].w = programmed.w
+        net.synapses[0].w = start
         psi0 = net.synapses[0].weight()
         pre_frame = 1 + max(0, -off)
         post_frame = pre_frame + off

@@ -11,15 +11,26 @@ the resistors sit:
   the exact negative of the excitatory trajectory under the same drive.
 
 Programming and transmitted spikes both move the devices (reads are not
-free): a branch is integrated as a coupled two-state ODE with the branch
-current recomputed at every integrator stage.  Every production path,
-closed-loop programming included, integrates with `drive`'s error-controlled
-Dormand-Prince 5(4) segments; the fixed-step RK4 `apply_differential` is
-the oracle the tests check it against.  M3 is wired as M2 and M4 as M1, and
-r1 = r2, so the M3-M4 branch is branch 1 with its two devices swapped: the
-bridge state is the branch-1 pair (w1, w2), and M3, M4 are read as its
-mirror (w3 = w2, w4 = w1), which no state can break, so nothing checks it.
-Only this module knows it; the network engine assigns the pair or keys on it.
+free).  M3 is wired as M2 and M4 as M1, and r1 = r2, so the M3-M4 branch is
+branch 1 with its two devices swapped: the bridge state is the branch-1
+pair (w1, w2), and M3, M4 are read as its mirror (w3 = w2, w4 = w1), which
+no state can break, so nothing checks it.  Only this module knows it; the
+network engine assigns the pair or keys on it.
+
+Every production path, closed-loop programming included, integrates with
+`drive`'s error-controlled Dormand-Prince 5(4) segments.  The fixed-step
+RK4 `apply_differential` is the oracle the tests check it against; it
+integrates branch 1 as a coupled two-state ODE with the branch current
+recomputed at every stage.  For the dopant bridge that is one state too
+many: every dopant window is symmetric under x -> 1 - x with the drive
+reversed, so from the corner of `fresh` w1 + w2 = D holds, the devices'
+resistances sum to r_on + r_off, and the branch current is constant over
+a segment (the linear dopant drift of Strukov, Snider, Stewart & Williams,
+Nature 453:80-83, 2008).  On that manifold `drive` integrates M1 alone and
+writes M2 as D - w1, so every state it writes stays exactly on it.  Off it
+(a state set by hand or left by `apply_differential`), and for VTEAM
+devices, which split the branch voltage by their resistances, `drive`
+integrates the pair.
 
 Every bridge is held in the excitatory frame: an inhibitory bridge stores
 its excitatory twin's pair, its physical (w2, w1), and its polarity is only
@@ -90,7 +101,7 @@ class SynapseAssembly:
     """
 
     __slots__ = ("config", "w", "_lo", "_hi", "_o1", "_o2", "_r1", "_resistance", "_rates",
-                 "_sign")
+                 "_manifold_rate", "_sign")
 
     def __init__(self, config: SynapseConfig, w: tuple[float, float]):
         self.config = config
@@ -102,6 +113,7 @@ class SynapseAssembly:
         self._r1 = config.r1
         law = config.device.law
         self._resistance, self._rates = law.resistance, law.branch_rates
+        self._manifold_rate = law.manifold_rate
         self._sign = config.sign  # bound once: every weight() reads it
         for wi in self.w:
             if not (self._lo <= wi <= self._hi):
@@ -146,9 +158,9 @@ class SynapseAssembly:
 
         The M1-M2 branch with its series resistor integrates as a coupled
         pair sharing its branch current, with fixed-step RK4 substeps of at
-        most dt (see _integrate).  `duration`
-        defaults to one dt step.  No production path calls it: it is the
-        tests' reference integrator, the oracle `drive` is checked against.
+        most dt (see _integrate), from any pair.  `duration` defaults to one
+        dt step.  No production path calls it: it is the tests' reference
+        integrator, the oracle `drive` is checked against.
         """
         return self._integrate(v_ab, dt, duration, adaptive=False)
 
@@ -169,9 +181,14 @@ class SynapseAssembly:
         With r1 = r2 (SynapseConfig.validate) and M3, M4 wired as M2, M1,
         branch 2 solves branch 1's ODE with its two devices swapped, so
         integrating the pair steps all four devices; no other state exists
-        to fall out of mirror.  A non-finite state raises SimulationFault
-        before integrating.  The drivers are looked up in `_kernels` at
-        each call, so a patched or wrapped kernel is the one that runs.
+        to fall out of mirror.  The adaptive drive of a pair exactly on its
+        law's manifold (the device of orientation -1 at lo + hi minus the
+        other, which `fresh` and every such drive write) integrates the
+        device of orientation +1 alone (`_kernels.manifold_segment`); any
+        other pair, and every fixed-step drive, integrates both devices.  A
+        non-finite state raises SimulationFault before integrating.  The
+        drivers are looked up in `_kernels` at each call, so a patched or
+        wrapped kernel is the one that runs.
         """
         if not math.isfinite(v_ab):
             raise SimulationFault(f"non-finite drive voltage {v_ab!r}")
@@ -184,13 +201,16 @@ class SynapseAssembly:
         w1, w2 = self.w
         if not (math.isfinite(w1) and math.isfinite(w2)):
             raise SimulationFault(f"non-finite device state under {v_ab!r} V drive")
-        args = (w1, w2, self._lo, self._hi, duration, dt,
-                self._o1, self._o2, self._r1, v_ab, self._rates)
+        lo, hi, o1 = self._lo, self._hi, self._o1
+        args = (w1, w2, lo, hi, duration, dt, o1, self._o2, self._r1, v_ab)
         try:
-            if adaptive:
-                w1, w2 = K.branch_segment(*args)
+            if not adaptive:
+                w1, w2 = K.branch_step(self.config.device.branch_rk4, *args, self._rates)
+            elif self._manifold_rate is not None and (
+                    w2 == (lo + hi) - w1 if o1 > 0.0 else w1 == (lo + hi) - w2):
+                w1, w2 = K.manifold_segment(*args, self._manifold_rate)
             else:
-                w1, w2 = K.branch_step(self.config.device.branch_rk4, *args)
+                w1, w2 = K.branch_segment(*args, self._rates)
         except OverflowError:
             raise SimulationFault(f"device rate overflow under {v_ab!r} V drive") from None
         if adaptive and not (math.isfinite(w1) and math.isfinite(w2)):

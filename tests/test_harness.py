@@ -96,6 +96,21 @@ def test_rerun_identical_hashes(tmp_path):
     assert [l for l in m1 if l.startswith("sha256")] == [l for l in m2 if l.startswith("sha256")]
 
 
+@pytest.mark.parametrize("name", ["stdp-window", "weak-strong-calibration"])
+def test_rerun_into_one_directory_writes_the_same_bytes(tmp_path, name):
+    """A run into a directory that holds an earlier run's outputs writes
+    them anew: the same bytes, manifest included, also where the files left
+    there are longer than the new ones."""
+    assert main([name, "--out", str(tmp_path)]) == 0
+    first = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert "manifest" in first and len(first) > 1
+    for f in tmp_path.iterdir():
+        f.write_bytes(first[f.name] * 3)
+    for _ in range(2):
+        assert main([name, "--out", str(tmp_path)]) == 0
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == first
+
+
 def test_csv_format(tmp_path):
     files = run_experiment(ExperimentSpec(name="switch-rate", out_dir=str(tmp_path)))
     raw = files[0].read_bytes()

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from memsnn import network
+from memsnn import harness, network
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, main, network_config, vteam_variant
 from memsnn.network import (Network, NetworkConfig, StimulusParams, StimulusProgram,
@@ -441,6 +441,36 @@ def test_window_polarities_share_one_memo(case, phase_slot, monkeypatch):
         assert (drives[0] > 0) == (case == "self-firing post")
 
 
+@pytest.mark.parametrize("name", ["stdp-window", "stdp-window-vteam"])
+def test_window_experiment_programs_once(name, tmp_path, monkeypatch):
+    """A window experiment programs one synapse and starts both polarities'
+    windows from its state: the windows equal windows that each program
+    their own start, bit for bit, for both device kinds."""
+    programs = [0]
+    program = SynapseAssembly.program_to_weight
+
+    def counted(*args, **kwargs):
+        programs[0] += 1
+        return program(*args, **kwargs)
+
+    windows = []
+    window = network.stdp_window
+
+    def recorded(*args, **kwargs):
+        windows.append(hexed(window(*args, **kwargs)))
+        return windows[-1]
+
+    monkeypatch.setattr(SynapseAssembly, "program_to_weight", counted)
+    monkeypatch.setattr(harness, "stdp_window", recorded)
+    assert main([name, "--out", str(tmp_path)]) == 0
+    assert programs[0] == 1 and len(windows) == 2
+    cfg = vteam_variant(STOCK) if name == "stdp-window-vteam" else STOCK
+    offsets = range(-cfg["stdp.max_offset"], cfg["stdp.max_offset"] + 1)
+    alone = [hexed(window(c, offsets, cfg["stdp.settle_frames"]))
+             for c in polarity_pair(cfg, n_pre=1)]
+    assert programs[0] == 3 and windows == alone
+
+
 def test_polarities_on_one_memo_weigh_exact_negatives(monkeypatch):
     """An excitatory and an inhibitory 3-pre network under one forced pre
     and post schedule: run on one memo, in either order, every frame's
@@ -471,24 +501,24 @@ def test_polarities_on_one_memo_weigh_exact_negatives(monkeypatch):
 def test_dopant_bridge_keeps_its_total_depth(kind, epochs, init, monkeypatch):
     """From the fresh corner w1 + w2 = D holds under every window a bridge
     accepts, since each is symmetric under x -> 1 - x with the drive
-    reversed: to 1e-14 D after every frame of a pattern run.  It makes the
-    bridge current independent of the weight."""
+    reversed, and the engine integrates w1 alone: w2 is exactly D - w1
+    after every frame of a pattern run.  It makes the bridge current
+    independent of the weight."""
     cfg = network_config(load_config(None, [f"device.window.kind={kind}"]))
-    d = cfg.synapse.device.d
-    worst, frames = [0.0], [0]
+    lo, hi = cfg.synapse.device.state_range
+    off, frames = [0], [0]
     run_frame = Network.run_frame
 
     def checked(net, *args, **kwargs):
         rep = run_frame(net, *args, **kwargs)
         frames[0] += 1
-        worst[0] = max(worst[0], *(abs(w1 + w2 - d) for w1, w2 in
-                                   (syn.w for syn in net.synapses)))
+        off[0] += sum(w2 != (lo + hi) - w1 for w1, w2 in (syn.w for syn in net.synapses))
         return rep
 
     monkeypatch.setattr(Network, "run_frame", checked)
     res = pattern_learning(cfg, StimulusParams().program(epochs), init=init)
     assert frames[0] == 10 * epochs and res.first_fire_epoch is not None
-    assert worst[0] <= 1e-14 * d
+    assert off[0] == 0
 
 
 def test_pattern_learning_rejects_bad_init():

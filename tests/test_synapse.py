@@ -7,7 +7,7 @@ import pytest
 
 from memsnn import _kernels as K
 from memsnn.device import (MemristorParams, MemristorState, SineDrive, VteamParams,
-                           hysteresis_sweep)
+                           WindowSpec, hysteresis_sweep)
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
 from memsnn.plasticity import pwm_encode
@@ -299,6 +299,10 @@ def test_config_validation():
 
 
 ENGINE_CONFIGS = {"proposed": STOCK, "vteam": vteam_variant(STOCK)}
+# the segment driver `drive` takes from an on-manifold state, and the law's
+# rates it is handed: the dopant bridge conserves w1 + w2, VTEAM's does not
+SEGMENT_DRIVERS = {"proposed": ("manifold_segment", "manifold_rate"),
+                   "vteam": ("branch_segment", "branch_rates")}
 
 
 @pytest.mark.parametrize("polarity", [EXCITATORY, INHIBITORY])
@@ -335,7 +339,9 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
     """Branch 2 wires M3 as M2 and M4 as M1 with r2 = r1, so it is branch 1
     with its devices swapped, and the pair (w1, w2) is the whole bridge
     state: each kernel driver on (w2, w1, o2, o1) returns the swap of its
-    result on (w1, w2, o1, o2), bit for bit.  Both drivers, weak +-v_cc and
+    result on (w1, w2, o1, o2), bit for bit.  The dopant drive takes the
+    one-state driver, the other steps take the two-state ones.  Both
+    drivers, weak +-v_cc and
     strong +-2*v_cc drives over a slot, and a 10 ms -4 V drive back toward
     the fresh corner, which lands the VTEAM devices that were off their
     bounds onto them (the dopant window keeps its devices inside)."""
@@ -348,9 +354,9 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
     assert (-o1, -o2) == (o2, o1)
     lo, hi = sc.device.state_range
     calls = []
-    for name in ("branch_step", "branch_segment"):
-        def recorded(*args, _driver=getattr(K, name)):
-            calls.append((_driver, args))
+    for name in ("branch_step", "branch_segment", "manifold_segment"):
+        def recorded(*args, _name=name, _driver=getattr(K, name)):
+            calls.append((_name, _driver, args))
             return _driver(*args)
         monkeypatch.setattr(K, name, recorded)
     base = SynapseAssembly.fresh(sc)
@@ -365,7 +371,9 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
             w = syn.w
             calls.clear()
             step(syn, v, cfg.clock.dt, duration)
-            [(driver, args)] = calls
+            [(name, driver, args)] = calls
+            assert name == ("branch_step" if step is SynapseAssembly.apply_differential
+                            else SEGMENT_DRIVERS[kind][0])
             # the fixed-step driver's RK4 step leads, the law's rates close
             lead, rates = args[:-11], args[-1]
             assert args[-11:-1] == (*w, lo, hi, duration, cfg.clock.dt, o1, o2, sc.r1, v)
@@ -394,11 +402,12 @@ def test_device_members_set_corners_and_kernel_constants(kind, polarity, monkeyp
         assert syn.resistances() == (dev.r_on, dev.r_off, dev.r_off, dev.r_on)
     model = "vteam" if kind == "vteam" else "dopant"
     sweep = f"{model}_sine_sweep"
-    seen = {"branch_segment": set(), sweep: set()}
+    segment, rates_name = SEGMENT_DRIVERS[kind]
+    seen = {segment: set(), sweep: set()}
     # the law's rates follow (w1, w2, lo, hi, duration, dt, o1, o2, r1, v);
     # the law follows (w0, ..., sample_every), then the sweep's bounds and
     # five output arrays
-    for name, start, end in (("branch_segment", 10, None), (sweep, 7, -5)):
+    for name, start, end in ((segment, 10, None), (sweep, 7, -5)):
         def recorded(*args, _kernel=getattr(K, name), _seen=seen[name], _s=start, _e=end):
             _seen.add(args[_s:_e])
             return _kernel(*args)
@@ -407,9 +416,9 @@ def test_device_members_set_corners_and_kernel_constants(kind, polarity, monkeyp
     lo, hi = dev.state_range
     hysteresis_sweep(dev, MemristorState(w=0.5 * (lo + hi)), SineDrive(1.0, 10.0),
                      1e-3, 1e-5, 10)
-    [(rates,)] = seen["branch_segment"]
+    [(rates,)] = seen[segment]
     [(law, lo_seen, hi_seen)] = seen[sweep]
-    assert rates is law.branch_rates and law is dev.law is replace(dev).law
+    assert rates is getattr(law, rates_name) and law is dev.law is replace(dev).law
     assert (lo_seen, hi_seen) == (lo, hi)
 
 
@@ -526,23 +535,35 @@ def test_drive_error_falls_with_segment_tolerance(monkeypatch):
 
 
 def counting(monkeypatch, nan_from=math.inf):
-    """Count the stage evaluations of every device law's `branch_rates`:
-    each device class's `law` becomes one whose `branch_rates` counts, still
-    one law per distinct set of constants.  Assemblies bind the law when
-    built, so only those built after this call count.  From the
-    `nan_from`-th evaluation on, the rates are NaN."""
+    """Count the stage evaluations of every device law: its `branch_rates`
+    and the one-state rates its `manifold_rate` builds.  Each device class's
+    `law` becomes one whose rates count, still one law per distinct set of
+    constants.  Assemblies bind the law when built, so only those built
+    after this call count.  From the `nan_from`-th evaluation on, the rates
+    are NaN."""
     calls = [0]
     for cls in (MemristorParams, VteamParams):
         @functools.lru_cache(maxsize=None)
         def law(params, _law=cls.law.fget):
             built = _law(params)
-            rates = built.branch_rates
+            rates, manifold_rate = built.branch_rates, built.manifold_rate
 
             def counted(*args):
                 calls[0] += 1
                 return (math.nan, math.nan) if calls[0] >= nan_from else rates(*args)
 
-            return built._replace(branch_rates=counted)
+            def counted_manifold(*args):
+                rate = manifold_rate(*args)
+
+                def counted_rate(w):
+                    calls[0] += 1
+                    return math.nan if calls[0] >= nan_from else rate(w)
+
+                return counted_rate
+
+            return built._replace(
+                branch_rates=counted,
+                manifold_rate=None if manifold_rate is None else counted_manifold)
 
         monkeypatch.setattr(cls, "law", property(law))
     return calls
@@ -552,7 +573,8 @@ def counting(monkeypatch, nan_from=math.inf):
 def test_drive_is_the_integrated_drive(kind):
     """A drive, its repeat and a direct driver call on branch 1 with a law
     built apart from the device's shared one are bitwise equal, for both
-    device kinds and both drivers."""
+    device kinds, with the fixed-step driver and with the segment driver
+    the drive takes (the one-state one for the dopant bridge)."""
     cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
     sc = cfg.synapse
     dev = sc.device
@@ -566,17 +588,114 @@ def test_drive_is_the_integrated_drive(kind):
     else:
         law = K.dopant_law(dev.r_on, dev.r_off, dev.d, dev.mu_v, dev.a0, dev.i0, dev.q, window)
     assert law.branch_rates is not dev.law.branch_rates
-    rk4 = dev.branch_rk4  # the fixed-step driver's step; the segment driver takes none
+    rk4 = dev.branch_rk4  # the fixed-step driver's step; the segment drivers take none
     base = SynapseAssembly.fresh(sc)
     base.program_to_weight(0.5, tolerance=1e-3, dt=cfg.clock.dt)
     slot = 1.0 / cfg.clock.base_freq
-    for step, driver in zip(DRIVERS, ("branch_step", "branch_segment")):
+    drivers = (("branch_step", "branch_rates"), SEGMENT_DRIVERS[kind])
+    for step, (driver, rates) in zip(DRIVERS, drivers):
         first = base.copy()
         step(first, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
         again = base.copy()
         step(again, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
         lead = (rk4,) if driver == "branch_step" else ()
         w1, w2 = getattr(K, driver)(*lead, *base.w, lo, hi, slot, cfg.clock.dt,
-                                    o1, o2, sc.r1, 2 * cfg.lif.v_cc, law.branch_rates)
+                                    o1, o2, sc.r1, 2 * cfg.lif.v_cc, getattr(law, rates))
         assert first.w == again.w == (w1, w2), step.__name__
         assert first.w != base.w
+
+
+@pytest.mark.parametrize("kind", ["zha", "biolek", "none"])
+def test_one_state_segment_matches_the_two_state_one(kind):
+    """On the manifold w2 = D - w1 the one-state dopant driver keeps the
+    pair on it exactly and agrees with `branch_segment`: 4 000 seeded
+    segments from either corner or a drawn state, at +-1, +-2 and +-4 V, of
+    1e-5 s to 0.1 s, under every window a bridge accepts.  The one-state
+    driver picks its device by orientation, so a call with the devices and
+    orientations swapped returns the swapped pair bit for bit.  Where the two
+    take the same steps they agree within 2e-15 D (8.3e-16 D measured).
+    Their error estimates round apart, so a step near the tolerance may be
+    accepted by one and rejected by the other; then both results are
+    within the controller's tolerance of the solution.  That happens in 1
+    of the 12 000 segments (biolek, 2.1e-14 D apart)."""
+    dev = MemristorParams(window=WindowSpec(kind=kind))
+    law, d = dev.law, dev.d
+    o1, o2 = dev.ORIENTATIONS
+    stages = [0, 0]
+
+    def manifold_rate(*args):
+        rate = law.manifold_rate(*args)
+
+        def counted(w):
+            stages[0] += 1
+            return rate(w)
+
+        return counted
+
+    def branch_rates(*args):
+        stages[1] += 1
+        return law.branch_rates(*args)
+
+    rng = np.random.default_rng(24)
+    moved = apart = 0
+    for k in range(4000):
+        w1 = (0.0, d)[k % 2] if k % 4 < 2 else float(rng.uniform(0.0, d))
+        v = float(rng.choice([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0]))
+        duration = float(10.0 ** rng.uniform(-5.0, -1.0))
+        args = (w1, d - w1, 0.0, d, duration, DT, o1, o2, CFG_EXC.r1, v)
+        stages[:] = [0, 0]
+        got = K.manifold_segment(*args, manifold_rate)
+        want = K.branch_segment(*args, branch_rates)
+        assert got[1] == d - got[0], args
+        swapped = K.manifold_segment(d - w1, w1, 0.0, d, duration, DT, o2, o1, CFG_EXC.r1, v,
+                                     law.manifold_rate)
+        assert [x.hex() for x in swapped] == [x.hex() for x in got[::-1]], args
+        same_steps = stages[0] == stages[1]
+        apart += not same_steps
+        bound = 2e-15 if same_steps else K.SEGMENT_TOL
+        assert max(abs(a - b) for a, b in zip(got, want)) <= bound * d, args
+        moved += got[0] != w1
+    assert moved > 2500 and apart <= 2
+
+
+def test_off_manifold_pair_takes_the_two_state_driver(monkeypatch):
+    """A dopant pair off the manifold w2 = D - w1, by a whole share of the
+    range or by one ulp, is integrated as a two-state branch: `drive` gives
+    `branch_segment`'s result bit for bit and never calls the one-state
+    driver.  The fixed-step oracle is two-state for every pair."""
+    one_state = [0]
+    manifold_segment = K.manifold_segment
+
+    def counted(*args):
+        one_state[0] += 1
+        return manifold_segment(*args)
+
+    monkeypatch.setattr(K, "manifold_segment", counted)
+    dev = CFG_EXC.device
+    d, law = dev.d, dev.law
+    o1, o2 = dev.ORIENTATIONS
+    pairs = [(0.3 * d, 0.3 * d), (0.0, 0.0), (d, d), (0.6 * d, math.nextafter(0.4 * d, d))]
+    assert pairs[-1][1] != d - pairs[-1][0]
+    for w in pairs:
+        for v, duration in ((4.0, 0.01), (-2.0, 1e-3), (1.0, 0.05)):
+            got = SynapseAssembly(CFG_EXC, w).drive(v, DT, duration).w
+            want = K.branch_segment(*w, 0.0, d, duration, DT, o1, o2, CFG_EXC.r1, v,
+                                    law.branch_rates)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (w, v)
+            assert got != w
+    assert one_state[0] == 0
+    SynapseAssembly.fresh(CFG_EXC).drive(4.0, DT, 0.01)
+    assert one_state[0] == 1
+
+
+@pytest.mark.parametrize("device, fault", [({"i0": 1e-300}, "device rate overflow"),
+                                           ({"mu_v": 1e300}, "non-finite device state")])
+def test_drive_rate_overflow_faults(device, fault):
+    """A Joule power a0*|i/i0|^(2q-1) that overflows, or a rate prefactor
+    that does, raises SimulationFault from a pair on the manifold (one-state
+    driver) and off it (two-state driver) alike."""
+    cfg = replace(CFG_EXC, device=replace(CFG_EXC.device, **device))
+    d = cfg.device.d
+    for w in (cfg.device.corner_states, (0.3 * d, 0.3 * d)):
+        with pytest.raises(SimulationFault, match=fault):
+            SynapseAssembly(cfg, w).drive(4.0, DT, 0.01)
