@@ -3,23 +3,25 @@
 Each device model has one rate law, built once from its constants by
 `dopant_law` or `vteam_law` with the boundary window picked by `window`.  A
 `Law` holds the law's uses with the constants bound: the resistance R(w),
-the rate in the device's own frame, the rate under a voltage across the
-device alone, the two rates of a bridge branch whose devices share one
-current, and, for the dopant law only, the one-state rate of a branch on
-its manifold w1 + w2 = D.  Every kernel below takes the law, not its
+the rate in the device's own frame, the two rates of a bridge branch whose
+devices share one current, and two builders of one-state rates (w, t) ->
+dw/dt, each built once per drive: the rate under a sine voltage across the
+device alone and, for the dopant law only, the rate of a branch on its
+manifold w1 + w2 = D.  Every kernel below takes the law, not its
 constants, so the same `branch_rk4` step and the same `sine_sweep` serve
 both models.
 
-Three drivers integrate a branch under constant drive.  The
-error-controlled ones take embedded Dormand-Prince 5(4) steps no shorter
-than dt and serve every production path: `manifold_segment` integrates one
-device of a dopant branch on its manifold, where the branch current is
-constant, and `branch_segment` integrates both devices of any other pair.
-The fixed-step `branch_step` takes `branch_rk4` substeps of at most dt on
-both devices and is kept as the tests' reference.  `sine_sweep` drives a
-single device for the hysteresis experiment with the same steps and
-step-size control, the drive evaluated at each stage's time.  All state is
-passed as scalars / preallocated `array('d')` buffers.
+Two error-controlled drivers take embedded Dormand-Prince 5(4) steps no
+shorter than dt and serve every production path; they share one tableau,
+step-size controller and non-finite rule.  `segment` integrates one state
+under any one-state rate: `manifold_segment` calls it for one device of a
+dopant branch on its manifold, where the branch current is constant, and
+`sine_sweep` once per sample interval of the hysteresis experiment, the
+drive evaluated at each stage's time.  `branch_segment` integrates both
+devices of any other branch under constant drive.  The fixed-step
+`branch_step` takes `branch_rk4` substeps of at most dt on both devices and
+is kept as the tests' reference.  All state is passed as scalars /
+preallocated `array('d')` buffers.
 """
 import math
 from typing import Callable, NamedTuple
@@ -85,13 +87,16 @@ class Law(NamedTuple):
 
     resistance: Callable  # R(w)
     rate: Callable        # dw/dt at w under the device-frame drive
-    sweep_rate: Callable  # dw/dt at w under voltage v across the device alone
+    # sweep_rate(drive, omega) is (w, t) -> dw/dt under the voltage
+    # drive*sin(omega*t) across the device alone (see sine_sweep)
+    sweep_rate: Callable
     # (dw1/dt, dw2/dt) of a branch (see branch_rk4): `rate` at each device's
     # drive, written out in one call, since it runs at every stage
     branch_rates: Callable
     # for a law whose branch conserves w1 + w2 (see manifold_segment), the
-    # one-state rate: manifold_rate(o, r_series, v) is w -> dw/dt of the
-    # device of orientation o; None for a law whose branch does not
+    # one-state rate: manifold_rate(o, r_series, v) is (w, t) -> dw/dt of
+    # the device of orientation o under the constant drive v, t unused;
+    # None for a law whose branch does not
     manifold_rate: Callable | None = None
 
 
@@ -116,18 +121,24 @@ def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, win):
     def rate(w, i):
         return drift(clamped(w), i)
 
-    def sweep_rate(w, v):
-        # drift(clamped(w), v / resistance(w)), written out: this runs at
-        # every stage of the sine sweep
-        x = w / d
-        if x < 0.0:
-            x = 0.0
-        elif x > 1.0:
-            x = 1.0
-        i = v / (r_on * x + r_off * (1.0 - x))
-        s = i / i0
-        m = abs(s) ** n
-        return k * (a0 * m if s >= 0.0 else -(a0 * m)) * win(x, i)
+    def sweep_rate(drive, omega):
+        sin = math.sin
+
+        def swept(w, t):
+            # drift(clamped(w), v / resistance(w)) at v = drive*sin(omega*t),
+            # written out: this runs at every stage of the sine sweep
+            v = drive * sin(omega * t)
+            x = w / d
+            if x < 0.0:
+                x = 0.0
+            elif x > 1.0:
+                x = 1.0
+            i = v / (r_on * x + r_off * (1.0 - x))
+            s = i / i0
+            m = abs(s) ** n
+            return k * (a0 * m if s >= 0.0 else -(a0 * m)) * win(x, i)
+
+        return swept
 
     def branch_rates(w1, w2, o1, o2, r_series, v):
         # drift(clamped(w1), o1*i), drift(clamped(w2), o2*i), written out:
@@ -163,7 +174,7 @@ def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, win):
         amp = k * (p if o * s >= 0.0 else -p)
         direction = o * i
 
-        def rate(w):
+        def on_manifold(w, t):
             x = w / d
             if x < 0.0:
                 x = 0.0
@@ -171,7 +182,7 @@ def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, win):
                 x = 1.0
             return amp * win(x, direction)
 
-        return rate
+        return on_manifold
 
     return Law(resistance, rate, sweep_rate, branch_rates, manifold_rate)
 
@@ -237,7 +248,10 @@ def vteam_law(v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, w
             r2 = 0.0
         return r1, r2
 
-    return Law(resistance, rate, rate, branch_rates)
+    def sweep_rate(drive, omega):
+        return lambda w, t: rate(w, drive * math.sin(omega * t))
+
+    return Law(resistance, rate, sweep_rate, branch_rates)
 
 
 # Local error tolerance of the segment integrators, as a fraction of the
@@ -282,9 +296,10 @@ def _step_factor(err, tol):
     sec. II.4-II.5); the step keeps the 5th-order solution when the estimate
     is within tol (see _step_error for the state bounds).  The step never
     shrinks below the reference step dt, and a step of at most dt is taken
-    without an estimate and always accepted, so a segment (or a sweep's
-    sample interval) never needs more accepted steps than fixed-step RK4 at
-    dt and always terminates.
+    without an estimate and always accepted, so a call of `segment` or
+    `branch_segment` never needs more accepted steps than fixed-step RK4 at
+    dt and always terminates.  A step whose solution or estimate is
+    non-finite ends either driver at once, with a NaN state.
     """
     if err == 0.0:
         return 4.0
@@ -310,15 +325,64 @@ def branch_step(rk4, w1, w2, lo, hi, duration, dt, *args):
     return w1, w2
 
 
-def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
-    """Error-controlled counterpart of branch_step (see _step_factor), with
-    the arguments of branch_rk4.  The last stage of a step is the rate at
-    its 5th-order solution, which is the next step's first stage (FSAL);
-    clamping keeps it so, because `rates` reads only the clamped state.
+def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None):
+    """Integrate dw/dt = rate(w, t) from t to t_end with error-controlled
+    Dormand-Prince 5(4) steps, the first of length h at most (see
+    _step_factor), clamping w to [lo, hi] after each.  The last stage of a
+    step is the rate at its 5th-order solution, the next step's first stage
+    (FSAL); `rate` reads only the clamped state, so clamping keeps it so.
 
-    Returns NaN states as soon as the error estimate turns non-finite, or a
-    step at the dt floor, which takes no estimate, reaches a NaN solution."""
+    Returns (w, h_next, k1_next): the state at t_end, the step-size
+    suggestion and first stage rate(w, t_end) for a call that continues
+    from there (None if the last step, at the dt floor, did not take it).
+    A step whose solution or error estimate is non-finite ends the
+    integration at once, on the floor or off it, with a NaN state."""
     tol = SEGMENT_TOL * (hi - lo)
+    h_floor = dt * (1.0 + 1e-9)
+    if k1 is None:
+        k1 = rate(w, t)
+    while True:
+        last = h >= t_end - t
+        if last:
+            h = t_end - t
+        t_next = t_end if last else t + h
+        k2 = rate(w + h * (0.2 * k1), t + 0.2 * h)
+        k3 = rate(w + h * ((3 / 40) * k1 + (9 / 40) * k2), t + 0.3 * h)
+        k4 = rate(w + h * ((44 / 45) * k1 - (56 / 15) * k2 + (32 / 9) * k3), t + 0.8 * h)
+        k5 = rate(w + h * ((19372 / 6561) * k1 - (25360 / 2187) * k2
+                           + (64448 / 6561) * k3 - (212 / 729) * k4), t + (8 / 9) * h)
+        k6 = rate(w + h * ((9017 / 3168) * k1 - (355 / 33) * k2 + (46732 / 5247) * k3
+                           + (49 / 176) * k4 - (5103 / 18656) * k5), t_next)
+        y = w + h * ((35 / 384) * k1 + (500 / 1113) * k3 + (125 / 192) * k4
+                     - (2187 / 6784) * k5 + (11 / 84) * k6)
+        floor = h <= h_floor
+        k7 = None if floor and last else rate(y, t_next)
+        if floor:
+            err = 0.0
+            grow = 2.0  # no estimate at the floor: probe a longer step next
+        else:
+            z = w + h * ((5179 / 57600) * k1 + (7571 / 16695) * k3 + (393 / 640) * k4
+                         - (92097 / 339200) * k5 + (187 / 2100) * k6 + (1 / 40) * k7)
+            err = _step_error(w, y, z, lo, hi)
+            grow = _step_factor(err, tol)
+        if not (math.isfinite(y) and math.isfinite(err)):
+            return math.nan, h, None
+        if err <= tol:
+            w = _clamp(y, lo, hi)
+            if last:
+                return w, max(h * grow, dt), k7
+            t = t_next
+            k1 = k7
+        h = max(h * grow, dt)
+
+
+def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
+    """Error-controlled counterpart of branch_step, with the arguments of
+    branch_rk4: `segment` for two states, whose error estimate is the larger
+    of the two devices', under constant drive.  Returns NaN states as soon
+    as a step's solution or either device's estimate is non-finite."""
+    tol = SEGMENT_TOL * (hi - lo)
+    h_floor = dt * (1.0 + 1e-9)
     t = 0.0
     h = duration
     a1, b1 = rates(w1, w2, o1, o2, r_series, v)
@@ -346,32 +410,31 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
                        - (2187 / 6784) * a5 + (11 / 84) * a6)
         y2 = w2 + h * ((35 / 384) * b1 + (500 / 1113) * b3 + (125 / 192) * b4
                        - (2187 / 6784) * b5 + (11 / 84) * b6)
-        floor = h <= dt * (1.0 + 1e-9)
+        floor = h <= h_floor
         if not (floor and last):  # that step needs no estimate and has no next step
             a7, b7 = rates(y1, y2, o1, o2, r_series, v)
         if floor:
-            if math.isnan(y1) or math.isnan(y2):
-                return math.nan, math.nan  # the only step accepted unchecked
+            e1 = e2 = 0.0
             grow = 2.0  # no estimate at the floor: probe a longer step next
         else:
             z1 = w1 + h * ((5179 / 57600) * a1 + (7571 / 16695) * a3 + (393 / 640) * a4
                            - (92097 / 339200) * a5 + (187 / 2100) * a6 + (1 / 40) * a7)
             z2 = w2 + h * ((5179 / 57600) * b1 + (7571 / 16695) * b3 + (393 / 640) * b4
                            - (92097 / 339200) * b5 + (187 / 2100) * b6 + (1 / 40) * b7)
-            err = max(_step_error(w1, y1, z1, lo, hi), _step_error(w2, y2, z2, lo, hi))
-            if not math.isfinite(err):
-                return math.nan, math.nan
-            grow = _step_factor(err, tol)
-            if err > tol:
-                h = max(h * grow, dt)
-                continue
-        w1 = _clamp(y1, lo, hi)
-        w2 = _clamp(y2, lo, hi)
-        if last:
-            return w1, w2
-        t += h
+            e1 = _step_error(w1, y1, z1, lo, hi)
+            e2 = _step_error(w2, y2, z2, lo, hi)
+            grow = _step_factor(max(e1, e2), tol)
+        if not (math.isfinite(y1) and math.isfinite(y2)
+                and math.isfinite(e1) and math.isfinite(e2)):
+            return math.nan, math.nan
+        if e1 <= tol and e2 <= tol:
+            w1 = _clamp(y1, lo, hi)
+            w2 = _clamp(y2, lo, hi)
+            if last:
+                return w1, w2
+            t += h
+            a1, b1 = a7, b7
         h = max(h * grow, dt)
-        a1, b1 = a7, b7
 
 
 def manifold_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, manifold_rate):
@@ -379,55 +442,13 @@ def manifold_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, manifold
     orientation -1 sits at (lo + hi) minus the other's state, and the law
     keeps it there (w1 + w2 = D for the dopant law, whose windows are
     symmetric under x -> 1 - x with the drive reversed).  The device of
-    orientation +1 is integrated alone, at its `manifold_rate`, with
-    branch_segment's steps, controller and NaN rules, and the other is
-    written as its mirror.  Choosing the device by orientation, not by
-    position, keeps a call on (w2, w1, o2, o1) the swap of this one."""
+    orientation +1 is integrated alone by `segment`, at its
+    `manifold_rate`, and the other is written as its mirror.  Choosing the
+    device by orientation, not by position, keeps a call on (w2, w1, o2, o1)
+    the swap of this one."""
     swap = o1 < 0.0
-    w = w2 if swap else w1
-    rate = manifold_rate(o2 if swap else o1, r_series, v)
-    tol = SEGMENT_TOL * (hi - lo)
-    t = 0.0
-    h = duration
-    k1 = rate(w)
-    while True:
-        last = h >= duration - t
-        if last:
-            h = duration - t
-        k2 = rate(w + h * (0.2 * k1))
-        k3 = rate(w + h * ((3 / 40) * k1 + (9 / 40) * k2))
-        k4 = rate(w + h * ((44 / 45) * k1 - (56 / 15) * k2 + (32 / 9) * k3))
-        k5 = rate(w + h * ((19372 / 6561) * k1 - (25360 / 2187) * k2
-                           + (64448 / 6561) * k3 - (212 / 729) * k4))
-        k6 = rate(w + h * ((9017 / 3168) * k1 - (355 / 33) * k2 + (46732 / 5247) * k3
-                           + (49 / 176) * k4 - (5103 / 18656) * k5))
-        y = w + h * ((35 / 384) * k1 + (500 / 1113) * k3 + (125 / 192) * k4
-                     - (2187 / 6784) * k5 + (11 / 84) * k6)
-        floor = h <= dt * (1.0 + 1e-9)
-        if not (floor and last):
-            k7 = rate(y)
-        if floor:
-            if math.isnan(y):
-                w = math.nan
-                break
-            grow = 2.0
-        else:
-            z = w + h * ((5179 / 57600) * k1 + (7571 / 16695) * k3 + (393 / 640) * k4
-                         - (92097 / 339200) * k5 + (187 / 2100) * k6 + (1 / 40) * k7)
-            err = _step_error(w, y, z, lo, hi)
-            if not math.isfinite(err):
-                w = math.nan
-                break
-            grow = _step_factor(err, tol)
-            if err > tol:
-                h = max(h * grow, dt)
-                continue
-        w = _clamp(y, lo, hi)
-        if last:
-            break
-        t += h
-        h = max(h * grow, dt)
-        k1 = k7
+    w, _, _ = segment(w2 if swap else w1, 0.0, duration, duration, dt, lo, hi,
+                      manifold_rate(o2 if swap else o1, r_series, v))
     mirror = (lo + hi) - w
     return (mirror, w) if swap else (w, mirror)
 
@@ -450,26 +471,22 @@ def sine_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
     amp*sin(2*pi*freq*t) and record (t, v, i, w, R) at every
     `sample_every`-th multiple of dt, up to the last one within `duration`.
 
-    Between samples the state takes error-controlled Dormand-Prince 5(4)
-    steps under the controller of branch_segment (see _step_factor and
-    _step_error), with the drive evaluated at each stage's time.  Each step
-    ends at the next sample time at the latest, so every row is an accepted
-    solution point, and the step-size suggestion carries over to the next
-    sample interval.  The state is clamped to [lo, hi] after each step.
+    Each sample interval is one `segment` call at the law's `sweep_rate`,
+    so the drive is evaluated at each stage's time and every row is an
+    accepted solution point; the step-size suggestion and the first stage
+    carry over to the next interval.
 
-    Returns the number of samples written.  If the error estimate or the
-    solution turns non-finite, the last sample written holds a NaN state.
+    Returns the number of samples written.  If a step's solution or error
+    estimate turns non-finite, the last sample written holds a NaN state.
     """
-    resistance, rate, sin = law.resistance, law.sweep_rate, math.sin
+    resistance, sin = law.resistance, math.sin
     two_pi_f = 2.0 * math.pi * freq
-    drive = orient * amp
-    tol = SEGMENT_TOL * (hi - lo)
-    h_floor = dt * (1.0 + 1e-9)
+    rate = law.sweep_rate(orient * amp, two_pi_f)
     n_samples = int(round(duration / dt)) // sample_every + 1
     w = w0
     t = 0.0
     h = sample_every * dt
-    k1 = rate(w, 0.0)
+    k1 = None
     idx = 0
     while True:
         r = resistance(w)
@@ -483,42 +500,8 @@ def sine_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
         if idx == n_samples or w != w:
             return idx
         t1 = idx * sample_every * dt
-        while t < t1:
-            if h >= t1 - t:
-                h = t1 - t
-                t_next = t1
-            else:
-                t_next = t + h
-            k2 = rate(w + h * (0.2 * k1), drive * sin(two_pi_f * (t + 0.2 * h)))
-            k3 = rate(w + h * ((3 / 40) * k1 + (9 / 40) * k2),
-                      drive * sin(two_pi_f * (t + 0.3 * h)))
-            k4 = rate(w + h * ((44 / 45) * k1 - (56 / 15) * k2 + (32 / 9) * k3),
-                      drive * sin(two_pi_f * (t + 0.8 * h)))
-            k5 = rate(w + h * ((19372 / 6561) * k1 - (25360 / 2187) * k2
-                               + (64448 / 6561) * k3 - (212 / 729) * k4),
-                      drive * sin(two_pi_f * (t + (8 / 9) * h)))
-            v_next = drive * sin(two_pi_f * t_next)
-            k6 = rate(w + h * ((9017 / 3168) * k1 - (355 / 33) * k2 + (46732 / 5247) * k3
-                               + (49 / 176) * k4 - (5103 / 18656) * k5), v_next)
-            y = w + h * ((35 / 384) * k1 + (500 / 1113) * k3 + (125 / 192) * k4
-                         - (2187 / 6784) * k5 + (11 / 84) * k6)
-            k7 = rate(y, v_next)
-            if h <= h_floor:
-                err = 0.0
-                grow = 2.0  # no estimate at the floor: probe a longer step next
-            else:
-                z = w + h * ((5179 / 57600) * k1 + (7571 / 16695) * k3 + (393 / 640) * k4
-                             - (92097 / 339200) * k5 + (187 / 2100) * k6 + (1 / 40) * k7)
-                err = _step_error(w, y, z, lo, hi)
-                grow = _step_factor(err, tol)
-            if not (math.isfinite(err) and math.isfinite(y)):
-                w = math.nan
-                break
-            if err <= tol:
-                w = _clamp(y, lo, hi)
-                t = t_next
-                k1 = k7
-            h = max(h * grow, dt)
+        w, h, k1 = segment(w, t, t1, h, dt, lo, hi, rate, k1)
+        t = t1
 
 
 # One kernel per name for each model: bench/tracer.py wraps these names to

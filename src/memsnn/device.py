@@ -209,9 +209,13 @@ def hysteresis_sweep(params, state: MemristorState, drive: SineDrive,
     """Integrate one device under a sinusoidal drive, sampling it every
     `sample_every` * dt (`hysteresis.sample_every` * `clock.dt`).
 
-    Error-controlled Dormand-Prince 5(4) steps, no shorter than dt, end on
-    every sample time (`_kernels.sine_sweep`); the drive is evaluated at the
-    stage times.  Results are deterministic for a given configuration.
+    Each sample interval is one call of the one-state driver
+    `_kernels.segment`, the one an on-manifold bridge drive takes:
+    error-controlled Dormand-Prince 5(4) steps, no shorter than dt, that
+    end on every sample time (`_kernels.sine_sweep`), with the drive
+    evaluated at the stage times.  A non-finite solution or error estimate
+    ends the sweep in a SimulationFault.  Results are deterministic for a
+    given configuration.
     """
     if not math.isfinite(drive.amplitude):
         raise SimulationFault(f"non-finite drive voltage {drive.amplitude!r}")

@@ -67,9 +67,11 @@ class StdpParams(Params):
 @dataclass(frozen=True)
 class HysteresisParams(Params):
     # dt per sweep, which also sizes its sample arrays.  A sweep that long
-    # takes about 50 s (pure Python, one core of a 2-vCPU host) when every
-    # step sits at the dt floor and costs 6 rate evaluations; the stock hard
-    # sweep spans 200 000 dt in about 20 000 steps.
+    # takes about 23 s (pure Python, one core of a 2-vCPU AMD EPYC host)
+    # when every step sits at the dt floor and costs 6 rate evaluations:
+    # 1 000 000 such steps (hysteresis.sample_every = 1) took 2.2-2.4 s,
+    # scaled linearly; the stock hard sweep spans 200 000 dt in about
+    # 20 000 steps.
     MAX_STEPS = 10_000_000
     w0: float = 5e-9  # its range is the selected device's (see run_hysteresis)
     pinched_amplitude: float = 1.0

@@ -187,6 +187,8 @@ class Network:
         Faults abort the run annotated with the frame (and slot and synapse)
         they hit.
         """
+        if load_slot not in (0, 1, 2):
+            raise ConfigError(f"load_slot in {{0, 1, 2}}, a slot of the frame: got {load_slot!r}")
         frame = self.frame
         try:
             return self._run_frame(forced_pre, forced_post, load_pre, load_post, load_slot)

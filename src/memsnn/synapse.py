@@ -170,8 +170,8 @@ class SynapseAssembly:
         The integrator of every production path: network slots, the
         zero-init drive, programming pulses and the device experiments.
         Agrees with `apply_differential` to within the kernels' SEGMENT_TOL
-        per step; dt is the smallest step taken.  A non-finite error
-        estimate raises SimulationFault.
+        per step; dt is the smallest step taken.  A non-finite solution or
+        error estimate raises SimulationFault.
         """
         return self._integrate(v_ab, dt, duration, adaptive=True)
 
@@ -184,11 +184,15 @@ class SynapseAssembly:
         to fall out of mirror.  The adaptive drive of a pair exactly on its
         law's manifold (the device of orientation -1 at lo + hi minus the
         other, which `fresh` and every such drive write) integrates the
-        device of orientation +1 alone (`_kernels.manifold_segment`); any
-        other pair, and every fixed-step drive, integrates both devices.  A
-        non-finite state raises SimulationFault before integrating.  The
-        drivers are looked up in `_kernels` at each call, so a patched or
-        wrapped kernel is the one that runs.
+        device of orientation +1 alone (`_kernels.manifold_segment`, over
+        the one-state driver the sine sweep also takes); any other pair
+        takes the two-state `_kernels.branch_segment`.  Both adaptive
+        drivers end at once with a NaN pair, which raises SimulationFault,
+        when a step's solution or error estimate is non-finite.  Every
+        fixed-step drive integrates both devices.  A non-finite state raises
+        SimulationFault before integrating.  The drivers are looked up in
+        `_kernels` at each call, so a patched or wrapped kernel is the one
+        that runs.
         """
         if not math.isfinite(v_ab):
             raise SimulationFault(f"non-finite drive voltage {v_ab!r}")

@@ -11,7 +11,7 @@ from memsnn.device import (MemristorParams, MemristorState, SineDrive, VteamPara
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.synapse import SynapseAssembly, SynapseConfig
 from test_network import deadline
-from test_synapse import DRIVERS, counting
+from test_synapse import CFG_VTEAM, DRIVERS, counting
 
 P = MemristorParams()
 D = P.d
@@ -211,11 +211,12 @@ def test_sweep_dt_convergence():
 def fixed_step_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
                      t_out, v_out, i_out, w_out, r_out):
     """The oracle of `_kernels.sine_sweep`, with its arguments: fixed RK4
-    steps of dt with the drive at the stage times, the state clamped after
-    each step and sampled every `sample_every` steps."""
-    resistance, rate = law.resistance, law.sweep_rate
+    steps of dt with the law's built sweep rate evaluated at the stage
+    times, the state clamped after each step and sampled every
+    `sample_every` steps."""
+    resistance = law.resistance
     two_pi_f = 2.0 * math.pi * freq
-    drive = orient * amp
+    rate = law.sweep_rate(orient * amp, two_pi_f)
     n = int(round(duration / dt)) // sample_every * sample_every
     w = w0
     idx = 0
@@ -228,13 +229,10 @@ def fixed_step_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo,
             idx += 1
         if k == n:
             break
-        v0 = drive * math.sin(two_pi_f * t)
-        vh = drive * math.sin(two_pi_f * (t + 0.5 * dt))
-        v1 = drive * math.sin(two_pi_f * (t + dt))
-        k1 = rate(w, v0)
-        k2 = rate(w + 0.5 * dt * k1, vh)
-        k3 = rate(w + 0.5 * dt * k2, vh)
-        k4 = rate(w + dt * k3, v1)
+        k1 = rate(w, t)
+        k2 = rate(w + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rate(w + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rate(w + dt * k3, t + dt)
         w = min(max(w + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, lo), hi)
     return idx
 
@@ -278,25 +276,10 @@ def test_sweep_matches_fixed_step_oracle(monkeypatch):
     assert worst[1e-8] > worst[1e-10] > worst[1e-12], worst
 
 
-def counted_sweep_rate(monkeypatch, nan_from=math.inf):
-    """Count the evaluations of the dopant law's `sweep_rate`; from the
-    `nan_from`-th on, it returns NaN."""
-    law = P.law
-    calls = [0]
-
-    def counted(w, v):
-        calls[0] += 1
-        return math.nan if calls[0] >= nan_from else law.sweep_rate(w, v)
-
-    monkeypatch.setattr(MemristorParams, "law",
-                        property(lambda self: law._replace(sweep_rate=counted)))
-    return calls
-
-
 def test_default_pinched_sweep_rate_evaluations(monkeypatch):
     """The default pinched sweep evaluates the rate law at most 20 000
     times: fixed RK4 steps of dt took 80 000, the DP5(4) sweep 13 747."""
-    calls = counted_sweep_rate(monkeypatch)
+    calls = counting(monkeypatch)
     series = hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), 0.2, 1e-5, 10)
     assert len(series.w) == 2001
     assert calls[0] <= 20_000
@@ -308,7 +291,7 @@ def test_nan_rate_mid_sweep_faults_promptly(monkeypatch, first_nan):
     """A rate that turns NaN mid-sweep, at each of the six stage positions,
     ends the sweep within two steps in a SimulationFault: the NaN is
     neither accepted as a state nor retried with ever shorter steps."""
-    calls = counted_sweep_rate(monkeypatch, nan_from=first_nan)
+    calls = counting(monkeypatch, nan_from=first_nan)
     with deadline(10.0), pytest.raises(SimulationFault, match="non-finite state during sweep"):
         hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), 0.2, 1e-5, 10)
     assert first_nan <= calls[0] < first_nan + 12
@@ -318,15 +301,98 @@ def test_nan_rate_mid_sweep_faults_promptly(monkeypatch, first_nan):
 @pytest.mark.parametrize("first_nan", range(30, 36))
 def test_nan_rate_mid_segment_faults_promptly(monkeypatch, first_nan):
     """A branch rate that turns NaN inside a 1 s, 4 V segment, at each of
-    the six stage positions of a step, ends the segment within 100
-    evaluations: rejected steps shrink to the dt floor, where the NaN
-    solution is returned, not accepted and stepped for every remaining dt.
-    `drive` turns it into a SimulationFault."""
+    the six stage positions of a step, ends the segment within two steps,
+    as it ends the sweep: the NaN solution or error estimate is returned at
+    once, not retried with shorter steps, nor accepted and stepped for
+    every remaining dt.  `drive` turns it into a SimulationFault."""
     calls = counting(monkeypatch, nan_from=first_nan)
     syn = SynapseAssembly.fresh(SynapseConfig())
     with deadline(10.0), pytest.raises(SimulationFault, match="non-finite device state"):
         syn.drive(4.0, 1e-5, duration=1.0)
-    assert first_nan <= calls[0] < first_nan + 100
+    assert first_nan <= calls[0] < first_nan + 12
+
+
+NONFINITE_RUNS = {
+    "on-manifold": (lambda: SynapseAssembly.fresh(SynapseConfig()).drive(4.0, 1e-5, 1.0),
+                    "non-finite device state"),
+    "off-manifold": (lambda: SynapseAssembly(SynapseConfig(), (0.3 * D, 0.3 * D)).drive(
+        4.0, 1e-5, 1.0), "non-finite device state"),
+    "vteam": (lambda: SynapseAssembly.fresh(CFG_VTEAM).drive(4.0, 1e-5, 1.0),
+              "non-finite device state"),
+    "sweep": (lambda: hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0),
+                                       0.2, 1e-5, 10), "non-finite state during sweep"),
+}
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@pytest.mark.parametrize("first_bad", range(30, 36))
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("run", sorted(NONFINITE_RUNS))
+def test_nonfinite_stage_faults_at_once(monkeypatch, run, bad, first_bad):
+    """Every error-controlled driver has one non-finite rule: a rate that
+    turns +inf or NaN, at each of the six stage positions of a step, ends
+    the integration within two steps in a SimulationFault, whether the step
+    is at the dt floor or not.  An infinite rate once passed the two-state
+    and on-manifold drivers' NaN check and was clamped onto a bound.  The
+    on-manifold (one-state) drive, the off-manifold dopant and the VTEAM
+    (two-state) drives, and the sine sweep."""
+    act, fault = NONFINITE_RUNS[run]
+    calls = counting(monkeypatch, nan_from=first_bad, bad=bad)
+    with deadline(10.0), pytest.raises(SimulationFault, match=fault):
+        act()
+    assert first_bad <= calls[0] < first_bad + 12
+
+
+@pytest.mark.parametrize("stage", [1, 3, 4, 5, 6])
+def test_one_infinite_stage_at_the_floor_faults(monkeypatch, stage):
+    """One +inf stage rate in a drive of a single dt-floor step, which takes
+    no error estimate, makes the solution infinite: that raises
+    SimulationFault, where it was clamped onto a bound and the fresh
+    synapse read the saturated (stages 1, 3, 4, 6) or resting (5) corner.
+    The second stage enters the solution only through the later stages'
+    states, which the law clamps, so it is not among them."""
+    law = P.law
+
+    def manifold_rate(*args):
+        rate, calls = law.manifold_rate(*args), [0]
+
+        def once(w, t):
+            calls[0] += 1
+            return math.inf if calls[0] == stage else rate(w, t)
+
+        return once
+
+    monkeypatch.setattr(MemristorParams, "law",
+                        property(lambda self: law._replace(manifold_rate=manifold_rate)))
+    with pytest.raises(SimulationFault, match="non-finite device state"):
+        SynapseAssembly.fresh(SynapseConfig()).drive(4.0, 1e-5, 1e-5)
+
+
+def test_one_state_uses_share_one_driver(monkeypatch):
+    """The sine sweep of either device and an on-manifold drive integrate
+    through the one one-state driver, `_kernels.segment`: each makes driver
+    calls, and every rate evaluation it makes is made inside one."""
+    calls = counting(monkeypatch)
+    inside = []
+    segment = K.segment
+
+    def counted(*args):
+        before = calls[0]
+        result = segment(*args)
+        inside.append(calls[0] - before)
+        return result
+
+    monkeypatch.setattr(K, "segment", counted)
+    runs = [lambda: hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0),
+                                     0.02, 1e-5, 10),
+            lambda: hysteresis_sweep(VT, MemristorState(w=1.5e-9), SineDrive(3.0, 1000.0),
+                                     1e-3, 4e-6, 10),
+            lambda: SynapseAssembly.fresh(SynapseConfig()).drive(4.0, 1e-5, 0.01)]
+    for act in runs:
+        inside.clear()
+        calls[0] = 0
+        act()
+        assert inside and sum(inside) == calls[0] > 0
 
 
 @pytest.mark.parametrize("kind", WindowSpec.KINDS)
@@ -362,19 +428,24 @@ def test_branch_rates_are_the_rate_at_each_device_drive(model, kind):
 
 @pytest.mark.parametrize("kind", WindowSpec.KINDS)
 def test_dopant_sweep_rate_is_the_rate_at_the_device_current(kind):
-    """The dopant law's written-out `sweep_rate` is its own `rate` at the
-    current v / R(w), bit for bit: every window kind, states on and beyond
-    the bounds, drives of both signs and zero.  (VTEAM's sweep_rate is its
-    rate.)"""
+    """The rate the dopant law's `sweep_rate(drive, omega)` builds, written
+    out, is its own `rate` at the current drive*sin(omega*t) / R(w), bit
+    for bit: every window kind, states on and beyond the bounds, drive
+    amplitudes of both signs and zero, at times across a period.  (VTEAM's
+    builds its rate at the voltage.)"""
     dev = MemristorParams(window=WindowSpec(kind=kind, p=2, j=0.9))
     law = dev.build_law()
     lo, hi = dev.state_range
     span = hi - lo
-    for w in (lo - 0.25 * span, -0.0, lo, lo + 1e-3 * span, lo + 0.37 * span, hi,
-              hi + 0.25 * span):
-        for v in (0.0, -0.0, 0.3, -0.3, 1.7, -1.7, 4.0, -4.0, 37.0):
-            want = law.rate(w, v / law.resistance(w))
-            assert law.sweep_rate(w, v).hex() == want.hex(), (w, v)
+    omega = 2.0 * math.pi * 10.0
+    for drive in (0.0, -0.0, 0.3, -0.3, 1.7, -1.7, 4.0, -4.0, 37.0):
+        rate = law.sweep_rate(drive, omega)
+        for t in (0.0, 0.0123, 0.025, 0.05, 0.075):
+            v = drive * math.sin(omega * t)
+            for w in (lo - 0.25 * span, -0.0, lo, lo + 1e-3 * span, lo + 0.37 * span, hi,
+                      hi + 0.25 * span):
+                want = law.rate(w, v / law.resistance(w))
+                assert rate(w, t).hex() == want.hex(), (w, drive, t)
 
 
 def test_vteam_dead_zone_bitwise():

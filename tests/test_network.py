@@ -151,6 +151,19 @@ def test_window_quantized_in_subframe_phase():
             assert r[2] == rb[2]  # bitwise equal
 
 
+@pytest.mark.parametrize("slot", [3, -1])
+def test_load_slot_outside_the_frame_is_refused(slot):
+    """A trigger load after a slot the frame does not have raises
+    ConfigError naming the rule: it once loaded nothing, and the window
+    read zero at every offset."""
+    with pytest.raises(ConfigError, match=r"load_slot in \{0, 1, 2\}"):
+        stdp_window(make_config(n_pre=1), [-1, 1], 5, phase_slot=slot)
+    net = Network(make_config(n_pre=1))
+    with pytest.raises(ConfigError, match=r"load_slot in \{0, 1, 2\}"):
+        net.run_frame(load_pre=(0,), load_slot=slot)
+    assert net.frame == 0
+
+
 def test_window_hebbian_signs():
     cfg = make_config(n_pre=1)
     rows = dict((r[0], r[2]) for r in stdp_window(cfg, [-2, -1, 0, 1, 2], SETTLE))

@@ -534,36 +534,32 @@ def test_drive_error_falls_with_segment_tolerance(monkeypatch):
     assert all(b < a for a, b in zip(errors, errors[1:])), errors
 
 
-def counting(monkeypatch, nan_from=math.inf):
+def counting(monkeypatch, nan_from=math.inf, bad=math.nan):
     """Count the stage evaluations of every device law: its `branch_rates`
-    and the one-state rates its `manifold_rate` builds.  Each device class's
-    `law` becomes one whose rates count, still one law per distinct set of
-    constants.  Assemblies bind the law when built, so only those built
-    after this call count.  From the `nan_from`-th evaluation on, the rates
-    are NaN."""
+    and the one-state rates (w, t) its `manifold_rate` and `sweep_rate`
+    build.  Each device class's `law` becomes one whose rates count, still
+    one law per distinct set of constants.  Assemblies bind the law when
+    built, so only those built after this call count.  From the
+    `nan_from`-th evaluation on, every rate is `bad` (NaN by default)."""
     calls = [0]
+
+    def counted(rates, bad_value):
+        def rate(*args):
+            calls[0] += 1
+            return bad_value if calls[0] >= nan_from else rates(*args)
+        return rate
+
+    def counted_builder(build):
+        return lambda *args: counted(build(*args), bad)
+
     for cls in (MemristorParams, VteamParams):
         @functools.lru_cache(maxsize=None)
         def law(params, _law=cls.law.fget):
             built = _law(params)
-            rates, manifold_rate = built.branch_rates, built.manifold_rate
-
-            def counted(*args):
-                calls[0] += 1
-                return (math.nan, math.nan) if calls[0] >= nan_from else rates(*args)
-
-            def counted_manifold(*args):
-                rate = manifold_rate(*args)
-
-                def counted_rate(w):
-                    calls[0] += 1
-                    return math.nan if calls[0] >= nan_from else rate(w)
-
-                return counted_rate
-
             return built._replace(
-                branch_rates=counted,
-                manifold_rate=None if manifold_rate is None else counted_manifold)
+                branch_rates=counted(built.branch_rates, (bad, bad)),
+                sweep_rate=counted_builder(built.sweep_rate),
+                manifold_rate=built.manifold_rate and counted_builder(built.manifold_rate))
 
         monkeypatch.setattr(cls, "law", property(law))
     return calls
@@ -626,9 +622,9 @@ def test_one_state_segment_matches_the_two_state_one(kind):
     def manifold_rate(*args):
         rate = law.manifold_rate(*args)
 
-        def counted(w):
+        def counted(w, t):
             stages[0] += 1
-            return rate(w)
+            return rate(w, t)
 
         return counted
 
