@@ -4,21 +4,23 @@ Each device model has one rate law, built once from its constants by
 `dopant_law` or `vteam_law` with the boundary window picked by `window`.  A
 `Law` holds the law's uses with the constants bound: the resistance R(w),
 the rate in the device's own frame, the two rates of a bridge branch whose
-devices share one current, and two builders of one-state rates (w, t) ->
-dw/dt, each built once per drive: the rate under a sine voltage across the
-device alone and, for the dopant law only, the rate of a branch on its
-manifold w1 + w2 = D.  Every kernel below takes the law, not its
-constants, so the same `branch_rk4` step and the same `sine_sweep` serve
-both models.
+devices share one current, a builder of the one-state rate (w, t) -> dw/dt
+under a sine voltage across the device alone, built once per sweep, and,
+for the dopant law only, what a branch on its manifold w1 + w2 = D needs:
+the speed |amp| of a constant drive and the two window-only `span_rates`
+of scaled time.  Every kernel below takes the law, not its constants, so
+the same `branch_rk4` step and the same `sine_sweep` serve both models.
 
 Two error-controlled drivers take embedded Dormand-Prince 5(4) steps no
-shorter than dt and serve every production path; they share one tableau,
-step-size controller and non-finite rule.  `segment` integrates one state
-under any one-state rate: `manifold_segment` calls it for one device of a
-dopant branch on its manifold, where the branch current is constant, and
-`sine_sweep` once per sample interval of the hysteresis experiment, the
-drive evaluated at each stage's time.  `branch_segment` integrates both
-devices of any other branch under constant drive.  The fixed-step
+shorter than their step floor and serve every production path; they share
+one tableau, step-size controller and non-finite rule.  `segment`
+integrates one state under any one-state rate: `manifold_segment` calls it
+once per span, a run of constant drives of one sign on a dopant branch on
+its manifold, in the scaled time s = |amp|*t where the pieces join (floor
+S*dt/T for a span of scaled length S and duration T), and `sine_sweep` once
+per sample interval of the hysteresis experiment, the drive evaluated at
+each stage's time (floor dt).  `branch_segment` integrates both devices of
+any other branch under one constant drive (floor dt).  The fixed-step
 `branch_step` takes `branch_rk4` substeps of at most dt on both devices and
 is kept as the tests' reference.  All state is passed as scalars /
 preallocated `array('d')` buffers.
@@ -70,6 +72,37 @@ def window(kind, p, j):
     return f
 
 
+def span_rates(kind, p, j, d):
+    """The (down, up) rates (w, t) -> dw/ds of a dopant device on its
+    manifold in the scaled time s = |amp|*t (see manifold_segment): the
+    window of `kind` at the clamped state x = w/d in the drive's direction,
+    negated for a drive pushing the state down; t unused.  Written out for
+    the default zha window, since they run at every stage of a default
+    bridge's spans: composing `window` costs one more call per stage, about
+    4 % of a 300-epoch pattern run."""
+    if kind == "zha":
+        def up(w, t):
+            x = w / d
+            x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+            return j * (1.0 - (0.25 * x * x + 0.75) ** p)
+
+        def down(w, t):
+            x = w / d
+            x = (0.0 if x < 0.0 else 1.0 if x > 1.0 else x) - 1.0
+            return -(j * (1.0 - (0.25 * x * x + 0.75) ** p))
+    else:
+        win = window(kind, p, j)
+
+        def up(w, t):
+            x = w / d
+            return win(0.0 if x < 0.0 else 1.0 if x > 1.0 else x, 1.0)
+
+        def down(w, t):
+            x = w / d
+            return -win(0.0 if x < 0.0 else 1.0 if x > 1.0 else x, -1.0)
+    return down, up
+
+
 def _unit_state(lo, span):
     """The state normalized to x = (w - lo) / span, clamped to [0, 1]."""
     def clamped(w):
@@ -93,18 +126,22 @@ class Law(NamedTuple):
     # (dw1/dt, dw2/dt) of a branch (see branch_rk4): `rate` at each device's
     # drive, written out in one call, since it runs at every stage
     branch_rates: Callable
-    # for a law whose branch conserves w1 + w2 (see manifold_segment), the
-    # one-state rate: manifold_rate(o, r_series, v) is (w, t) -> dw/dt of
-    # the device of orientation o under the constant drive v, t unused;
-    # None for a law whose branch does not
-    manifold_rate: Callable | None = None
+    # for a law whose branch conserves w1 + w2 (see manifold_segment), where
+    # a device's rate under constant drive v is amp*f(w, direction):
+    # manifold_speed(o, r_series, v) is the signed amp of the device of
+    # orientation o, and span_rates the (down, up) rates of `span_rates`;
+    # both None for a law whose branch does not conserve w1 + w2
+    manifold_speed: Callable | None = None
+    span_rates: tuple | None = None
 
 
-def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, win):
+def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, window_kind, window_p, window_j):
     """The dopant-drift device: dw/dt = mu_v*(R_ON/D) * g(i) * f(w/D, i),
     where g(i) = a0*(i/i0)^(2q-1) is the odd Joule-heating power law,
-    nonzero for any nonzero current, and R interpolates between R_OFF at
-    w = 0 and R_ON at w = D.  The drive of `rate` is the device current."""
+    nonzero for any nonzero current, f is the `window` of the window_*
+    arguments, and R interpolates between R_OFF at w = 0 and R_ON at w = D.
+    The drive of `rate` is the device current."""
+    win = window(window_kind, window_p, window_j)
     k = mu_v * (r_on / d)
     n = 2 * q - 1
     clamped = _unit_state(0.0, d)
@@ -164,27 +201,18 @@ def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, win):
 
     r_branch = r_on + r_off
 
-    def manifold_rate(o, r_series, v):
+    def manifold_speed(o, r_series, v):
         # on the manifold w1 + w2 = D the two devices' resistances sum to
         # r_on + r_off, so the branch current, and with it the Joule power,
-        # is constant over a segment and only the window varies
+        # is constant under a constant drive and only the window varies:
+        # dw/dt = amp * win(w/D, o*i)
         i = v / (r_branch + r_series)
         s = i / i0
         p = a0 * abs(s) ** n
-        amp = k * (p if o * s >= 0.0 else -p)
-        direction = o * i
+        return k * (p if o * s >= 0.0 else -p)
 
-        def on_manifold(w, t):
-            x = w / d
-            if x < 0.0:
-                x = 0.0
-            elif x > 1.0:
-                x = 1.0
-            return amp * win(x, direction)
-
-        return on_manifold
-
-    return Law(resistance, rate, sweep_rate, branch_rates, manifold_rate)
+    return Law(resistance, rate, sweep_rate, branch_rates, manifold_speed,
+               span_rates(window_kind, window_p, window_j, d))
 
 
 def vteam_law(v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, win):
@@ -273,7 +301,7 @@ def _step_error(w, y5, y4, lo, hi):
     y5 and y4 are the step's unclamped 5th- and 4th-order solutions.  A step
     that carries the device from inside [lo, hi] onto or past a bound, or
     from one bound onto the other, counts as an error of the whole range, so
-    landing on a bound is resolved down to the reference step dt.  Otherwise
+    landing on a bound is resolved down to the step floor.  Otherwise
     a device that starts on a bound is judged by the clamped solutions, so a
     device held there by the drive does not force short steps.
     """
@@ -295,11 +323,14 @@ def _step_factor(err, tol):
     Math. 6(1):19-26, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
     sec. II.4-II.5); the step keeps the 5th-order solution when the estimate
     is within tol (see _step_error for the state bounds).  The step never
-    shrinks below the reference step dt, and a step of at most dt is taken
-    without an estimate and always accepted, so a call of `segment` or
-    `branch_segment` never needs more accepted steps than fixed-step RK4 at
-    dt and always terminates.  A step whose solution or estimate is
-    non-finite ends either driver at once, with a NaN state.
+    shrinks below the driver's floor (the reference step dt, or S*dt/T for
+    a span of scaled length S and duration T), and a step at the floor is
+    taken without an estimate and always accepted, so a call of `segment`
+    or `branch_segment` never takes more floor steps than fixed-step RK4
+    takes steps at dt over the same duration, and always terminates.  A
+    step whose 5th- or 4th-order solution or second stage is non-finite
+    ends either driver at once, with a NaN state: the second stage enters
+    both solutions only through the clamped states of stages 3-6.
     """
     if err == 0.0:
         return 4.0
@@ -332,11 +363,15 @@ def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None):
     step is the rate at its 5th-order solution, the next step's first stage
     (FSAL); `rate` reads only the clamped state, so clamping keeps it so.
 
+    `dt` is the step floor: a span of `manifold_segment` passes S*dt/T, in
+    its scaled time, the sweep passes dt.
+
     Returns (w, h_next, k1_next): the state at t_end, the step-size
     suggestion and first stage rate(w, t_end) for a call that continues
-    from there (None if the last step, at the dt floor, did not take it).
-    A step whose solution or error estimate is non-finite ends the
-    integration at once, on the floor or off it, with a NaN state."""
+    from there (None if the last step, at the floor, did not take it).  A
+    step whose 5th- or 4th-order solution or second stage is non-finite
+    ends the integration at once, on the floor or off it, with a NaN
+    state."""
     tol = SEGMENT_TOL * (hi - lo)
     h_floor = dt * (1.0 + 1e-9)
     if k1 is None:
@@ -358,14 +393,16 @@ def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None):
         floor = h <= h_floor
         k7 = None if floor and last else rate(y, t_next)
         if floor:
-            err = 0.0
+            z, err = y, 0.0
             grow = 2.0  # no estimate at the floor: probe a longer step next
         else:
             z = w + h * ((5179 / 57600) * k1 + (7571 / 16695) * k3 + (393 / 640) * k4
                          - (92097 / 339200) * k5 + (187 / 2100) * k6 + (1 / 40) * k7)
             err = _step_error(w, y, z, lo, hi)
             grow = _step_factor(err, tol)
-        if not (math.isfinite(y) and math.isfinite(err)):
+        # k2 enters y and z only through the clamped states of stages 3-6,
+        # and err clamps z from a state on a bound: each is checked itself
+        if not (math.isfinite(y) and math.isfinite(z) and math.isfinite(k2)):
             return math.nan, h, None
         if err <= tol:
             w = _clamp(y, lo, hi)
@@ -380,7 +417,7 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
     """Error-controlled counterpart of branch_step, with the arguments of
     branch_rk4: `segment` for two states, whose error estimate is the larger
     of the two devices', under constant drive.  Returns NaN states as soon
-    as a step's solution or either device's estimate is non-finite."""
+    as a step's solutions or second stages are non-finite."""
     tol = SEGMENT_TOL * (hi - lo)
     h_floor = dt * (1.0 + 1e-9)
     t = 0.0
@@ -414,7 +451,7 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
         if not (floor and last):  # that step needs no estimate and has no next step
             a7, b7 = rates(y1, y2, o1, o2, r_series, v)
         if floor:
-            e1 = e2 = 0.0
+            z1, z2, e1, e2 = y1, y2, 0.0, 0.0
             grow = 2.0  # no estimate at the floor: probe a longer step next
         else:
             z1 = w1 + h * ((5179 / 57600) * a1 + (7571 / 16695) * a3 + (393 / 640) * a4
@@ -424,8 +461,8 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
             e1 = _step_error(w1, y1, z1, lo, hi)
             e2 = _step_error(w2, y2, z2, lo, hi)
             grow = _step_factor(max(e1, e2), tol)
-        if not (math.isfinite(y1) and math.isfinite(y2)
-                and math.isfinite(e1) and math.isfinite(e2)):
+        if not (math.isfinite(y1) and math.isfinite(y2) and math.isfinite(z1)
+                and math.isfinite(z2) and math.isfinite(a2) and math.isfinite(b2)):
             return math.nan, math.nan
         if e1 <= tol and e2 <= tol:
             w1 = _clamp(y1, lo, hi)
@@ -437,18 +474,32 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
         h = max(h * grow, dt)
 
 
-def manifold_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, manifold_rate):
-    """branch_segment for a branch on its manifold: the device of
-    orientation -1 sits at (lo + hi) minus the other's state, and the law
-    keeps it there (w1 + w2 = D for the dopant law, whose windows are
-    symmetric under x -> 1 - x with the drive reversed).  The device of
-    orientation +1 is integrated alone by `segment`, at its
-    `manifold_rate`, and the other is written as its mirror.  Choosing the
+def manifold_segment(w1, w2, lo, hi, pieces, dt, o1, o2, r_series, speed, rates):
+    """Drive a branch on its manifold through `pieces`, (duration, v) pairs
+    of constant drive whose v share one sign: the device of orientation -1
+    sits at (lo + hi) minus the other's state, and the law keeps it there
+    (w1 + w2 = D for the dopant law, whose windows are symmetric under
+    x -> 1 - x with the drive reversed).  The device of orientation +1 is
+    integrated alone and the other is written as its mirror.  Choosing the
     device by orientation, not by position, keeps a call on (w2, w1, o2, o1)
-    the swap of this one."""
+    the swap of this one.
+
+    Over a piece the device's rate is amp*f(w, direction), where
+    amp = speed(o, r_series, v) (the law's `manifold_speed`) is constant
+    and carries the direction's sign.  That ODE is autonomous, so in the
+    scaled time s = |amp|*t the pieces join into one span of length
+    S = sum |amp_i|*duration_i, which one `segment` call integrates at the
+    window rate of the direction, `rates` = (down, up) (the law's
+    `span_rates`).  Its step floor S*dt/T, T the pieces' total duration,
+    keeps `segment`'s bound: at most T/dt steps at the floor."""
     swap = o1 < 0.0
-    w, _, _ = segment(w2 if swap else w1, 0.0, duration, duration, dt, lo, hi,
-                      manifold_rate(o2 if swap else o1, r_series, v))
+    o = o2 if swap else o1
+    span = total = 0.0
+    for duration, v in pieces:
+        span += abs(speed(o, r_series, v)) * duration
+        total += duration
+    w, _, _ = segment(w2 if swap else w1, 0.0, span, span, span * dt / total, lo, hi,
+                      rates[o * pieces[0][1] > 0.0])
     mirror = (lo + hi) - w
     return (mirror, w) if swap else (w, mirror)
 
@@ -476,8 +527,8 @@ def sine_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
     accepted solution point; the step-size suggestion and the first stage
     carry over to the next interval.
 
-    Returns the number of samples written.  If a step's solution or error
-    estimate turns non-finite, the last sample written holds a NaN state.
+    Returns the number of samples written.  If a step turns non-finite (see
+    `segment`), the last sample written holds a NaN state.
     """
     resistance, sin = law.resistance, math.sin
     two_pi_f = 2.0 * math.pi * freq

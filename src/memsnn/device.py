@@ -87,7 +87,7 @@ class MemristorParams(Params):
 
     def build_law(self) -> K.Law:
         return K.dopant_law(self.r_on, self.r_off, self.d, self.mu_v, self.a0, self.i0,
-                            self.q, K.window(self.window.kind, self.window.p, self.window.j))
+                            self.q, self.window.kind, self.window.p, self.window.j)
 
     law = property(_law)
 
@@ -213,8 +213,8 @@ def hysteresis_sweep(params, state: MemristorState, drive: SineDrive,
     `_kernels.segment`, the one an on-manifold bridge drive takes:
     error-controlled Dormand-Prince 5(4) steps, no shorter than dt, that
     end on every sample time (`_kernels.sine_sweep`), with the drive
-    evaluated at the stage times.  A non-finite solution or error estimate
-    ends the sweep in a SimulationFault.  Results are deterministic for a
+    evaluated at the stage times.  A step that turns non-finite ends the
+    sweep in a SimulationFault.  Results are deterministic for a
     given configuration.
     """
     if not math.isfinite(drive.amplitude):

@@ -6,4 +6,9 @@ class ConfigError(ValueError):
 
 
 class SimulationFault(RuntimeError):
-    """Non-finite value or otherwise unrecoverable state hit mid-run."""
+    """Non-finite value or otherwise unrecoverable state hit mid-run.
+
+    One raised by `SynapseAssembly.frame` carries `piece`, the index of the
+    first drive piece of the span that faulted."""
+
+    piece: int | None = None

@@ -567,8 +567,8 @@ def main(argv=None) -> int:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="dotted-path config override")
     parser.add_argument("--dt", type=float, default=None,
-                        help="programming micro-pulse width and shortest integrator "
-                             "step (clock.dt), s")
+                        help="programming micro-pulse width and integrator step "
+                             "floor (clock.dt), s")
     parser.add_argument("--epochs", type=int, default=None, help="pattern-learn epochs")
     parser.add_argument("--init", choices=("zero", "midpoint"), default=None,
                         help="pattern-learn weight initialization")

@@ -11,10 +11,12 @@ three-timeslot protocol:
     slot 2 - depression: the mirrored composition.
 
 Fires are decided at frame edges only.  Within a slot every drive is
-piecewise constant, so synapse branches integrate per segment with
-error-controlled Dormand-Prince 5(4) steps (`SynapseAssembly.drive`, steps
-no shorter than dt), the LIF membrane advances with the exact constant-input
-exponential, and traces decay analytically.  Everything is deterministic: identical
+piecewise constant, so a synapse's frame is a list of (duration, voltage)
+pieces, which `SynapseAssembly.frame` integrates in one call with
+error-controlled Dormand-Prince 5(4) steps (on the dopant manifold, one
+span per drive sign; this module stays free of the device law), the LIF
+membrane advances with the exact constant-input exponential, and traces
+decay analytically.  Everything is deterministic: identical
 configurations give bit-identical results.
 
 Each distinct synapse frame is stepped once per run.  A synapse's frame is
@@ -30,8 +32,10 @@ their posts fire differently the keys differ and the second simply misses.
 A frame visits the synapses in index order: one whose key the memo holds
 takes the entry, so synapses in lockstep within a frame share one stepping,
 and any other steps its whole frame, all three slots, and enters the
-result.  So a fault names the lowest-index synapse whose frame faults, at
-the first slot of that frame that faults, and no faulting state is entered.
+result.  So a fault names the lowest-index synapse whose frame faults, and
+the first slot of the span that faults (on the dopant manifold a span
+takes the frame's pieces of one drive sign, else one piece), and no
+faulting state is entered.
 The memo is emptied at a frame start once it holds over MEMO_ENTRIES
 results.  The experiments likewise set up one fresh synapse and copy its
 state.
@@ -146,29 +150,36 @@ class Network:
         return pwm_encode(tp, v_cp * self._slot_decay, self._slot, False)
 
     def _step_frame(self, si: int, pre_fired: bool, post_fired: bool, width_b: float):
-        """Step synapse si through its whole frame: slot 0 transmits if its
-        pre fired, slots 1 and 2 drive its `differential_frame` segments.
-        Returns the memo entry: the new state and the excitatory-frame
-        transmitted output and weight.  A fault names its slot (slot 2 for a
-        non-finite weight) and the synapse."""
-        dt, slot, v_cc, sign = self._dt, self._slot, self._v_cc, self._sign
+        """Step synapse si through its whole frame, one `SynapseAssembly.frame`
+        call over its pieces: the slot-0 transmission if its pre fired, then
+        the slot-1 and slot-2 `differential_frame` segments.  The output is
+        read before stepping.  Returns the memo entry: the new state and the
+        excitatory-frame transmitted output and weight.  A fault names its
+        slot (that of the first piece of the span that faulted; slot 2 for
+        a non-finite weight) and the synapse."""
+        v_cc, sign = self._v_cc, self._sign
         syn = self.synapses[si]
-        frame_segments = differential_frame(
+        slot1, slot2 = differential_frame(
             pre_fired, post_fired, self._sample_width(self.pre_traces[si], pre_fired),
-            width_b, v_cc, slot)
-        slot_idx = 0
+            width_b, v_cc, self._slot)
+        pieces = [(self._slot, v_cc), *slot1, *slot2] if pre_fired else slot1 + slot2
+        # piece k lies in slot (k >= first1) + (k >= first2)
+        first1 = 1 if pre_fired else 0
+        first2 = first1 + len(slot1)
+        for k, (_, v) in enumerate(pieces):
+            if abs(v) > 2.0 * v_cc + 1e-9:
+                raise SimulationFault(f"slot {(k >= first1) + (k >= first2)}, synapse {si}: "
+                                      f"differential drive {v} exceeds 2*v_cc")
+        v_out = syn.weight() * v_cc if pre_fired else 0.0
         try:
-            v_out = syn.transmit(v_cc, dt, duration=slot) if pre_fired else 0.0
-            for slot_idx, segments in enumerate(frame_segments, 1):
-                for duration, v in segments:
-                    if abs(v) > 2.0 * v_cc + 1e-9:
-                        raise SimulationFault(f"differential drive {v} exceeds 2*v_cc")
-                    syn.drive(v, dt, duration)
-            weight = syn.weight()
-            if not math.isfinite(weight):
-                raise SimulationFault("non-finite synapse state")
+            syn.frame(pieces, self._dt)
         except SimulationFault as exc:
-            raise SimulationFault(f"slot {slot_idx}, synapse {si}: {exc}") from None
+            k = exc.piece
+            raise SimulationFault(
+                f"slot {(k >= first1) + (k >= first2)}, synapse {si}: {exc}") from None
+        weight = syn.weight()
+        if not math.isfinite(weight):
+            raise SimulationFault(f"slot 2, synapse {si}: non-finite synapse state")
         return syn.w, sign * v_out, sign * weight
 
     # -- frame execution ----------------------------------------------------

@@ -32,10 +32,12 @@ SLOTS_PER_FRAME = 3
 
 @dataclass(frozen=True)
 class ClockParams(Params):
-    """Timeslot rate and the shortest integration step; three slots per frame."""
+    """Timeslot rate and the integration step floor; three slots per frame."""
 
     base_freq: float = key(100.0, POSITIVE)  # timeslot rate, Hz
-    # micro-pulse width, reference RK4 step, shortest drive and sweep step, s
+    # micro-pulse width, reference RK4 step and sweep step, s; also the step
+    # floor of the error-controlled drives: a drive or span lasting T takes
+    # at most T/dt steps at its floor
     dt: float = key(1e-5, POSITIVE)
 
     def validate(self, prefix: str = ""):

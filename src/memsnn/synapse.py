@@ -18,19 +18,24 @@ no state can break, so nothing checks it.  Only this module knows it; the
 network engine assigns the pair or keys on it.
 
 Every production path, closed-loop programming included, integrates with
-`drive`'s error-controlled Dormand-Prince 5(4) segments.  The fixed-step
-RK4 `apply_differential` is the oracle the tests check it against; it
+`frame`'s error-controlled Dormand-Prince 5(4) steps over a sequence of
+constant drives (`drive` is the one-drive frame).  The fixed-step RK4
+`apply_differential` is the oracle the tests check it against; it
 integrates branch 1 as a coupled two-state ODE with the branch current
 recomputed at every stage.  For the dopant bridge that is one state too
 many: every dopant window is symmetric under x -> 1 - x with the drive
 reversed, so from the corner of `fresh` w1 + w2 = D holds, the devices'
-resistances sum to r_on + r_off, and the branch current is constant over
-a segment (the linear dopant drift of Strukov, Snider, Stewart & Williams,
-Nature 453:80-83, 2008).  On that manifold `drive` integrates M1 alone and
-writes M2 as D - w1, so every state it writes stays exactly on it.  Off it
-(a state set by hand or left by `apply_differential`), and for VTEAM
-devices, which split the branch voltage by their resistances, `drive`
-integrates the pair.
+resistances sum to r_on + r_off, and the branch current is constant under
+a constant drive (the linear dopant drift of Strukov, Snider, Stewart &
+Williams, Nature 453:80-83, 2008).  On that manifold `frame` integrates M1
+alone and writes M2 as D - w1, so every state it writes stays exactly on
+it.  There M1's rate is amp*f(w1/D, direction), amp constant per drive,
+and the ODE is autonomous, so consecutive drives of one sign join into
+one span in the scaled time |amp|*t, integrated at the window's rate: a
+network frame is at most two spans, one up and one down.  Off the
+manifold (a state set by hand or left by `apply_differential`), and for
+VTEAM devices, which split the branch voltage by their resistances,
+`frame` integrates the pair, one drive at a time.
 
 Every bridge is held in the excitatory frame: an inhibitory bridge stores
 its excitatory twin's pair, its physical (w2, w1), and its polarity is only
@@ -92,6 +97,11 @@ class SynapseConfig(Params):
         return 1.0 if self.polarity == EXCITATORY else -1.0
 
 
+def _volts(pieces):
+    """The drive voltages of `pieces`, for a fault message."""
+    return ", ".join(repr(v) for _, v in pieces)
+
+
 class SynapseAssembly:
     """Bridge state: the branch-1 doping depths `w` = (w1, w2) of the
     excitatory frame, a tuple, plus the config.
@@ -101,19 +111,19 @@ class SynapseAssembly:
     """
 
     __slots__ = ("config", "w", "_lo", "_hi", "_o1", "_o2", "_r1", "_resistance", "_rates",
-                 "_manifold_rate", "_sign")
+                 "_speed", "_span_rates", "_sign")
 
     def __init__(self, config: SynapseConfig, w: tuple[float, float]):
         self.config = config
         w1, w2 = w
         self.w = (float(w1), float(w2))
         self._lo, self._hi = config.device.state_range
-        # branch-1 kernel arguments, bound once (see _integrate)
+        # branch-1 kernel arguments, bound once (see frame)
         self._o1, self._o2 = config.device.ORIENTATIONS
         self._r1 = config.r1
         law = config.device.law
         self._resistance, self._rates = law.resistance, law.branch_rates
-        self._manifold_rate = law.manifold_rate
+        self._speed, self._span_rates = law.manifold_speed, law.span_rates
         self._sign = config.sign  # bound once: every weight() reads it
         for wi in self.w:
             if not (self._lo <= wi <= self._hi):
@@ -158,76 +168,109 @@ class SynapseAssembly:
 
         The M1-M2 branch with its series resistor integrates as a coupled
         pair sharing its branch current, with fixed-step RK4 substeps of at
-        most dt (see _integrate), from any pair.  `duration` defaults to one
-        dt step.  No production path calls it: it is the tests' reference
-        integrator, the oracle `drive` is checked against.
+        most dt (`_kernels.branch_step`), from any pair.  `duration` defaults
+        to one dt step.  No production path calls it: it is the tests'
+        reference integrator, the oracle `drive` and `frame` are checked
+        against.  With r1 = r2 (SynapseConfig.validate) and M3, M4 wired as
+        M2, M1, branch 2 solves branch 1's ODE with its two devices swapped,
+        so integrating the pair steps all four devices, here and in `frame`;
+        no other state exists to fall out of mirror.
         """
-        return self._integrate(v_ab, dt, duration, adaptive=False)
+        if duration is None:
+            duration = dt
+        if self._moves(v_ab, dt, duration):
+            try:
+                self.w = K.branch_step(self.config.device.branch_rk4, *self.w, self._lo,
+                                       self._hi, duration, dt, self._o1, self._o2, self._r1,
+                                       v_ab, self._rates)
+            except OverflowError:
+                raise SimulationFault(f"device rate overflow under {v_ab!r} V drive") from None
+        return self
 
     def drive(self, v_ab: float, dt: float, duration: float | None = None):
-        """Constant-drive segment with error-controlled Dormand-Prince 5(4) steps.
+        """Constant-drive segment with error-controlled Dormand-Prince 5(4)
+        steps: the one-piece `frame`, `duration` defaulting to dt.
 
-        The integrator of every production path: network slots, the
-        zero-init drive, programming pulses and the device experiments.
-        Agrees with `apply_differential` to within the kernels' SEGMENT_TOL
-        per step; dt is the smallest step taken.  A non-finite solution or
-        error estimate raises SimulationFault.
+        The integrator of the zero-init drive, programming pulses and the
+        device experiments.  Agrees with `apply_differential` to within the
+        kernels' SEGMENT_TOL per step.
         """
-        return self._integrate(v_ab, dt, duration, adaptive=True)
+        return self.frame(((dt if duration is None else duration, v_ab),), dt)
 
-    def _integrate(self, v_ab, dt, duration, adaptive):
-        """Integrate branch 1 (M1, M2, r1) and write the new pair to `w`.
+    def frame(self, pieces, dt: float):
+        """Step the bridge through `pieces`, (duration, v_ab) pairs of
+        constant drive in order, and write the new pair to `w`.
 
-        With r1 = r2 (SynapseConfig.validate) and M3, M4 wired as M2, M1,
-        branch 2 solves branch 1's ODE with its two devices swapped, so
-        integrating the pair steps all four devices; no other state exists
-        to fall out of mirror.  The adaptive drive of a pair exactly on its
-        law's manifold (the device of orientation -1 at lo + hi minus the
-        other, which `fresh` and every such drive write) integrates the
-        device of orientation +1 alone (`_kernels.manifold_segment`, over
-        the one-state driver the sine sweep also takes); any other pair
-        takes the two-state `_kernels.branch_segment`.  Both adaptive
-        drivers end at once with a NaN pair, which raises SimulationFault,
-        when a step's solution or error estimate is non-finite.  Every
-        fixed-step drive integrates both devices.  A non-finite state raises
-        SimulationFault before integrating.  The drivers are looked up in
-        `_kernels` at each call, so a patched or wrapped kernel is the one
-        that runs.
+        A pair exactly on its law's manifold (the device of orientation -1
+        at lo + hi minus the other, which `fresh` and every such step write)
+        takes each run of pieces of one drive sign as one span: a single
+        `_kernels.manifold_segment` call integrates the device of
+        orientation +1 alone, over the one-state driver the sine sweep also
+        takes.  Any other pair, and every VTEAM pair, takes one two-state
+        `_kernels.branch_segment` call per piece.  Pieces of zero duration or
+        voltage are skipped.  A non-finite voltage or state, a bad timestep,
+        a rate overflow, or a step that turns non-finite (the drivers then
+        return a NaN pair) raises SimulationFault, whose `piece` is the
+        index of the first piece of the span that faulted.  The drivers are
+        looked up in `_kernels` at each call, so a patched or wrapped kernel
+        is the one that runs.
         """
+        lo, hi, o1, rates = self._lo, self._hi, self._o1, self._span_rates
+        n, i = len(pieces), 0
+        while i < n:
+            duration, v = pieces[i]
+            end = i + 1
+            try:
+                if self._moves(v, dt, duration):
+                    w1, w2 = self.w
+                    try:
+                        if rates is None or (
+                                w2 != (lo + hi) - w1 if o1 > 0.0 else w1 != (lo + hi) - w2):
+                            w1, w2 = K.branch_segment(w1, w2, lo, hi, duration, dt, o1,
+                                                      self._o2, self._r1, v, self._rates)
+                        else:
+                            # the following pieces of this drive sign join the span
+                            while (end < n and pieces[end][0] > 0.0
+                                   and 0.0 < pieces[end][1] * v < math.inf):
+                                end += 1
+                            w1, w2 = K.manifold_segment(w1, w2, lo, hi, pieces[i:end], dt, o1,
+                                                        self._o2, self._r1, self._speed, rates)
+                    except OverflowError:
+                        raise SimulationFault(f"device rate overflow under "
+                                              f"{_volts(pieces[i:end])} V drive") from None
+                    if not (math.isfinite(w1) and math.isfinite(w2)):
+                        raise SimulationFault(f"non-finite device state under "
+                                              f"{_volts(pieces[i:end])} V drive")
+                    self.w = (w1, w2)
+            except SimulationFault as exc:
+                exc.piece = i
+                raise
+            i = end
+        return self
+
+    def _moves(self, v_ab, dt, duration):
+        """Whether a constant drive moves the state: not one of zero
+        duration or voltage.  A non-finite voltage or state, or a bad
+        timestep, raises SimulationFault."""
         if not math.isfinite(v_ab):
             raise SimulationFault(f"non-finite drive voltage {v_ab!r}")
         if not math.isfinite(dt) or dt <= 0.0:
             raise SimulationFault(f"bad timestep {dt!r}")
-        if duration is None:
-            duration = dt
         if duration <= 0.0 or v_ab == 0.0:
-            return self
+            return False
         w1, w2 = self.w
         if not (math.isfinite(w1) and math.isfinite(w2)):
             raise SimulationFault(f"non-finite device state under {v_ab!r} V drive")
-        lo, hi, o1 = self._lo, self._hi, self._o1
-        args = (w1, w2, lo, hi, duration, dt, o1, self._o2, self._r1, v_ab)
-        try:
-            if not adaptive:
-                w1, w2 = K.branch_step(self.config.device.branch_rk4, *args, self._rates)
-            elif self._manifold_rate is not None and (
-                    w2 == (lo + hi) - w1 if o1 > 0.0 else w1 == (lo + hi) - w2):
-                w1, w2 = K.manifold_segment(*args, self._manifold_rate)
-            else:
-                w1, w2 = K.branch_segment(*args, self._rates)
-        except OverflowError:
-            raise SimulationFault(f"device rate overflow under {v_ab!r} V drive") from None
-        if adaptive and not (math.isfinite(w1) and math.isfinite(w2)):
-            raise SimulationFault(f"non-finite device state under {v_ab!r} V drive")
-        self.w = (w1, w2)
-        return self
+        return True
 
     def transmit(self, v_in: float, dt: float, duration: float | None = None) -> float:
-        """Weighted spike transmission: v_out = weight * v_in.
+        """One weighted spike transmission on its own: v_out = weight * v_in.
 
         The transmitted signal also biases the bridge, so the state is
         stepped exactly as a programming signal of the same amplitude would
-        (the weak-signal side effect of a read), through `drive`.
+        (the weak-signal side effect of a read), through `drive`.  The
+        network reads the weight the same way but steps the transmission as
+        the first piece of the synapse's `frame`.
         """
         v_out = self.weight() * v_in
         self.drive(v_in, dt, duration)

@@ -1,6 +1,6 @@
 """Differential property test of the network engine: on drawn short stimulus
-programs, the engine, whose segments go through the error-controlled
-`drive`, against the same run with every segment stepped by the fixed-step
+programs, the engine, whose frames go through the error-controlled
+`frame`, against the same run with every segment stepped by the fixed-step
 reference `apply_differential` (McKeeman, "Differential testing for
 software", Digital Technical Journal 10(1), 1998)."""
 import itertools
@@ -16,6 +16,7 @@ from memsnn import _kernels as K  # noqa: E402
 from memsnn.harness import load_config, network_config, vteam_variant  # noqa: E402
 from memsnn.network import Network, StimulusProgram, pattern_learning  # noqa: E402
 from memsnn.synapse import SynapseAssembly  # noqa: E402
+from test_synapse import piecewise  # noqa: E402
 
 STOCK = load_config(None)
 VARIANTS = {"proposed": STOCK, "vteam": vteam_variant(STOCK)}
@@ -42,7 +43,8 @@ def programs(draw):
 
 def frames_of(monkeypatch, run, drive=None, tol=None):
     """The post fire frames and the per-frame weights of one pattern run,
-    with `drive` and SEGMENT_TOL replaced where given."""
+    with `drive` (and with it each piece of a `frame`) and SEGMENT_TOL
+    replaced where given."""
     reports = []
     run_frame = Network.run_frame
 
@@ -54,6 +56,7 @@ def frames_of(monkeypatch, run, drive=None, tol=None):
         m.setattr(Network, "run_frame", recorded)
         if drive is not None:
             m.setattr(SynapseAssembly, "drive", drive)
+            m.setattr(SynapseAssembly, "frame", piecewise(drive))
         if tol is not None:
             m.setattr(K, "SEGMENT_TOL", tol)
         pattern_learning(*run)

@@ -1,3 +1,4 @@
+import ast
 import math
 import signal
 from contextlib import contextmanager
@@ -6,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from memsnn import _kernels as K
 from memsnn import harness, network
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, main, network_config, vteam_variant
@@ -14,7 +16,7 @@ from memsnn.network import (Network, NetworkConfig, StimulusParams, StimulusProg
 from memsnn.neuron import LifNeuron
 from memsnn.plasticity import ClockParams
 from memsnn.synapse import SynapseAssembly, SynapseConfig
-from test_synapse import counted_drives, counting
+from test_synapse import counted_drives, counting, piecewise
 
 STOCK = load_config(None)
 SETTLE = STOCK["stdp.settle_frames"]
@@ -105,7 +107,7 @@ def test_dt_halving_changes_weights_below_tenth_percent():
 
 @pytest.mark.parametrize("variant", [lambda cfg: cfg, vteam_variant], ids=["proposed", "vteam"])
 def test_engine_matches_fixed_step_oracle(variant, monkeypatch):
-    """The engine, whose segments go through the error-controlled `drive`,
+    """The engine, whose frames go through the error-controlled `frame`,
     against the same program with every segment stepped by the fixed-step
     reference `apply_differential`.  The post fires naturally right after a
     pre spike (causal pair), then is forced two frames before the next one
@@ -126,6 +128,7 @@ def test_engine_matches_fixed_step_oracle(variant, monkeypatch):
 
     fires, weights = run()
     monkeypatch.setattr(SynapseAssembly, "drive", SynapseAssembly.apply_differential)
+    monkeypatch.setattr(SynapseAssembly, "frame", piecewise(SynapseAssembly.apply_differential))
     ref_fires, ref_weights = run()
     assert fires == ref_fires
     assert [f for f, (_, post) in enumerate(fires) if post] == [1, 5]
@@ -232,12 +235,13 @@ def test_short_pattern_run_stage_evaluations(monkeypatch):
     """A 20-epoch zero-init 3x3 run evaluates the rate law at most 1/1.5 as
     often as RK4 step doubling did, which took 14 180 evaluations here (12
     per attempted step): Dormand-Prince 5(4) takes 6 per attempted step,
-    its first stage being the last one of the step before; a count, not a
-    time."""
+    its first stage being the last one of the step before.  Integrating
+    each drive piece apart took 8 513; a frame's pieces of one drive sign
+    joined into one span take 7 665.  A count, not a time."""
     calls = counting(monkeypatch)
     pattern_learning(network_config(load_config(None)), StimulusParams().program(20),
                      init="zero")
-    assert 0 < calls[0] <= 14180 / 1.5
+    assert 0 < calls[0] <= 7665 <= 14180 / 1.5
 
 
 def test_lockstep_synapses_integrate_once(monkeypatch):
@@ -246,15 +250,15 @@ def test_lockstep_synapses_integrate_once(monkeypatch):
     engine steps the lockstep pair once, on the first synapse."""
     steps = {}
     calls = counting(monkeypatch)
-    drive = SynapseAssembly.drive
+    step_frame = SynapseAssembly.frame
 
-    def tagged_drive(syn, *args, **kwargs):
+    def tagged_frame(syn, *args, **kwargs):
         si, before = net.synapses.index(syn), calls[0]
-        result = drive(syn, *args, **kwargs)
+        result = step_frame(syn, *args, **kwargs)
         steps[si] = steps.get(si, 0) + calls[0] - before
         return result
 
-    monkeypatch.setattr(SynapseAssembly, "drive", tagged_drive)
+    monkeypatch.setattr(SynapseAssembly, "frame", tagged_frame)
     net = Network(make_config(n_pre=2))
     for syn in net.synapses:
         syn.program_to_weight(0.3, tolerance=1e-3, dt=net.config.clock.dt)
@@ -301,11 +305,15 @@ def test_lockstep_groups_split_when_inputs_diverge():
 def test_short_pattern_run_drive_calls(monkeypatch):
     """A 20-epoch zero-init 3x3 run steps each lockstep group once per
     frame, and sets up one synapse for all nine: at most 1 700 `drive`
-    calls, where stepping every synapse took 3 008.  A count, not a time."""
+    calls, where stepping every synapse took 3 008, and since a frame is
+    one `frame` call, 557 of them and the one zero-init `drive`, itself a
+    one-piece `frame`.  A count, not a time."""
     drives = counted_drives(monkeypatch)
+    frames = counted_drives(monkeypatch, "frame")
     pattern_learning(network_config(load_config(None)), StimulusParams().program(20),
                      init="zero")
-    assert 0 < drives[0] <= 1700
+    assert drives[0] == 1 and drives[0] + frames[0] <= 1700
+    assert frames[0] == 558
 
 
 def test_short_pattern_run_weight_calls(monkeypatch):
@@ -364,11 +372,11 @@ def test_memo_keys_on_the_post_inputs(monkeypatch):
     """A synapse in the state and under the pre input of a memo entry, but
     under another post trace or post fire, is stepped, not taken from the
     memo: the post PWM width depends on both.  Under the entry's own inputs
-    it is taken from the memo, and costs no `drive`."""
+    it is taken from the memo, and costs no `frame`."""
     cfg = make_config(n_pre=1)
     programmed = SynapseAssembly.fresh(cfg.synapse)
     programmed.program_to_weight(0.5, tolerance=1e-3, dt=cfg.clock.dt)
-    drives = counted_drives(monkeypatch)
+    drives = counted_drives(monkeypatch, "frame")
 
     def frame(memo, post_trace=0.0, forced_post=False):
         net = Network(cfg, memo)
@@ -443,7 +451,7 @@ def test_window_polarities_share_one_memo(case, phase_slot, monkeypatch):
     settle = cfg["stdp.settle_frames"]
     offsets = [-2, -1, 0, 1, 2]
     pair = polarity_pair(cfg, n_pre=1)
-    drives = counted_in_frames(monkeypatch, counted_drives(monkeypatch))
+    drives = counted_in_frames(monkeypatch, counted_drives(monkeypatch, "frame"))
     alone = [hexed(stdp_window(c, offsets, settle, phase_slot)) for c in pair]
     for order in (pair, pair[::-1]):
         memo = {}
@@ -488,9 +496,9 @@ def test_polarities_on_one_memo_weigh_exact_negatives(monkeypatch):
     """An excitatory and an inhibitory 3-pre network under one forced pre
     and post schedule: run on one memo, in either order, every frame's
     weights are exact negatives, and the network that runs second takes
-    every frame from the memo and makes no `drive` call."""
+    every frame from the memo and makes no `frame` call."""
     schedule = [((f % 3,) if f % 4 else (0, 2), f % 5 == 2) for f in range(40)]
-    drives = counted_drives(monkeypatch)
+    drives = counted_drives(monkeypatch, "frame")
     pair = polarity_pair(STOCK, n_pre=3)
     for order in (pair, pair[::-1]):
         memo, runs = {}, []
@@ -622,6 +630,90 @@ def test_post_sums_its_inputs_in_synapse_order(monkeypatch):
     assert seen[0] == expected
 
 
+def recorded_frames(monkeypatch):
+    """Record the pieces of every `SynapseAssembly.frame` call."""
+    calls = []
+    frame = SynapseAssembly.frame
+
+    def recorded(syn, pieces, dt):
+        calls.append(list(pieces))
+        return frame(syn, pieces, dt)
+
+    monkeypatch.setattr(SynapseAssembly, "frame", recorded)
+    return calls
+
+
+def test_slot0_piece_is_weighted_and_biases_state(monkeypatch):
+    """A firing pre's frame opens with its slot-0 piece, a +v_cc drive over
+    the slot: the post takes weight * v_cc, the weight read before the
+    frame steps, and the piece biases the bridge as any drive of that
+    amplitude does (a weak read-induced drift, about +0.0024 from weight
+    0.5).  Without a pre fire the frame has no slot-0 piece and the post
+    takes 0."""
+    cfg = make_config(n_pre=1)
+    v_cc, slot, dt = cfg.lif.v_cc, cfg.clock.slot_width, cfg.clock.dt
+    net = Network(cfg)
+    psi0 = net.synapses[0].program_to_weight(0.5, tolerance=1e-3, dt=dt)
+    start = net.synapses[0].w
+    seen = []
+    integrate = LifNeuron.integrate
+    monkeypatch.setattr(LifNeuron, "integrate",
+                        lambda self, inputs, dt: seen.append(list(inputs)) or integrate(
+                            self, inputs, dt))
+    frames = recorded_frames(monkeypatch)
+    rep = net.run_frame(forced_pre=(0,))
+    [pieces] = frames
+    assert seen[0] == [psi0 * v_cc] and pieces[0] == (slot, v_cc) and rep.weights[0] != psi0
+    assert net.synapses[0].w == SynapseAssembly(cfg.synapse, start).frame(pieces, dt).w
+    read = SynapseAssembly(cfg.synapse, start).frame(pieces[:1], dt).weight()
+    assert read - psi0 == pytest.approx(0.0024, rel=0.25)
+    frames.clear()
+    net.run_frame()
+    [pieces] = frames
+    assert seen[3] == [0.0] and 0.0 < pieces[0][0] < slot  # the slot-1 trace PWM
+
+
+@pytest.mark.parametrize("init", ["zero", "midpoint"])
+def test_frame_is_at_most_two_segment_calls(init, monkeypatch):
+    """On the manifold a frame miss makes at most two `_kernels.segment`
+    calls, one per drive sign (an up span of slot 0 and the slot-1 pieces, a
+    down span of the slot-2 pieces), and a `drive` makes one: a 20-epoch run
+    and its init.  The composition is synapse.py's: network.py never imports
+    `_kernels`."""
+    calls, per_call = [0], []
+    segment = K.segment
+
+    def counted(*args):
+        calls[0] += 1
+        return segment(*args)
+
+    def per(method):
+        step = getattr(SynapseAssembly, method)
+
+        def wrapped(syn, *args, **kwargs):
+            before = calls[0]
+            result = step(syn, *args, **kwargs)
+            per_call.append((method, args, calls[0] - before))
+            return result
+
+        monkeypatch.setattr(SynapseAssembly, method, wrapped)
+
+    monkeypatch.setattr(K, "segment", counted)
+    per("frame")
+    per("drive")
+    pattern_learning(network_config(STOCK), StimulusParams().program(20), init=init)
+    frames = [(args[0], n) for method, args, n in per_call if method == "frame"]
+    drives = [n for method, _, n in per_call if method == "drive"]
+    assert drives and all(n == 1 for n in drives)
+    assert len(frames) > 500 and any(n == 2 for _, n in frames)
+    assert all(n <= len({v > 0.0 for _, v in pieces}) <= 2 for pieces, n in frames)
+    imports = [node for node in ast.walk(ast.parse(open(network.__file__).read()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [getattr(node, "module", None) or "" for node in imports] + [
+        alias.name for node in imports for alias in node.names]
+    assert "SynapseAssembly" in names and not any("_kernels" in name for name in names)
+
+
 def test_fault_reports_frame_context():
     # a frame with no drive finds the state non-finite at its weight check
     net = Network(make_config(n_pre=1))
@@ -646,6 +738,26 @@ def test_fault_reports_frame_context():
         syn.w = bad  # one non-finite pair, shared by both
     with pytest.raises(SimulationFault, match="frame 1: slot 0, synapse 1: non-finite"):
         net.run_frame(forced_pre=(1, 2))
+
+
+@pytest.mark.parametrize("frames, where", [
+    ([((0,), True)], "frame 0: slot 0, synapse 0: device rate overflow under 2.0, 4.0 V"),
+    ([((0,), False), ((), True)], "frame 1: slot 1, synapse 0: .* under 4.0, 2.0 V"),
+    ([((), True), ((0,), False)], "frame 1: slot 2, synapse 0: .* under -4.0, -2.0 V"),
+], ids=["up span from slot 0", "up span from slot 1", "down span"])
+def test_span_fault_names_its_first_slot(frames, where):
+    """On the manifold a frame's pieces of one drive sign are one span, so a
+    fault names the first slot of the span, whichever of its pieces
+    faults: slot 0 for a firing pre's up span, else slot 1, and slot 2 for
+    the down span.  Here the 4 V overlaps overflow the Joule power law and
+    the 2 V drives do not."""
+    cfg = network_config(STOCK, n_pre=1)
+    i = 2.0 / (cfg.synapse.device.r_on + cfg.synapse.device.r_off + cfg.synapse.r1)
+    device = replace(cfg.synapse.device, i0=i / 3e61, a0=1e-3)  # (2 i0 3e61)^5 overflows
+    net = Network(replace(cfg, synapse=replace(cfg.synapse, device=device)))
+    with pytest.raises(SimulationFault, match=where):
+        for pre, post in frames:
+            net.run_frame(forced_pre=pre, forced_post=post)
 
 
 @contextmanager

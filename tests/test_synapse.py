@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from memsnn.device import (MemristorParams, MemristorState, SineDrive, VteamPara
                            WindowSpec, hysteresis_sweep)
 from memsnn.errors import ConfigError, SimulationFault
 from memsnn.harness import load_config, network_config, vteam_variant
-from memsnn.plasticity import pwm_encode
+from memsnn.plasticity import differential_frame, pwm_encode
 from memsnn.synapse import EXCITATORY, INHIBITORY, SynapseAssembly, SynapseConfig
 
 CFG_EXC = SynapseConfig(polarity=EXCITATORY)
@@ -218,17 +219,28 @@ def test_program_to_current_weight_is_noop():
     assert achieved == pytest.approx(syn.weight())
 
 
-def counted_drives(monkeypatch):
-    """Count the calls of `SynapseAssembly.drive`."""
+def counted_drives(monkeypatch, method="drive"):
+    """Count the calls of `SynapseAssembly.drive`, or of its `method`."""
     drives = [0]
-    drive = SynapseAssembly.drive
+    drive = getattr(SynapseAssembly, method)
 
     def counted_drive(*args, **kwargs):
         drives[0] += 1
         return drive(*args, **kwargs)
 
-    monkeypatch.setattr(SynapseAssembly, "drive", counted_drive)
+    monkeypatch.setattr(SynapseAssembly, method, counted_drive)
     return drives
+
+
+def piecewise(step):
+    """A `SynapseAssembly.frame` that steps each piece with `step`, a
+    method of `drive`'s signature, such as the fixed-step oracle."""
+    def frame(syn, pieces, dt):
+        for duration, v in pieces:
+            step(syn, v, dt, duration)
+        return syn
+
+    return frame
 
 
 def test_program_short_of_the_band_faults(monkeypatch):
@@ -300,9 +312,18 @@ def test_config_validation():
 
 ENGINE_CONFIGS = {"proposed": STOCK, "vteam": vteam_variant(STOCK)}
 # the segment driver `drive` takes from an on-manifold state, and the law's
-# rates it is handed: the dopant bridge conserves w1 + w2, VTEAM's does not
-SEGMENT_DRIVERS = {"proposed": ("manifold_segment", "manifold_rate"),
+# member it is handed: the dopant bridge conserves w1 + w2, VTEAM's does not
+SEGMENT_DRIVERS = {"proposed": ("manifold_segment", "manifold_speed"),
                    "vteam": ("branch_segment", "branch_rates")}
+
+
+def segment_call(driver, law, w, lo, hi, duration, dt, o1, o2, r_series, v):
+    """A direct call of the segment driver `driver` on one constant drive,
+    with the rates of `law`, as `drive` calls it."""
+    if driver == "manifold_segment":
+        return K.manifold_segment(*w, lo, hi, ((duration, v),), dt, o1, o2, r_series,
+                                  law.manifold_speed, law.span_rates)
+    return K.branch_segment(*w, lo, hi, duration, dt, o1, o2, r_series, v, law.branch_rates)
 
 
 @pytest.mark.parametrize("polarity", [EXCITATORY, INHIBITORY])
@@ -374,11 +395,14 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
             [(name, driver, args)] = calls
             assert name == ("branch_step" if step is SynapseAssembly.apply_differential
                             else SEGMENT_DRIVERS[kind][0])
-            # the fixed-step driver's RK4 step leads, the law's rates close
-            lead, rates = args[:-11], args[-1]
-            assert args[-11:-1] == (*w, lo, hi, duration, cfg.clock.dt, o1, o2, sc.r1, v)
-            swapped = driver(*lead, w[1], w[0], lo, hi, duration, cfg.clock.dt,
-                             o2, o1, sc.r2, v, rates)
+            # the fixed-step driver's RK4 step leads, the law's members
+            # close; the span driver takes the drive as its one piece
+            lead, body = args[:-11], args[-11:]
+            one = ((duration, v),) if name == "manifold_segment" else duration
+            assert body[:9] == (*w, lo, hi, one, cfg.clock.dt, o1, o2, sc.r1)
+            assert name == "manifold_segment" or body[9] == v
+            swapped = driver(*lead, w[1], w[0], lo, hi, one, cfg.clock.dt,
+                             o2, o1, sc.r2, *body[9:])
             assert [x.hex() for x in swapped] == [x.hex() for x in syn.w[::-1]], (
                 step.__name__, v, duration)
             assert syn.w != w
@@ -404,10 +428,11 @@ def test_device_members_set_corners_and_kernel_constants(kind, polarity, monkeyp
     sweep = f"{model}_sine_sweep"
     segment, rates_name = SEGMENT_DRIVERS[kind]
     seen = {segment: set(), sweep: set()}
-    # the law's rates follow (w1, w2, lo, hi, duration, dt, o1, o2, r1, v);
-    # the law follows (w0, ..., sample_every), then the sweep's bounds and
-    # five output arrays
-    for name, start, end in ((segment, 10, None), (sweep, 7, -5)):
+    # the law's rates follow (w1, w2, lo, hi, duration, dt, o1, o2, r1, v),
+    # its speed (w1, w2, lo, hi, pieces, dt, o1, o2, r1); the law follows
+    # (w0, ..., sample_every), then the sweep's bounds and five output arrays
+    member = 9 if segment == "manifold_segment" else 10
+    for name, start, end in ((segment, member, member + 1), (sweep, 7, -5)):
         def recorded(*args, _kernel=getattr(K, name), _seen=seen[name], _s=start, _e=end):
             _seen.add(args[_s:_e])
             return _kernel(*args)
@@ -534,19 +559,21 @@ def test_drive_error_falls_with_segment_tolerance(monkeypatch):
     assert all(b < a for a, b in zip(errors, errors[1:])), errors
 
 
-def counting(monkeypatch, nan_from=math.inf, bad=math.nan):
+def counting(monkeypatch, nan_from=math.inf, bad=math.nan, once=False):
     """Count the stage evaluations of every device law: its `branch_rates`
-    and the one-state rates (w, t) its `manifold_rate` and `sweep_rate`
-    build.  Each device class's `law` becomes one whose rates count, still
-    one law per distinct set of constants.  Assemblies bind the law when
-    built, so only those built after this call count.  From the
-    `nan_from`-th evaluation on, every rate is `bad` (NaN by default)."""
+    and the one-state rates (w, t): its `span_rates` and those its
+    `sweep_rate` builds.  Each device class's `law` becomes one whose rates
+    count, still one law per distinct set of constants.  Assemblies bind
+    the law when built, so only those built after this call count.  From
+    the `nan_from`-th evaluation on, every rate is `bad` (NaN by default);
+    with `once`, only that evaluation is."""
     calls = [0]
 
     def counted(rates, bad_value):
         def rate(*args):
             calls[0] += 1
-            return bad_value if calls[0] >= nan_from else rates(*args)
+            hit = calls[0] == nan_from if once else calls[0] >= nan_from
+            return bad_value if hit else rates(*args)
         return rate
 
     def counted_builder(build):
@@ -559,7 +586,8 @@ def counting(monkeypatch, nan_from=math.inf, bad=math.nan):
             return built._replace(
                 branch_rates=counted(built.branch_rates, (bad, bad)),
                 sweep_rate=counted_builder(built.sweep_rate),
-                manifold_rate=built.manifold_rate and counted_builder(built.manifold_rate))
+                span_rates=built.span_rates and tuple(
+                    counted(rate, bad) for rate in built.span_rates))
 
         monkeypatch.setattr(cls, "law", property(law))
     return calls
@@ -577,56 +605,57 @@ def test_drive_is_the_integrated_drive(kind):
     lo, hi = dev.state_range
     o1, o2 = dev.ORIENTATIONS
     # a law built here, apart from the device's shared one
-    window = K.window(dev.window.kind, dev.window.p, dev.window.j)
     if kind == "vteam":
+        window = K.window(dev.window.kind, dev.window.p, dev.window.j)
         law = K.vteam_law(dev.v_on, dev.v_off, dev.k_on, dev.k_off, float(dev.alpha_on),
                           float(dev.alpha_off), dev.w_on, dev.w_off, dev.r_on, dev.r_off, window)
     else:
-        law = K.dopant_law(dev.r_on, dev.r_off, dev.d, dev.mu_v, dev.a0, dev.i0, dev.q, window)
+        law = K.dopant_law(dev.r_on, dev.r_off, dev.d, dev.mu_v, dev.a0, dev.i0, dev.q,
+                           dev.window.kind, dev.window.p, dev.window.j)
     assert law.branch_rates is not dev.law.branch_rates
     rk4 = dev.branch_rk4  # the fixed-step driver's step; the segment drivers take none
     base = SynapseAssembly.fresh(sc)
     base.program_to_weight(0.5, tolerance=1e-3, dt=cfg.clock.dt)
     slot = 1.0 / cfg.clock.base_freq
-    drivers = (("branch_step", "branch_rates"), SEGMENT_DRIVERS[kind])
-    for step, (driver, rates) in zip(DRIVERS, drivers):
+    args = (lo, hi, slot, cfg.clock.dt, o1, o2, sc.r1, 2 * cfg.lif.v_cc)
+    direct = (K.branch_step(rk4, *base.w, *args, law.branch_rates),
+              segment_call(SEGMENT_DRIVERS[kind][0], law, base.w, *args))
+    for step, want in zip(DRIVERS, direct):
         first = base.copy()
         step(first, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
         again = base.copy()
         step(again, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
-        lead = (rk4,) if driver == "branch_step" else ()
-        w1, w2 = getattr(K, driver)(*lead, *base.w, lo, hi, slot, cfg.clock.dt,
-                                    o1, o2, sc.r1, 2 * cfg.lif.v_cc, getattr(law, rates))
-        assert first.w == again.w == (w1, w2), step.__name__
+        assert first.w == again.w == want, step.__name__
         assert first.w != base.w
 
 
 @pytest.mark.parametrize("kind", ["zha", "biolek", "none"])
 def test_one_state_segment_matches_the_two_state_one(kind):
-    """On the manifold w2 = D - w1 the one-state dopant driver keeps the
-    pair on it exactly and agrees with `branch_segment`: 4 000 seeded
+    """On the manifold w2 = D - w1 the span driver, given one piece, keeps
+    the pair on it exactly and agrees with `branch_segment`: 4 000 seeded
     segments from either corner or a drawn state, at +-1, +-2 and +-4 V, of
-    1e-5 s to 0.1 s, under every window a bridge accepts.  The one-state
-    driver picks its device by orientation, so a call with the devices and
-    orientations swapped returns the swapped pair bit for bit.  Where the two
-    take the same steps they agree within 2e-15 D (8.3e-16 D measured).
-    Their error estimates round apart, so a step near the tolerance may be
-    accepted by one and rejected by the other; then both results are
-    within the controller's tolerance of the solution.  That happens in 1
-    of the 12 000 segments (biolek, 2.1e-14 D apart)."""
+    1e-5 s to 0.1 s, under every window a bridge accepts.  The span driver
+    picks its device by orientation, so a call with the devices and
+    orientations swapped returns the swapped pair bit for bit.  It steps in
+    the scaled time |amp|*t, so its stage states round apart from the
+    two-state driver's: where the two take the same number of stages they
+    agree within 2e-15 D (1.2e-15 D measured).  Their error estimates
+    round apart too, so a step near the tolerance may be accepted by one and
+    rejected by the other; then both results are within the controller's
+    tolerance of the solution.  That happens in at most 2 of each window's
+    4 000 segments."""
     dev = MemristorParams(window=WindowSpec(kind=kind))
     law, d = dev.law, dev.d
     o1, o2 = dev.ORIENTATIONS
     stages = [0, 0]
 
-    def manifold_rate(*args):
-        rate = law.manifold_rate(*args)
-
-        def counted(w, t):
+    def counted(rate):
+        def rate_of(w, t):
             stages[0] += 1
             return rate(w, t)
+        return rate_of
 
-        return counted
+    rates = tuple(map(counted, law.span_rates))
 
     def branch_rates(*args):
         stages[1] += 1
@@ -638,20 +667,86 @@ def test_one_state_segment_matches_the_two_state_one(kind):
         w1 = (0.0, d)[k % 2] if k % 4 < 2 else float(rng.uniform(0.0, d))
         v = float(rng.choice([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0]))
         duration = float(10.0 ** rng.uniform(-5.0, -1.0))
-        args = (w1, d - w1, 0.0, d, duration, DT, o1, o2, CFG_EXC.r1, v)
+        args = (0.0, d, ((duration, v),), DT, o1, o2, CFG_EXC.r1, law.manifold_speed)
         stages[:] = [0, 0]
-        got = K.manifold_segment(*args, manifold_rate)
-        want = K.branch_segment(*args, branch_rates)
-        assert got[1] == d - got[0], args
-        swapped = K.manifold_segment(d - w1, w1, 0.0, d, duration, DT, o2, o1, CFG_EXC.r1, v,
-                                     law.manifold_rate)
-        assert [x.hex() for x in swapped] == [x.hex() for x in got[::-1]], args
+        got = K.manifold_segment(w1, d - w1, *args, rates)
+        want = K.branch_segment(w1, d - w1, 0.0, d, duration, DT, o1, o2, CFG_EXC.r1, v,
+                                branch_rates)
+        assert got[1] == d - got[0], (w1, v, duration)
+        swapped = K.manifold_segment(d - w1, w1, 0.0, d, ((duration, v),), DT, o2, o1,
+                                     CFG_EXC.r1, law.manifold_speed, law.span_rates)
+        assert [x.hex() for x in swapped] == [x.hex() for x in got[::-1]], (w1, v, duration)
         same_steps = stages[0] == stages[1]
         apart += not same_steps
         bound = 2e-15 if same_steps else K.SEGMENT_TOL
-        assert max(abs(a - b) for a, b in zip(got, want)) <= bound * d, args
+        assert max(abs(a - b) for a, b in zip(got, want)) <= bound * d, (w1, v, duration)
         moved += got[0] != w1
     assert moved > 2500 and apart <= 2
+
+
+@pytest.mark.parametrize("kind", ["zha", "biolek", "none"])
+def test_span_frames_match_per_piece_drivers(kind, monkeypatch):
+    """Seeded synapse frames under every window a bridge accepts: each
+    (pre fired, post fired) pair, drawn trace widths, from either corner or
+    a drawn state on the manifold.  `frame` takes each run of pieces of one
+    drive sign as one span, and ends within 2e-12 D of the pieces stepped
+    one by one by `branch_segment` and by the fixed-step oracle (measured:
+    6.6e-15 and 3.8e-14 D for zha, 1.0e-13 and 9.5e-13 D for biolek, 1.7e-16
+    and 1.5e-13 D for none).  The pair stays exactly on the manifold, both
+    polarities step the same pair, and the span driver on the swapped
+    devices and orientations returns the swapped pair bit for bit.  A span
+    from a state on a bound accepts at most ceil(T/dt) steps, T the
+    duration of its pieces: its step floor is S*dt/T in scaled time."""
+    cfg = SynapseConfig(device=MemristorParams(window=WindowSpec(kind=kind)))
+    dev, r1 = cfg.device, cfg.r1
+    d, law = dev.d, dev.law
+    o1, o2 = dev.ORIENTATIONS
+    slot, v_cc = 0.01, 2.0
+    accepted, spans = [0], []
+    clamp, manifold_segment, segment = K._clamp, K.manifold_segment, K.segment.__code__
+
+    def counted_clamp(*args):
+        accepted[0] += sys._getframe(1).f_code is segment  # an accepted step
+        return clamp(*args)
+
+    def recorded(*args):
+        accepted[0] = 0
+        result = manifold_segment(*args)
+        spans.append((args, result, accepted[0]))
+        return result
+
+    monkeypatch.setattr(K, "_clamp", counted_clamp)
+    monkeypatch.setattr(K, "manifold_segment", recorded)
+    rng = np.random.default_rng(26)
+    moved = 0
+    for k in range(160):
+        pre, post = bool(k & 1), bool(k & 2)
+        w1 = (0.0, d)[k // 4 % 2] if k % 16 < 8 else float(rng.uniform(0.0, d))
+        width_a = slot if pre else float(rng.uniform(0.0, slot))
+        width_b = slot if post else float(rng.uniform(0.0, slot))
+        slot1, slot2 = differential_frame(pre, post, width_a, width_b, v_cc, slot)
+        pieces = [(slot, v_cc)] * pre + slot1 + slot2
+        spans.clear()
+        got = SynapseAssembly(cfg, (w1, d - w1)).frame(pieces, DT).w
+        assert got[1] == d - got[0], k
+        moved += got[0] != w1
+        assert len(spans) == len({v > 0.0 for _, v in pieces}), k
+        twin = SynapseAssembly(replace(cfg, polarity=INHIBITORY), (w1, d - w1))
+        assert twin.frame(pieces, DT).w == got and twin.weight() == -SynapseAssembly(
+            cfg, got).weight()
+        per_piece, oracle = (w1, d - w1), SynapseAssembly(cfg, (w1, d - w1))
+        for duration, v in pieces:
+            per_piece = K.branch_segment(*per_piece, 0.0, d, duration, DT, o1, o2, r1, v,
+                                         law.branch_rates)
+            oracle.apply_differential(v, DT, duration)
+        for want in (per_piece, oracle.w):
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 2e-12 * d, (k, want)
+        for (a, b, lo, hi, span, dt, *rest), result, steps in spans:
+            swapped = manifold_segment(b, a, lo, hi, span, dt, o2, o1, r1, *rest[3:])
+            assert [x.hex() for x in swapped] == [x.hex() for x in result[::-1]], k
+            if a in (lo, hi):
+                assert steps <= math.ceil(sum(t for t, _ in span) / dt), (k, steps)
+    assert moved > 120
 
 
 def test_off_manifold_pair_takes_the_two_state_driver(monkeypatch):
