@@ -14,16 +14,16 @@ the same `branch_rk4` step and the same `sine_sweep` serve both models.
 Two error-controlled drivers take embedded Dormand-Prince 5(4) steps no
 shorter than their step floor and serve every production path; they share
 one tableau, step-size controller and non-finite rule.  `segment`
-integrates one state under any one-state rate: `manifold_segment` calls it
-once per span, a run of constant drives of one sign on a dopant branch on
-its manifold, in the scaled time s = |amp|*t where the pieces join (floor
-S*dt/T for a span of scaled length S and duration T), and `sine_sweep` once
-per sample interval of the hysteresis experiment, the drive evaluated at
-each stage's time (floor dt).  `branch_segment` integrates both devices of
-any other branch under one constant drive (floor dt).  The fixed-step
-`branch_step` takes `branch_rk4` substeps of at most dt on both devices and
-is kept as the tests' reference.  All state is passed as scalars /
-preallocated `array('d')` buffers.
+integrates one state under any one-state rate: `SynapseAssembly.frame`
+calls it once per span, a run of constant drives of one sign on a dopant
+branch on its manifold, for the device of orientation +1 in the scaled time
+s = |amp|*t where the drives join (floor S*dt/T for a span of scaled length
+S and duration T), and `sine_sweep` once per sample interval of the
+hysteresis experiment, the drive evaluated at each stage's time (floor dt).
+`branch_segment` integrates both devices of any other branch under one
+constant drive (floor dt).  The fixed-step `branch_step` takes `branch_rk4`
+substeps of at most dt on both devices and is kept as the tests' reference.
+All state is passed as scalars / preallocated `array('d')` buffers.
 """
 import math
 from typing import Callable, NamedTuple
@@ -74,7 +74,7 @@ def window(kind, p, j):
 
 def span_rates(kind, p, j, d):
     """The (down, up) rates (w, t) -> dw/ds of a dopant device on its
-    manifold in the scaled time s = |amp|*t (see manifold_segment): the
+    manifold in the scaled time s = |amp|*t (see Law): the
     window of `kind` at the clamped state x = w/d in the drive's direction,
     negated for a drive pushing the state down; t unused.  Written out for
     the default zha window, since they run at every stage of a default
@@ -126,10 +126,11 @@ class Law(NamedTuple):
     # (dw1/dt, dw2/dt) of a branch (see branch_rk4): `rate` at each device's
     # drive, written out in one call, since it runs at every stage
     branch_rates: Callable
-    # for a law whose branch conserves w1 + w2 (see manifold_segment), where
-    # a device's rate under constant drive v is amp*f(w, direction):
-    # manifold_speed(o, r_series, v) is the signed amp of the device of
-    # orientation o, and span_rates the (down, up) rates of `span_rates`;
+    # for a law whose branch conserves w1 + w2, where a device's rate under
+    # constant drive v is +-|amp|*f(w, direction), |amp| constant: that ODE
+    # is autonomous, so in the scaled time s = |amp|*t a run of drives of
+    # one sign joins into one span.  manifold_speed(r_series, v) is the
+    # speed |amp|, and span_rates the (down, up) rates of `span_rates`;
     # both None for a law whose branch does not conserve w1 + w2
     manifold_speed: Callable | None = None
     span_rates: tuple | None = None
@@ -201,15 +202,13 @@ def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, window_kind, window_p, window_j)
 
     r_branch = r_on + r_off
 
-    def manifold_speed(o, r_series, v):
+    def manifold_speed(r_series, v):
         # on the manifold w1 + w2 = D the two devices' resistances sum to
         # r_on + r_off, so the branch current, and with it the Joule power,
         # is constant under a constant drive and only the window varies:
-        # dw/dt = amp * win(w/D, o*i)
+        # dw/dt = +-speed * win(w/D, o*i), signed by the device current o*i
         i = v / (r_branch + r_series)
-        s = i / i0
-        p = a0 * abs(s) ** n
-        return k * (p if o * s >= 0.0 else -p)
+        return k * (a0 * abs(i / i0) ** n)
 
     return Law(resistance, rate, sweep_rate, branch_rates, manifold_speed,
                span_rates(window_kind, window_p, window_j, d))
@@ -363,8 +362,8 @@ def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None):
     step is the rate at its 5th-order solution, the next step's first stage
     (FSAL); `rate` reads only the clamped state, so clamping keeps it so.
 
-    `dt` is the step floor: a span of `manifold_segment` passes S*dt/T, in
-    its scaled time, the sweep passes dt.
+    `dt` is the step floor: a span of `SynapseAssembly.frame` passes S*dt/T,
+    in its scaled time, the sweep passes dt.
 
     Returns (w, h_next, k1_next): the state at t_end, the step-size
     suggestion and first stage rate(w, t_end) for a call that continues
@@ -472,36 +471,6 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
             t += h
             a1, b1 = a7, b7
         h = max(h * grow, dt)
-
-
-def manifold_segment(w1, w2, lo, hi, pieces, dt, o1, o2, r_series, speed, rates):
-    """Drive a branch on its manifold through `pieces`, (duration, v) pairs
-    of constant drive whose v share one sign: the device of orientation -1
-    sits at (lo + hi) minus the other's state, and the law keeps it there
-    (w1 + w2 = D for the dopant law, whose windows are symmetric under
-    x -> 1 - x with the drive reversed).  The device of orientation +1 is
-    integrated alone and the other is written as its mirror.  Choosing the
-    device by orientation, not by position, keeps a call on (w2, w1, o2, o1)
-    the swap of this one.
-
-    Over a piece the device's rate is amp*f(w, direction), where
-    amp = speed(o, r_series, v) (the law's `manifold_speed`) is constant
-    and carries the direction's sign.  That ODE is autonomous, so in the
-    scaled time s = |amp|*t the pieces join into one span of length
-    S = sum |amp_i|*duration_i, which one `segment` call integrates at the
-    window rate of the direction, `rates` = (down, up) (the law's
-    `span_rates`).  Its step floor S*dt/T, T the pieces' total duration,
-    keeps `segment`'s bound: at most T/dt steps at the floor."""
-    swap = o1 < 0.0
-    o = o2 if swap else o1
-    span = total = 0.0
-    for duration, v in pieces:
-        span += abs(speed(o, r_series, v)) * duration
-        total += duration
-    w, _, _ = segment(w2 if swap else w1, 0.0, span, span, span * dt / total, lo, hi,
-                      rates[o * pieces[0][1] > 0.0])
-    mirror = (lo + hi) - w
-    return (mirror, w) if swap else (w, mirror)
 
 
 def branch_rk4(w1, w2, h, o1, o2, r_series, v, rates):

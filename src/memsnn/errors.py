@@ -1,7 +1,9 @@
 class ConfigError(ValueError):
-    """Bad configuration: unknown key, unparsable value, or violated invariant.
-
-    Raised while loading/validating configuration, never during stepping.
+    """A caller's bad argument: an unknown key, an unparsable value or a
+    violated invariant of the configuration, an unreadable config file or
+    output directory, or a bad argument to a step (`Network.run_frame` raises
+    it mid-run for a pre index outside [0, n_pre) or a bad `load_slot`).  A
+    fault of the integration itself raises SimulationFault.  The CLI exits 2.
     """
 
 

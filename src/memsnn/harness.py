@@ -238,14 +238,20 @@ def load_config(path: str | Path | None = None, overrides=()) -> Config:
     """Build the effective configuration: defaults, then file, then overrides.
 
     Every embedded parameter invariant is checked here; violations raise
-    ConfigError quoting the violated rule.
+    ConfigError quoting the violated rule, as does a file that cannot be
+    read as UTF-8 text.
     """
     cfg = Config()
     if path is not None:
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file {p} does not exist")
-        for key, value in parse_config_text(p.read_text()).items():
+        try:
+            text = p.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {p}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read config file {p} as UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
+        for key, value in parse_config_text(text).items():
             cfg.set(key, value)
     for item in overrides:
         if "=" not in item:
@@ -550,7 +556,10 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     if spec.name in VARIANTS:
         cfg = VARIANTS[spec.name](cfg)
     outdir = Path(spec.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {outdir}: {exc.strerror}") from None
     files = RUNNERS[spec.name](cfg, outdir)
     write_manifest(outdir, spec.name, cfg, files)
     return files

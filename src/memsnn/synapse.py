@@ -31,8 +31,9 @@ Williams, Nature 453:80-83, 2008).  On that manifold `frame` integrates M1
 alone and writes M2 as D - w1, so every state it writes stays exactly on
 it.  There M1's rate is amp*f(w1/D, direction), amp constant per drive,
 and the ODE is autonomous, so consecutive drives of one sign join into
-one span in the scaled time |amp|*t, integrated at the window's rate: a
-network frame is at most two spans, one up and one down.  Off the
+one span in the scaled time |amp|*t, integrated at the window's rate by
+one call of the one-state driver the sine sweep also takes: a network
+frame is at most two spans, one up and one down.  Off the
 manifold (a state set by hand or left by `apply_differential`), and for
 VTEAM devices, which split the branch voltage by their resistances,
 `frame` integrates the pair, one drive at a time.
@@ -201,21 +202,26 @@ class SynapseAssembly:
         """Step the bridge through `pieces`, (duration, v_ab) pairs of
         constant drive in order, and write the new pair to `w`.
 
-        A pair exactly on its law's manifold (the device of orientation -1
-        at lo + hi minus the other, which `fresh` and every such step write)
-        takes each run of pieces of one drive sign as one span: a single
-        `_kernels.manifold_segment` call integrates the device of
-        orientation +1 alone, over the one-state driver the sine sweep also
-        takes.  Any other pair, and every VTEAM pair, takes one two-state
-        `_kernels.branch_segment` call per piece.  Pieces of zero duration or
-        voltage are skipped.  A non-finite voltage or state, a bad timestep,
-        a rate overflow, or a step that turns non-finite (the drivers then
-        return a NaN pair) raises SimulationFault, whose `piece` is the
-        index of the first piece of the span that faulted.  The drivers are
-        looked up in `_kernels` at each call, so a patched or wrapped kernel
-        is the one that runs.
+        A pair exactly on its law's manifold, w2 = (lo + hi) - w1, which
+        `fresh` and every such step write, takes each run of pieces of one
+        drive sign as one span.  There M1's rate under a piece is
+        +-|amp|*f(w1, direction), |amp| the law's `manifold_speed`, so in
+        the scaled time |amp|*t the pieces join: the span's length S sums
+        |amp|*duration over its pieces and its duration T their durations,
+        both in piece order.  One `_kernels.segment` call integrates M1
+        alone over [0, S] at the direction's span rate with step floor
+        S*dt/T (so at most T/dt floor steps), and M2 is written as
+        (lo + hi) - w1.  M1 is the device of orientation +1: every law with
+        span rates lists it first.  Any other pair, and every VTEAM pair,
+        takes one two-state `_kernels.branch_segment` call per piece.
+        Pieces of zero duration or voltage are skipped.  A non-finite
+        voltage or state, a bad timestep, a rate overflow, or a step that
+        turns non-finite (the drivers then return a NaN state) raises
+        SimulationFault, whose `piece` is the index of the first piece of
+        the span that faulted.  The drivers are looked up in `_kernels` at
+        each call, so a patched or wrapped kernel is the one that runs.
         """
-        lo, hi, o1, rates = self._lo, self._hi, self._o1, self._span_rates
+        lo, hi, rates = self._lo, self._hi, self._span_rates
         n, i = len(pieces), 0
         while i < n:
             duration, v = pieces[i]
@@ -224,17 +230,21 @@ class SynapseAssembly:
                 if self._moves(v, dt, duration):
                     w1, w2 = self.w
                     try:
-                        if rates is None or (
-                                w2 != (lo + hi) - w1 if o1 > 0.0 else w1 != (lo + hi) - w2):
-                            w1, w2 = K.branch_segment(w1, w2, lo, hi, duration, dt, o1,
+                        if rates is None or w2 != (lo + hi) - w1:
+                            w1, w2 = K.branch_segment(w1, w2, lo, hi, duration, dt, self._o1,
                                                       self._o2, self._r1, v, self._rates)
                         else:
                             # the following pieces of this drive sign join the span
                             while (end < n and pieces[end][0] > 0.0
                                    and 0.0 < pieces[end][1] * v < math.inf):
                                 end += 1
-                            w1, w2 = K.manifold_segment(w1, w2, lo, hi, pieces[i:end], dt, o1,
-                                                        self._o2, self._r1, self._speed, rates)
+                            span = total = 0.0
+                            for t, u in pieces[i:end]:
+                                span += self._speed(self._r1, u) * t
+                                total += t
+                            w1, _, _ = K.segment(w1, 0.0, span, span, span * dt / total, lo, hi,
+                                                 rates[v > 0.0])
+                            w2 = (lo + hi) - w1
                     except OverflowError:
                         raise SimulationFault(f"device rate overflow under "
                                               f"{_volts(pieces[i:end])} V drive") from None

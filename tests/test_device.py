@@ -455,8 +455,8 @@ def test_dopant_sweep_rate_is_the_rate_at_the_device_current(kind):
 
 @pytest.mark.parametrize("kind", WindowSpec.KINDS)
 def test_span_rates_times_the_speed_are_the_rate_on_the_manifold(kind):
-    """The dopant law's written-out span rates, times the speed |amp| of a
-    drive, are its own `rate` at the branch current of a pair on the
+    """The dopant law's written-out span rates, times the unsigned speed
+    |amp| of a drive, are its own `rate` at the branch current of a pair on the
     manifold, bit for bit: every window kind, both orientations, states on
     and beyond the bounds, drives of both signs.  So a span in the scaled
     time |amp|*t integrates the ODE of each of its drives."""
@@ -469,11 +469,11 @@ def test_span_rates_times_the_speed_are_the_rate_on_the_manifold(kind):
     for v in (0.3, -0.3, 1.7, -1.7, 4.0, -4.0, 37.0):
         i = v / (dev.r_on + dev.r_off + r_series)
         for o in (1.0, -1.0):
-            speed = law.manifold_speed(o, r_series, v)
+            speed = law.manifold_speed(r_series, v)
             rate = up if o * v > 0.0 else down
             for w in (lo - 0.25 * span, -0.0, lo, lo + 1e-3 * span, lo + 0.37 * span, hi,
                       hi + 0.25 * span):
-                assert (abs(speed) * rate(w, 0.0)).hex() == law.rate(w, o * i).hex(), (w, v)
+                assert (speed * rate(w, 0.0)).hex() == law.rate(w, o * i).hex(), (w, v)
 
 
 def test_vteam_dead_zone_bitwise():

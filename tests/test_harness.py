@@ -152,6 +152,29 @@ def test_cli_dt_must_divide_slot(tmp_path):
     assert main(["switch-rate", "--out", str(tmp_path), "--dt", "3e-5"]) == 2
 
 
+BAD_PATHS = {
+    # a directory, a file that is not UTF-8, a file where the output
+    # directory goes: each once raised out of main with a traceback
+    "config-is-a-directory": (lambda tmp: tmp, "--config", "cannot read config file"),
+    "config-not-utf8": (lambda tmp: tmp / "latin1.cfg", "--config", "as UTF-8 text"),
+    "out-is-a-file": (lambda tmp: tmp / "latin1.cfg", "--out", "cannot make output directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATHS))
+def test_cli_bad_path_exits_2_naming_it(tmp_path, capsys, case):
+    where, flag, rule = BAD_PATHS[case]
+    (tmp_path / "latin1.cfg").write_bytes("device.q = 3  # exposant \xe9\n".encode("latin-1"))
+    path = where(tmp_path)
+    argv = ["switch-rate", flag, str(path)]
+    if flag == "--config":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot ") and rule in err and str(path) in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_cli_simulation_fault_exit_code(tmp_path, monkeypatch):
     import memsnn.harness as h
     from memsnn.errors import SimulationFault

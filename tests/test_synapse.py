@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -311,18 +312,31 @@ def test_config_validation():
 
 
 ENGINE_CONFIGS = {"proposed": STOCK, "vteam": vteam_variant(STOCK)}
-# the segment driver `drive` takes from an on-manifold state, and the law's
-# member it is handed: the dopant bridge conserves w1 + w2, VTEAM's does not
-SEGMENT_DRIVERS = {"proposed": ("manifold_segment", "manifold_speed"),
-                   "vteam": ("branch_segment", "branch_rates")}
+# the segment driver `drive` takes from an on-manifold state: the dopant
+# bridge conserves w1 + w2, so M1 is stepped alone at the law's span rates;
+# VTEAM's does not, so the pair is stepped at its branch rates
+SEGMENT_DRIVERS = {"proposed": "segment", "vteam": "branch_segment"}
 
 
-def segment_call(driver, law, w, lo, hi, duration, dt, o1, o2, r_series, v):
-    """A direct call of the segment driver `driver` on one constant drive,
-    with the rates of `law`, as `drive` calls it."""
-    if driver == "manifold_segment":
-        return K.manifold_segment(*w, lo, hi, ((duration, v),), dt, o1, o2, r_series,
-                                  law.manifold_speed, law.span_rates)
+def span_args(law, w1, lo, hi, dt, r_series, pieces):
+    """The arguments of the one `_kernels.segment` call of a span: M1 from
+    w1 over the scaled length S = sum |amp|*duration, floor S*dt/T for the
+    pieces' duration T (both summed in piece order from 0.0), at the span
+    rate of the first piece's drive sign."""
+    span = total = 0.0
+    for duration, v in pieces:
+        span += law.manifold_speed(r_series, v) * duration
+        total += duration
+    return (w1, 0.0, span, span, span * dt / total, lo, hi, law.span_rates[pieces[0][1] > 0.0])
+
+
+def segment_call(kind, law, w, lo, hi, duration, dt, o1, o2, r_series, v):
+    """A direct call of the segment driver of `kind` on one constant drive,
+    with the rates of `law`, as `drive` calls it: for the dopant bridge a
+    one-piece span, M2 written as the mirror of M1."""
+    if kind == "proposed":
+        w1, _, _ = K.segment(*span_args(law, w[0], lo, hi, dt, r_series, ((duration, v),)))
+        return w1, (lo + hi) - w1
     return K.branch_segment(*w, lo, hi, duration, dt, o1, o2, r_series, v, law.branch_rates)
 
 
@@ -359,13 +373,14 @@ def test_drive_matches_fixed_step_oracle(kind, polarity):
 def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
     """Branch 2 wires M3 as M2 and M4 as M1 with r2 = r1, so it is branch 1
     with its devices swapped, and the pair (w1, w2) is the whole bridge
-    state: each kernel driver on (w2, w1, o2, o1) returns the swap of its
-    result on (w1, w2, o1, o2), bit for bit.  The dopant drive takes the
-    one-state driver, the other steps take the two-state ones.  Both
-    drivers, weak +-v_cc and
-    strong +-2*v_cc drives over a slot, and a 10 ms -4 V drive back toward
-    the fresh corner, which lands the VTEAM devices that were off their
-    bounds onto them (the dopant window keeps its devices inside)."""
+    state: each two-state driver on (w2, w1, o2, o1) returns the swap of its
+    result on (w1, w2, o1, o2), bit for bit.  The dopant drive steps M1
+    alone as a one-piece span and writes M2 as its mirror (lo + hi) - w1,
+    so it has no second device to swap; the other steps take the two-state
+    drivers.  Both drivers, weak +-v_cc and strong +-2*v_cc drives over a
+    slot, and a 10 ms -4 V drive back toward the fresh corner, which lands
+    the VTEAM devices that were off their bounds onto them (the dopant
+    window keeps its devices inside)."""
     cfg = network_config(ENGINE_CONFIGS[kind], n_pre=1)
     sc = replace(cfg.synapse, polarity=polarity)
     sign = sc.sign
@@ -374,11 +389,13 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
     # is held as its excitatory twin
     assert (-o1, -o2) == (o2, o1)
     lo, hi = sc.device.state_range
+    law, dt = sc.device.law, cfg.clock.dt
     calls = []
-    for name in ("branch_step", "branch_segment", "manifold_segment"):
+    for name in ("branch_step", "branch_segment", "segment"):
         def recorded(*args, _name=name, _driver=getattr(K, name)):
-            calls.append((_name, _driver, args))
-            return _driver(*args)
+            result = _driver(*args)
+            calls.append((_name, _driver, args, result))
+            return result
         monkeypatch.setattr(K, name, recorded)
     base = SynapseAssembly.fresh(sc)
     base.program_to_weight(sign * 0.5, tolerance=1e-3, dt=cfg.clock.dt)
@@ -391,20 +408,21 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
             syn = base.copy()
             w = syn.w
             calls.clear()
-            step(syn, v, cfg.clock.dt, duration)
-            [(name, driver, args)] = calls
+            step(syn, v, dt, duration)
+            [(name, driver, args, result)] = calls
             assert name == ("branch_step" if step is SynapseAssembly.apply_differential
-                            else SEGMENT_DRIVERS[kind][0])
-            # the fixed-step driver's RK4 step leads, the law's members
-            # close; the span driver takes the drive as its one piece
-            lead, body = args[:-11], args[-11:]
-            one = ((duration, v),) if name == "manifold_segment" else duration
-            assert body[:9] == (*w, lo, hi, one, cfg.clock.dt, o1, o2, sc.r1)
-            assert name == "manifold_segment" or body[9] == v
-            swapped = driver(*lead, w[1], w[0], lo, hi, one, cfg.clock.dt,
-                             o2, o1, sc.r2, *body[9:])
-            assert [x.hex() for x in swapped] == [x.hex() for x in syn.w[::-1]], (
-                step.__name__, v, duration)
+                            else SEGMENT_DRIVERS[kind])
+            if name == "segment":
+                assert args == span_args(law, w[0], lo, hi, dt, sc.r1, ((duration, v),))
+                assert syn.w == (result[0], (lo + hi) - result[0])
+            else:
+                # the fixed-step driver's RK4 step leads, the law's rates close
+                lead, body = args[:-11], args[-11:]
+                assert body[:10] == (*w, lo, hi, duration, dt, o1, o2, sc.r1, v)
+                swapped = driver(*lead, w[1], w[0], lo, hi, duration, dt, o2, o1, sc.r2,
+                                 *body[9:])
+                assert [x.hex() for x in swapped] == [x.hex() for x in syn.w[::-1]], (
+                    step.__name__, v, duration)
             assert syn.w != w
             landed += any(not (lo < a < hi) and lo < b < hi for a, b in zip(syn.w, w))
     assert landed == (len(DRIVERS) if kind == "vteam" else 0)
@@ -426,24 +444,25 @@ def test_device_members_set_corners_and_kernel_constants(kind, polarity, monkeyp
         assert syn.resistances() == (dev.r_on, dev.r_off, dev.r_off, dev.r_on)
     model = "vteam" if kind == "vteam" else "dopant"
     sweep = f"{model}_sine_sweep"
-    segment, rates_name = SEGMENT_DRIVERS[kind]
+    segment = SEGMENT_DRIVERS[kind]
     seen = {segment: set(), sweep: set()}
-    # the law's rates follow (w1, w2, lo, hi, duration, dt, o1, o2, r1, v),
-    # its speed (w1, w2, lo, hi, pieces, dt, o1, o2, r1); the law follows
+    # the law's span rate follows (w, t, t_end, h, dt, lo, hi), its branch
+    # rates (w1, w2, lo, hi, duration, dt, o1, o2, r1, v); the law follows
     # (w0, ..., sample_every), then the sweep's bounds and five output arrays
-    member = 9 if segment == "manifold_segment" else 10
+    member = 7 if segment == "segment" else 10
     for name, start, end in ((segment, member, member + 1), (sweep, 7, -5)):
         def recorded(*args, _kernel=getattr(K, name), _seen=seen[name], _s=start, _e=end):
             _seen.add(args[_s:_e])
             return _kernel(*args)
         monkeypatch.setattr(K, name, recorded)
     syn.drive(2 * cfg.lif.v_cc, cfg.clock.dt, 1.0 / cfg.clock.base_freq)
+    [(rates,)] = seen[segment]  # taken before the sweep, which steps with `segment` too
     lo, hi = dev.state_range
     hysteresis_sweep(dev, MemristorState(w=0.5 * (lo + hi)), SineDrive(1.0, 10.0),
                      1e-3, 1e-5, 10)
-    [(rates,)] = seen[segment]
     [(law, lo_seen, hi_seen)] = seen[sweep]
-    assert rates is getattr(law, rates_name) and law is dev.law is replace(dev).law
+    assert rates is (law.span_rates[1] if segment == "segment" else law.branch_rates)
+    assert law is dev.law is replace(dev).law
     assert (lo_seen, hi_seen) == (lo, hi)
 
 
@@ -619,7 +638,7 @@ def test_drive_is_the_integrated_drive(kind):
     slot = 1.0 / cfg.clock.base_freq
     args = (lo, hi, slot, cfg.clock.dt, o1, o2, sc.r1, 2 * cfg.lif.v_cc)
     direct = (K.branch_step(rk4, *base.w, *args, law.branch_rates),
-              segment_call(SEGMENT_DRIVERS[kind][0], law, base.w, *args))
+              segment_call(kind, law, base.w, *args))
     for step, want in zip(DRIVERS, direct):
         first = base.copy()
         step(first, 2 * cfg.lif.v_cc, cfg.clock.dt, slot)
@@ -629,22 +648,45 @@ def test_drive_is_the_integrated_drive(kind):
         assert first.w != base.w
 
 
+def recorded_spans(monkeypatch, counted=lambda rate: rate):
+    """Record each `_kernels.segment` call of the frames that follow as its
+    (args, result, steps): steps counts its accepted steps (one clamp each).
+    The call runs at `counted(rate)` in place of its rate."""
+    accepted, spans = [0], []
+    clamp, segment = K._clamp, K.segment
+    code = segment.__code__
+
+    def counted_clamp(*args):
+        accepted[0] += sys._getframe(1).f_code is code  # an accepted step
+        return clamp(*args)
+
+    def recorded(w, t, t_end, h, dt, lo, hi, rate, k1=None):
+        accepted[0] = 0
+        result = segment(w, t, t_end, h, dt, lo, hi, counted(rate), k1)
+        spans.append(((w, t, t_end, h, dt, lo, hi, rate), result, accepted[0]))
+        return result
+
+    monkeypatch.setattr(K, "_clamp", counted_clamp)
+    monkeypatch.setattr(K, "segment", recorded)
+    return spans
+
+
 @pytest.mark.parametrize("kind", ["zha", "biolek", "none"])
-def test_one_state_segment_matches_the_two_state_one(kind):
-    """On the manifold w2 = D - w1 the span driver, given one piece, keeps
-    the pair on it exactly and agrees with `branch_segment`: 4 000 seeded
-    segments from either corner or a drawn state, at +-1, +-2 and +-4 V, of
-    1e-5 s to 0.1 s, under every window a bridge accepts.  The span driver
-    picks its device by orientation, so a call with the devices and
-    orientations swapped returns the swapped pair bit for bit.  It steps in
-    the scaled time |amp|*t, so its stage states round apart from the
+def test_one_state_segment_matches_the_two_state_one(kind, monkeypatch):
+    """On the manifold w2 = D - w1 a drive is a one-piece span: one
+    `_kernels.segment` call steps M1 alone, the pair stays on the manifold
+    exactly, and it agrees with `branch_segment`: 4 000 seeded segments
+    from either corner or a drawn state, at +-1, +-2 and +-4 V, of 1e-5 s
+    to 0.1 s, under every window a bridge accepts.  The span steps in the
+    scaled time |amp|*t, so its stage states round apart from the
     two-state driver's: where the two take the same number of stages they
     agree within 2e-15 D (1.2e-15 D measured).  Their error estimates
     round apart too, so a step near the tolerance may be accepted by one and
     rejected by the other; then both results are within the controller's
     tolerance of the solution.  That happens in at most 2 of each window's
     4 000 segments."""
-    dev = MemristorParams(window=WindowSpec(kind=kind))
+    cfg = SynapseConfig(device=MemristorParams(window=WindowSpec(kind=kind)))
+    dev, r1 = cfg.device, cfg.r1
     law, d = dev.law, dev.d
     o1, o2 = dev.ORIENTATIONS
     stages = [0, 0]
@@ -655,27 +697,25 @@ def test_one_state_segment_matches_the_two_state_one(kind):
             return rate(w, t)
         return rate_of
 
-    rates = tuple(map(counted, law.span_rates))
-
     def branch_rates(*args):
         stages[1] += 1
         return law.branch_rates(*args)
 
+    spans = recorded_spans(monkeypatch, counted)
     rng = np.random.default_rng(24)
     moved = apart = 0
     for k in range(4000):
         w1 = (0.0, d)[k % 2] if k % 4 < 2 else float(rng.uniform(0.0, d))
         v = float(rng.choice([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0]))
         duration = float(10.0 ** rng.uniform(-5.0, -1.0))
-        args = (0.0, d, ((duration, v),), DT, o1, o2, CFG_EXC.r1, law.manifold_speed)
         stages[:] = [0, 0]
-        got = K.manifold_segment(w1, d - w1, *args, rates)
-        want = K.branch_segment(w1, d - w1, 0.0, d, duration, DT, o1, o2, CFG_EXC.r1, v,
+        spans.clear()
+        got = SynapseAssembly(cfg, (w1, d - w1)).drive(v, DT, duration).w
+        want = K.branch_segment(w1, d - w1, 0.0, d, duration, DT, o1, o2, r1, v,
                                 branch_rates)
+        [(args, _, _)] = spans
+        assert args == span_args(law, w1, 0.0, d, DT, r1, ((duration, v),))
         assert got[1] == d - got[0], (w1, v, duration)
-        swapped = K.manifold_segment(d - w1, w1, 0.0, d, ((duration, v),), DT, o2, o1,
-                                     CFG_EXC.r1, law.manifold_speed, law.span_rates)
-        assert [x.hex() for x in swapped] == [x.hex() for x in got[::-1]], (w1, v, duration)
         same_steps = stages[0] == stages[1]
         apart += not same_steps
         bound = 2e-15 if same_steps else K.SEGMENT_TOL
@@ -689,34 +729,20 @@ def test_span_frames_match_per_piece_drivers(kind, monkeypatch):
     """Seeded synapse frames under every window a bridge accepts: each
     (pre fired, post fired) pair, drawn trace widths, from either corner or
     a drawn state on the manifold.  `frame` takes each run of pieces of one
-    drive sign as one span, and ends within 2e-12 D of the pieces stepped
-    one by one by `branch_segment` and by the fixed-step oracle (measured:
-    6.6e-15 and 3.8e-14 D for zha, 1.0e-13 and 9.5e-13 D for biolek, 1.7e-16
-    and 1.5e-13 D for none).  The pair stays exactly on the manifold, both
-    polarities step the same pair, and the span driver on the swapped
-    devices and orientations returns the swapped pair bit for bit.  A span
-    from a state on a bound accepts at most ceil(T/dt) steps, T the
-    duration of its pieces: its step floor is S*dt/T in scaled time."""
+    drive sign as one span, a single `_kernels.segment` call on M1 (see
+    `span_args`), and ends within 2e-12 D of the pieces stepped one by one
+    by `branch_segment` and by the fixed-step oracle (measured: 6.6e-15 and
+    3.8e-14 D for zha, 1.0e-13 and 9.5e-13 D for biolek, 1.7e-16 and
+    1.5e-13 D for none).  The pair stays exactly on the manifold and both
+    polarities step the same pair.  A span from a state on a bound accepts
+    at most ceil(T/dt) steps, T the duration of its pieces: its step floor
+    is S*dt/T in scaled time."""
     cfg = SynapseConfig(device=MemristorParams(window=WindowSpec(kind=kind)))
     dev, r1 = cfg.device, cfg.r1
     d, law = dev.d, dev.law
     o1, o2 = dev.ORIENTATIONS
     slot, v_cc = 0.01, 2.0
-    accepted, spans = [0], []
-    clamp, manifold_segment, segment = K._clamp, K.manifold_segment, K.segment.__code__
-
-    def counted_clamp(*args):
-        accepted[0] += sys._getframe(1).f_code is segment  # an accepted step
-        return clamp(*args)
-
-    def recorded(*args):
-        accepted[0] = 0
-        result = manifold_segment(*args)
-        spans.append((args, result, accepted[0]))
-        return result
-
-    monkeypatch.setattr(K, "_clamp", counted_clamp)
-    monkeypatch.setattr(K, "manifold_segment", recorded)
+    spans = recorded_spans(monkeypatch)
     rng = np.random.default_rng(26)
     moved = 0
     for k in range(160):
@@ -730,7 +756,17 @@ def test_span_frames_match_per_piece_drivers(kind, monkeypatch):
         got = SynapseAssembly(cfg, (w1, d - w1)).frame(pieces, DT).w
         assert got[1] == d - got[0], k
         moved += got[0] != w1
-        assert len(spans) == len({v > 0.0 for _, v in pieces}), k
+        # one span per drive sign, in the order the signs first come
+        signs = list(dict.fromkeys(v > 0.0 for _, v in pieces))
+        assert len(spans) == len(signs), k
+        w = w1
+        for up, (args, result, steps) in zip(signs, spans):
+            run = [(t, v) for t, v in pieces if (v > 0.0) == up]
+            assert args == span_args(law, w, 0.0, d, DT, r1, run), k
+            if w in (0.0, d):
+                assert steps <= math.ceil(sum(t for t, _ in run) / DT), (k, steps)
+            w = result[0]
+        assert got[0] == w, k
         twin = SynapseAssembly(replace(cfg, polarity=INHIBITORY), (w1, d - w1))
         assert twin.frame(pieces, DT).w == got and twin.weight() == -SynapseAssembly(
             cfg, got).weight()
@@ -741,11 +777,6 @@ def test_span_frames_match_per_piece_drivers(kind, monkeypatch):
             oracle.apply_differential(v, DT, duration)
         for want in (per_piece, oracle.w):
             assert max(abs(a - b) for a, b in zip(got, want)) <= 2e-12 * d, (k, want)
-        for (a, b, lo, hi, span, dt, *rest), result, steps in spans:
-            swapped = manifold_segment(b, a, lo, hi, span, dt, o2, o1, r1, *rest[3:])
-            assert [x.hex() for x in swapped] == [x.hex() for x in result[::-1]], k
-            if a in (lo, hi):
-                assert steps <= math.ceil(sum(t for t, _ in span) / dt), (k, steps)
     assert moved > 120
 
 
@@ -755,13 +786,13 @@ def test_off_manifold_pair_takes_the_two_state_driver(monkeypatch):
     `branch_segment`'s result bit for bit and never calls the one-state
     driver.  The fixed-step oracle is two-state for every pair."""
     one_state = [0]
-    manifold_segment = K.manifold_segment
+    segment = K.segment
 
     def counted(*args):
         one_state[0] += 1
-        return manifold_segment(*args)
+        return segment(*args)
 
-    monkeypatch.setattr(K, "manifold_segment", counted)
+    monkeypatch.setattr(K, "segment", counted)
     dev = CFG_EXC.device
     d, law = dev.d, dev.law
     o1, o2 = dev.ORIENTATIONS
@@ -777,6 +808,44 @@ def test_off_manifold_pair_takes_the_two_state_driver(monkeypatch):
     assert one_state[0] == 0
     SynapseAssembly.fresh(CFG_EXC).drive(4.0, DT, 0.01)
     assert one_state[0] == 1
+
+
+@pytest.mark.parametrize("kind", ["zha", "biolek", "none"])
+def test_dopant_two_state_driver_swaps_with_its_devices(kind):
+    """Off the manifold the dopant pair takes `branch_segment`, and there
+    the inhibitory twin still rests on the swap: the driver on (w2, w1, o2,
+    o1) returns the swap of its result on (w1, w2, o1, o2) bit for bit.
+    Seeded pairs off w2 = D - w1, both on one bound or drawn, at +-1, +-2
+    and +-4 V, of 1e-5 s to 1e-2 s, under every window a bridge accepts."""
+    dev = MemristorParams(window=WindowSpec(kind=kind))
+    law, d = dev.law, dev.d
+    o1, o2 = dev.ORIENTATIONS
+    rng = np.random.default_rng(27)
+    moved = 0
+    for k in range(300):
+        w = (0.0, 0.0) if k % 8 == 0 else (d, d) if k % 8 == 1 else tuple(
+            float(x) for x in rng.uniform(0.0, d, 2))
+        assert w[1] != d - w[0]
+        v = float(rng.choice([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0]))
+        duration = float(10.0 ** rng.uniform(-5.0, -2.0))
+        got = K.branch_segment(*w, 0.0, d, duration, DT, o1, o2, CFG_EXC.r1, v,
+                               law.branch_rates)
+        swapped = K.branch_segment(w[1], w[0], 0.0, d, duration, DT, o2, o1, CFG_EXC.r1, v,
+                                   law.branch_rates)
+        assert [x.hex() for x in swapped] == [x.hex() for x in got[::-1]], (w, v, duration)
+        moved += got != w
+    assert moved > 250
+
+
+def test_span_laws_list_orientation_plus_one_first():
+    """`frame` steps M1 of a pair on the manifold at span rates signed for a
+    device of orientation +1, and writes M2 as its mirror: so every device
+    class a synapse accepts whose law has span rates lists orientation +1
+    first."""
+    classes = typing.get_args(typing.get_type_hints(SynapseConfig)["device"])
+    spanned = [cls for cls in classes if cls().law.span_rates is not None]
+    assert MemristorParams in spanned
+    assert all(cls.ORIENTATIONS == (1.0, -1.0) for cls in spanned)
 
 
 @pytest.mark.parametrize("device, fault", [({"i0": 1e-300}, "device rate overflow"),
