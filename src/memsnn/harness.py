@@ -319,6 +319,19 @@ def _column(x):
     return "%.9g", None
 
 
+def _open_output(path: Path):
+    """`path` opened for writing UTF-8 text.  An earlier run's output is
+    unlinked, not truncated: truncating or replacing a file that holds data
+    can block on flushing its old blocks (about 60 ms a file on ext4), where
+    unlinking costs 0.02 ms.  A path that cannot be written, such as a
+    directory of the output's name, raises ConfigError naming it."""
+    try:
+        path.unlink(missing_ok=True)
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from None
+
+
 def write_csv(path: Path, header: str, rows) -> Path:
     """Write `header`, then each row (a tuple) as a comma-separated line;
     return `path`.
@@ -332,11 +345,7 @@ def write_csv(path: Path, header: str, rows) -> Path:
     or bytes.
     """
     rows = iter(rows)
-    # an earlier run's output is unlinked, not truncated: truncating or
-    # replacing a file that holds data can block on flushing its old blocks
-    # (about 60 ms a file on ext4), where unlinking costs 0.02 ms
-    path.unlink(missing_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
+    with _open_output(path) as out:
         out.write(header + "\n")
         block = list(itertools.islice(rows, CSV_BLOCK))
         if block:
@@ -367,9 +376,8 @@ def write_manifest(outdir: Path, name: str, cfg: Config, files: list[Path]):
             while chunk := data.read(1 << 16):
                 sha.update(chunk)
         lines.append(f"sha256 {sha.hexdigest()}  {f.name}")
-    manifest = outdir / "manifest"
-    manifest.unlink(missing_ok=True)  # not truncated: see write_csv
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _open_output(outdir / "manifest") as out:
+        out.write("\n".join(lines) + "\n")
 
 
 # -- experiments ----------------------------------------------------------------

@@ -403,12 +403,12 @@ def test_one_state_uses_share_one_driver(monkeypatch):
 @pytest.mark.parametrize("kind", WindowSpec.KINDS)
 @pytest.mark.parametrize("model", ["dopant", "vteam"])
 def test_branch_rates_are_the_rate_at_each_device_drive(model, kind):
-    """A law's written-out `branch_rates` is its own `rate` at each device's
-    drive in the branch, bit for bit: the device current o*i for the dopant
-    law, the device voltage o*i*R(w) for VTEAM, where i is v over the two
-    resistances and the series resistor.  Both orientation tables, every
-    window kind, states on and beyond the bounds, drives across the VTEAM
-    dead zone and zero."""
+    """A law's `branch_rates`, whose resistances and clamps VTEAM keeps
+    inline, is its own `rate` at each device's drive in the branch, bit for
+    bit: the device current o*i for the dopant law, the device voltage
+    o*i*R(w) for VTEAM, where i is v over the two resistances and the
+    series resistor.  Both orientation tables, every window kind, states on
+    and beyond the bounds, drives across the VTEAM dead zone and zero."""
     spec = WindowSpec(kind=kind, p=2, j=0.9)
     dev = MemristorParams(window=spec) if model == "dopant" else VteamParams(window=spec)
     law = dev.build_law()
@@ -455,10 +455,11 @@ def test_dopant_sweep_rate_is_the_rate_at_the_device_current(kind):
 
 @pytest.mark.parametrize("kind", WindowSpec.KINDS)
 def test_span_rates_times_the_speed_are_the_rate_on_the_manifold(kind):
-    """The dopant law's written-out span rates, times the unsigned speed
-    |amp| of a drive, are its own `rate` at the branch current of a pair on the
-    manifold, bit for bit: every window kind, both orientations, states on
-    and beyond the bounds, drives of both signs.  So a span in the scaled
+    """The dopant law's span rates (written out for zha, the window's
+    otherwise), times the unsigned speed |amp| of a drive, the magnitude of
+    its Joule factor, are its own `rate` at the branch current of a pair on
+    the manifold, bit for bit: every window kind, both orientations, states
+    on and beyond the bounds, drives of both signs.  So a span in the scaled
     time |amp|*t integrates the ODE of each of its drives."""
     dev = MemristorParams(window=WindowSpec(kind=kind, p=2, j=0.9))
     law = dev.build_law()

@@ -152,12 +152,25 @@ def test_cli_dt_must_divide_slot(tmp_path):
     assert main(["switch-rate", "--out", str(tmp_path), "--dt", "3e-5"]) == 2
 
 
+def output_is_a_directory(name):
+    """An output directory `o` that holds a directory of the output's name."""
+    def where(tmp):
+        (tmp / "o" / name).mkdir(parents=True)
+        return tmp / "o"
+    return where
+
+
 BAD_PATHS = {
     # a directory, a file that is not UTF-8, a file where the output
-    # directory goes: each once raised out of main with a traceback
+    # directory goes, a directory where an output file goes: each once
+    # raised out of main with a traceback
     "config-is-a-directory": (lambda tmp: tmp, "--config", "cannot read config file"),
     "config-not-utf8": (lambda tmp: tmp / "latin1.cfg", "--config", "as UTF-8 text"),
     "out-is-a-file": (lambda tmp: tmp / "latin1.cfg", "--out", "cannot make output directory"),
+    "csv-is-a-directory": (output_is_a_directory("switch_rate.csv"), "--out",
+                           "cannot write output file"),
+    "manifest-is-a-directory": (output_is_a_directory("manifest"), "--out",
+                                "cannot write output file"),
 }
 
 
@@ -186,12 +199,17 @@ def test_cli_simulation_fault_exit_code(tmp_path, monkeypatch):
     assert main(["switch-rate", "--out", str(tmp_path)]) == 3
 
 
-@pytest.mark.parametrize("override", ["switchrate.i_max=1e300", "device.mu_v=1e300"])
-def test_switch_rate_rate_overflow_exits_3(tmp_path, capsys, override):
-    # the power law, or a product of finite constants, overflows; both once
-    # wrote inf / nan rates with exit 0
-    assert main(["switch-rate", "--out", str(tmp_path), "--set", override]) == 3
-    assert capsys.readouterr().err.startswith("simulation fault: ")
+@pytest.mark.parametrize("experiment, override, fault", [
+    pytest.param("switch-rate", "switchrate.i_max=1e300", "", id="switchrate.i_max=1e300"),
+    pytest.param("switch-rate", "device.mu_v=1e300", "", id="device.mu_v=1e300"),
+    pytest.param("hysteresis", "device.i0=1e-300", "device rate overflow during sweep",
+                 id="hysteresis-device.i0=1e-300")])
+def test_switch_rate_rate_overflow_exits_3(tmp_path, capsys, experiment, override, fault):
+    # the power law, or a product of finite constants, overflows: in the
+    # switch-rate table, where both once wrote inf / nan rates with exit 0,
+    # and in the hysteresis sweep's rate
+    assert main([experiment, "--out", str(tmp_path), "--set", override]) == 3
+    assert capsys.readouterr().err.startswith(f"simulation fault: {fault}")
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -3,6 +3,7 @@ import math
 import signal
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -707,7 +708,7 @@ def test_frame_is_at_most_two_segment_calls(init, monkeypatch):
     assert drives and all(n == 1 for n in drives)
     assert len(frames) > 500 and any(n == 2 for _, n in frames)
     assert all(n <= len({v > 0.0 for _, v in pieces}) <= 2 for pieces, n in frames)
-    imports = [node for node in ast.walk(ast.parse(open(network.__file__).read()))
+    imports = [node for node in ast.walk(ast.parse(Path(network.__file__).read_text()))
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     names = [getattr(node, "module", None) or "" for node in imports] + [
         alias.name for node in imports for alias in node.names]

@@ -848,14 +848,25 @@ def test_span_laws_list_orientation_plus_one_first():
     assert all(cls.ORIENTATIONS == (1.0, -1.0) for cls in spanned)
 
 
-@pytest.mark.parametrize("device, fault", [({"i0": 1e-300}, "device rate overflow"),
-                                           ({"mu_v": 1e300}, "non-finite device state")])
+@pytest.mark.parametrize("device, fault", [
+    (replace(CFG_EXC.device, i0=1e-300), "device rate overflow"),
+    (replace(CFG_EXC.device, mu_v=1e300), "non-finite device state"),
+    (replace(CFG_VTEAM.device, alpha_on=1500, alpha_off=1500),
+     "device rate overflow under 4.0 V drive")])
 def test_drive_rate_overflow_faults(device, fault):
     """A Joule power a0*|i/i0|^(2q-1) that overflows, or a rate prefactor
     that does, raises SimulationFault from a pair on the manifold (one-state
-    driver) and off it (two-state driver) alike."""
-    cfg = replace(CFG_EXC, device=replace(CFG_EXC.device, **device))
-    d = cfg.device.d
-    for w in (cfg.device.corner_states, (0.3 * d, 0.3 * d)):
+    driver) and off it (two-state driver) alike.  So does a VTEAM threshold
+    power that overflows at the branch rates, from either corner pair: 4 V
+    puts 1.9 V across the device at R_OFF, where ((v/v_off) - 1)^1500, or
+    its v_on twin, overflows; further inside the range the power stays
+    finite."""
+    if isinstance(device, VteamParams):
+        cfg = replace(CFG_VTEAM, device=device)
+        states = (device.corner_states, device.corner_states[::-1])
+    else:
+        cfg = replace(CFG_EXC, device=device)
+        states = (device.corner_states, (0.3 * device.d, 0.3 * device.d))
+    for w in states:
         with pytest.raises(SimulationFault, match=fault):
             SynapseAssembly(cfg, w).drive(4.0, DT, 0.01)
