@@ -23,8 +23,10 @@ integrates one state under any one-state rate: `SynapseAssembly.frame`
 calls it once per span, a run of constant drives of one sign on a dopant
 branch on its manifold, for the device of orientation +1 in the scaled time
 s = |amp|*t where the drives join (floor S*dt/T for a span of scaled length
-S and duration T), and `sine_sweep` once per sample interval of the
-hysteresis experiment, the drive evaluated at each stage's time (floor dt).
+S and duration T), and `sine_sweep` once per hysteresis sweep, the drive
+evaluated at each stage's time, at a tenth of the tolerance and with the
+failure guard dt/1024 as its floor.  The sweep's rows are not step ends:
+each is read from the continuous extension of the step that spans it.
 `branch_segment` integrates both devices of any other branch under one
 constant drive (floor dt).  The fixed-step `branch_step` takes `branch_rk4`
 substeps of at most dt on both devices and is kept as the tests' reference.
@@ -33,7 +35,7 @@ All state is passed as scalars / preallocated `array('d')` buffers.
 import math
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, SimulationFault
 
 # The kernels are never compiled; the constant stays for tools that record
 # which backend ran (bench/worker.py reads it).
@@ -153,7 +155,7 @@ def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, window_kind, window_p, window_j)
     steps a dopant pair off its manifold) and `manifold_speed` (its
     magnitude, taken once per piece) are built from it.  The sweep rate
     writes it out again with the clamp and resistance, since it runs at
-    every stage of a sweep (135 950 evaluations in the two default sweeps):
+    every stage of a sweep (26 702 evaluations in the two default sweeps):
     calling `joule` there cost the device-sweeps benchmark 3 % (lost 9 of
     10 alternating pairs at 40 s), and composing the whole rate as
     rate(w, v/resistance(w)) cost the two sweeps another 23 %."""
@@ -268,6 +270,12 @@ def vteam_law(v_on, v_off, k_on, k_off, a_on, a_off, w_on, w_off, r_on, r_off, w
 # device state range.
 SEGMENT_TOL = 1e-12
 
+# Accepted steps a sine sweep may take whatever its dt: it may take
+# max(round(duration/dt), SWEEP_STEPS).  Its tolerance, not dt, sets how
+# many it needs: the default sweeps take 1 520 and 2 717 at dt = 1e-5 s and
+# 1 362 and 2 436 at dt = 1e-3 s, where round(duration/dt) is 200 and 2 000.
+SWEEP_STEPS = 1 << 16
+
 
 def _clamp(x, lo, hi):
     if x < lo:
@@ -305,14 +313,16 @@ def _step_factor(err, tol):
     Math. 6(1):19-26, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
     sec. II.4-II.5); the step keeps the 5th-order solution when the estimate
     is within tol (see _step_error for the state bounds).  The step never
-    shrinks below the driver's floor (the reference step dt, or S*dt/T for
-    a span of scaled length S and duration T), and a step at the floor is
-    taken without an estimate and always accepted, so a call of `segment`
-    or `branch_segment` never takes more floor steps than fixed-step RK4
-    takes steps at dt over the same duration, and always terminates.  A
-    step whose 5th- or 4th-order solution or second stage is non-finite
-    ends either driver at once, with a NaN state: the second stage enters
-    both solutions only through the clamped states of stages 3-6.
+    shrinks below the driver's floor (the reference step dt, S*dt/T for a
+    span of scaled length S and duration T, or the sweep's guard dt/1024),
+    and a step at the floor is taken without an estimate and always
+    accepted, so a call of `branch_segment` or a span never takes more
+    floor steps than fixed-step RK4 takes steps at dt over the same
+    duration, and always terminates; a sweep stops at its step budget (see
+    `sine_sweep`).  A step whose 5th- or 4th-order solution or second stage
+    is non-finite ends either driver at once, with a NaN state: the second
+    stage enters both solutions only through the clamped states of stages
+    3-6.
     """
     if err == 0.0:
         return 4.0
@@ -338,7 +348,7 @@ def branch_step(rk4, w1, w2, lo, hi, duration, dt, *args):
     return w1, w2
 
 
-def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None):
+def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None, tol=None, on_step=None):
     """Integrate dw/dt = rate(w, t) from t to t_end with error-controlled
     Dormand-Prince 5(4) steps, the first of length h at most (see
     _step_factor), clamping w to [lo, hi] after each.  The last stage of a
@@ -346,7 +356,12 @@ def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None):
     (FSAL); `rate` reads only the clamped state, so clamping keeps it so.
 
     `dt` is the step floor: a span of `SynapseAssembly.frame` passes S*dt/T,
-    in its scaled time, the sweep passes dt.
+    in its scaled time, the sweep its guard dt/1024.  `tol` is the local
+    error tolerance as a fraction of hi - lo, SEGMENT_TOL if None.  Each
+    accepted step of length h from (t, w) to t_next calls
+    on_step(w, y, t, t_next, h, k1, k3, k4, k5, k6, k7) with its 5th-order
+    solution y, before the clamp, and its stages (k7 is None for a last
+    step at the floor, which takes no estimate).
 
     Returns (w, h_next, k1_next): the state at t_end, the step-size
     suggestion and first stage rate(w, t_end) for a call that continues
@@ -354,7 +369,7 @@ def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None):
     step whose 5th- or 4th-order solution or second stage is non-finite
     ends the integration at once, on the floor or off it, with a NaN
     state."""
-    tol = SEGMENT_TOL * (hi - lo)
+    tol = (SEGMENT_TOL if tol is None else tol) * (hi - lo)
     h_floor = dt * (1.0 + 1e-9)
     if k1 is None:
         k1 = rate(w, t)
@@ -387,6 +402,8 @@ def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None):
         if not (math.isfinite(y) and math.isfinite(z) and math.isfinite(k2)):
             return math.nan, h, None
         if err <= tol:
+            if on_step is not None:
+                on_step(w, y, t, t_next, h, k1, k3, k4, k5, k6, k7)
             w = _clamp(y, lo, hi)
             if last:
                 return w, max(h * grow, dt), k7
@@ -474,24 +491,30 @@ def sine_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
     amp*sin(2*pi*freq*t) and record (t, v, i, w, R) at every
     `sample_every`-th multiple of dt, up to the last one within `duration`.
 
-    Each sample interval is one `segment` call at the law's `sweep_rate`,
-    so the drive is evaluated at each stage's time and every row is an
-    accepted solution point; the step-size suggestion and the first stage
-    carry over to the next interval.
+    The sweep is one `segment` call over [0, round(duration/dt)*dt] at the
+    law's `sweep_rate`, so the drive is evaluated at each stage's time, at
+    a tenth of SEGMENT_TOL (read at each call) and with the failure guard
+    dt/1024 as its floor.  Neither the steps nor the end time depend on
+    `sample_every`: after each accepted step, every sample time in
+    (t, t + h] is filled from the step's stages by the Dormand-Prince
+    continuous extension (Shampine, Math. Comp. 46:135-150, 1986; the
+    coefficients of DOPRI5 and scipy's RK45), of 4th order, clamped to
+    [lo, hi]; a sample on a step end takes the accepted state.  A sweep that
+    takes more than max(round(duration/dt), SWEEP_STEPS) accepted steps
+    raises SimulationFault: steps of dt, or a fixed allowance for a coarse
+    dt, whereas steps at the guard would take 1024 per dt.
 
     Returns the number of samples written.  If a step turns non-finite (see
     `segment`), the last sample written holds a NaN state.
     """
     resistance, sin = law.resistance, math.sin
     two_pi_f = 2.0 * math.pi * freq
-    rate = law.sweep_rate(orient * amp, two_pi_f)
-    n_samples = int(round(duration / dt)) // sample_every + 1
-    w = w0
-    t = 0.0
-    h = sample_every * dt
-    k1 = None
+    n_steps = int(round(duration / dt))
+    n_samples = n_steps // sample_every + 1
     idx = 0
-    while True:
+
+    def write(t, w):
+        nonlocal idx
         r = resistance(w)
         v = amp * sin(two_pi_f * t)
         t_out[idx] = t
@@ -500,11 +523,42 @@ def sine_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
         w_out[idx] = w
         r_out[idx] = r
         idx += 1
-        if idx == n_samples or w != w:
-            return idx
-        t1 = idx * sample_every * dt
-        w, h, k1 = segment(w, t, t1, h, dt, lo, hi, rate, k1)
-        t = t1
+
+    budget = max(n_steps, SWEEP_STEPS)
+    accepted = 0
+
+    def rows(w, y, t, t_next, h, k1, k3, k4, k5, k6, k7):
+        # fill the samples in (t, t_next] from one accepted step of h
+        nonlocal accepted
+        accepted += 1
+        if accepted > budget:
+            raise SimulationFault(f"the {amp:g} V, {freq:g} Hz sine sweep took more than "
+                                  f"{budget} accepted steps by t = {t_next:.9g} s")
+        ts = idx * sample_every * dt
+        if idx < n_samples and ts < t_next:  # none inside a last step at the floor
+            q1 = ((-8048581381 / 2820520608) * k1 + (131558114200 / 32700410799) * k3
+                  - (1754552775 / 470086768) * k4 + (127303824393 / 49829197408) * k5
+                  - (282668133 / 205662961) * k6 + (40617522 / 29380423) * k7)
+            q2 = ((8663915743 / 2820520608) * k1 - (68118460800 / 10900136933) * k3
+                  + (14199869525 / 1410260304) * k4 - (318862633887 / 49829197408) * k5
+                  + (2019193451 / 616988883) * k6 - (110615467 / 29380423) * k7)
+            q3 = ((-12715105075 / 11282082432) * k1 + (87487479700 / 32700410799) * k3
+                  - (10690763975 / 1880347072) * k4 + (701980252875 / 199316789632) * k5
+                  - (1453857185 / 822651844) * k6 + (69997945 / 29380423) * k7)
+            while idx < n_samples and ts < t_next:
+                x = (ts - t) / h
+                write(ts, _clamp(w + h * (x * (k1 + x * (q1 + x * (q2 + x * q3)))), lo, hi))
+                ts = idx * sample_every * dt
+        if idx < n_samples and ts == t_next:
+            write(ts, _clamp(y, lo, hi))
+
+    write(0.0, w0)
+    if n_samples > 1:
+        w, _, _ = segment(w0, 0.0, n_steps * dt, dt, dt / 1024, lo, hi,
+                          law.sweep_rate(orient * amp, two_pi_f), None, SEGMENT_TOL / 10, rows)
+        if w != w and idx < n_samples:
+            write(idx * sample_every * dt, w)
+    return idx
 
 
 # One kernel per name for each model: bench/tracer.py wraps these names to

@@ -209,13 +209,16 @@ def hysteresis_sweep(params, state: MemristorState, drive: SineDrive,
     """Integrate one device under a sinusoidal drive, sampling it every
     `sample_every` * dt (`hysteresis.sample_every` * `clock.dt`).
 
-    Each sample interval is one call of the one-state driver
-    `_kernels.segment`, the one an on-manifold bridge drive takes:
-    error-controlled Dormand-Prince 5(4) steps, no shorter than dt, that
-    end on every sample time (`_kernels.sine_sweep`), with the drive
-    evaluated at the stage times.  A step that turns non-finite ends the
-    sweep in a SimulationFault.  Results are deterministic for a
-    given configuration.
+    The sweep is one call of the one-state driver `_kernels.segment`, the
+    one an on-manifold bridge drive takes: error-controlled Dormand-Prince
+    5(4) steps with the drive evaluated at the stage times, at a tenth of
+    its tolerance, and with dt/1024 as a failure guard, not a step floor
+    (`_kernels.sine_sweep`).  The steps do not depend on `sample_every`:
+    each sample is read from the continuous extension of the step that
+    spans it.  A step that turns non-finite, or more accepted steps than
+    max(duration/dt, `_kernels.SWEEP_STEPS`), ends the sweep in a
+    SimulationFault.  Results are deterministic for a given
+    configuration.
     """
     if not math.isfinite(drive.amplitude):
         raise SimulationFault(f"non-finite drive voltage {drive.amplitude!r}")

@@ -66,12 +66,14 @@ class StdpParams(Params):
 
 @dataclass(frozen=True)
 class HysteresisParams(Params):
-    # dt per sweep, which also sizes its sample arrays.  A sweep that long
-    # takes about 23 s (pure Python, one core of a 2-vCPU AMD EPYC host)
-    # when every step sits at the dt floor and costs 6 rate evaluations:
-    # 1 000 000 such steps (hysteresis.sample_every = 1) took 2.2-2.4 s,
-    # scaled linearly; the stock hard sweep spans 200 000 dt in about
-    # 20 000 steps.
+    # dt per sweep, which also sizes its sample arrays.  A sweep takes at
+    # most max(duration/dt, _kernels.SWEEP_STEPS) accepted steps and then
+    # faults.  At the worst each sits at the dt/1024 guard after one
+    # rejected probe, 12 rate evaluations: 200 000 such steps of an
+    # injected rate that never passes its estimate took 1.35 s (pure
+    # Python, one core of a 2-vCPU AMD EPYC host), so a sweep this long
+    # would take about 68 s, scaled linearly.  The stock hard sweep spans
+    # 200 000 dt in 2 717 accepted steps.
     MAX_STEPS = 10_000_000
     w0: float = 5e-9  # its range is the selected device's (see run_hysteresis)
     pinched_amplitude: float = 1.0
@@ -584,8 +586,8 @@ def main(argv=None) -> int:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="dotted-path config override")
     parser.add_argument("--dt", type=float, default=None,
-                        help="programming micro-pulse width and integrator step "
-                             "floor (clock.dt), s")
+                        help="programming micro-pulse width, step floor of the bridge "
+                             "integrators and hysteresis sample grid (clock.dt), s")
     parser.add_argument("--epochs", type=int, default=None, help="pattern-learn epochs")
     parser.add_argument("--init", choices=("zero", "midpoint"), default=None,
                         help="pattern-learn weight initialization")

@@ -35,9 +35,10 @@ class ClockParams(Params):
     """Timeslot rate and the integration step floor; three slots per frame."""
 
     base_freq: float = key(100.0, POSITIVE)  # timeslot rate, Hz
-    # micro-pulse width, reference RK4 step and sweep step, s; also the step
-    # floor of the error-controlled drives: a drive or span lasting T takes
-    # at most T/dt steps at its floor
+    # micro-pulse width, reference RK4 step and hysteresis sample grid, s;
+    # also the step floor of the error-controlled bridge drives: a drive or
+    # span lasting T takes at most T/dt steps at its floor.  A sweep's floor
+    # is only a failure guard, dt/1024 (see _kernels.sine_sweep)
     dt: float = key(1e-5, POSITIVE)
 
     def validate(self, prefix: str = ""):

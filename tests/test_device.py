@@ -9,6 +9,7 @@ from memsnn import _kernels as K
 from memsnn.device import (MemristorParams, MemristorState, SineDrive, VteamParams,
                            WindowSpec, dwdt, hysteresis_sweep)
 from memsnn.errors import ConfigError, SimulationFault
+from memsnn.harness import main
 from memsnn.synapse import SynapseAssembly, SynapseConfig
 from test_network import deadline
 from test_synapse import CFG_VTEAM, DRIVERS, counting
@@ -276,13 +277,100 @@ def test_sweep_matches_fixed_step_oracle(monkeypatch):
     assert worst[1e-8] > worst[1e-10] > worst[1e-12], worst
 
 
-def test_default_pinched_sweep_rate_evaluations(monkeypatch):
-    """The default pinched sweep evaluates the rate law at most 20 000
-    times: fixed RK4 steps of dt took 80 000, the DP5(4) sweep 13 747."""
+# (drive, duration) of the default pinched and hard sweeps, from w0 = 5e-9
+DEFAULT_SWEEPS = {"pinched": (SineDrive(1.0, 10.0), 0.2), "hard": (SineDrive(2.0, 1.0), 2.0)}
+
+
+def sweep_rate_evaluations(monkeypatch, sweep):
     calls = counting(monkeypatch)
-    series = hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), 0.2, 1e-5, 10)
-    assert len(series.w) == 2001
-    assert calls[0] <= 20_000
+    drive, duration = DEFAULT_SWEEPS[sweep]
+    series = hysteresis_sweep(P, MemristorState(w=5e-9), drive, duration, 1e-5, 10)
+    assert len(series.w) == round(duration / 1e-4) + 1
+    return calls[0]
+
+
+def test_default_pinched_sweep_rate_evaluations(monkeypatch):
+    """The default pinched sweep evaluates the rate law at most 11 500
+    times, 1.2x the 9 637 it takes: fixed RK4 steps of dt took 80 000, and
+    DP5(4) steps ending on every sample time 13 747."""
+    assert sweep_rate_evaluations(monkeypatch, "pinched") <= 11_500
+
+
+def test_default_hard_sweep_rate_evaluations(monkeypatch):
+    """The default hard sweep evaluates the rate law at most 20 400 times,
+    1.2x the 17 065 it takes: fixed RK4 steps of dt took 800 000, and DP5(4)
+    steps ending on every sample time 122 203."""
+    assert sweep_rate_evaluations(monkeypatch, "hard") <= 20_400
+
+
+@pytest.mark.parametrize("sweep", sorted(DEFAULT_SWEEPS))
+def test_default_sweep_rows_match_a_tighter_sweep(monkeypatch, sweep):
+    """Every row of each default sweep lies within 1e-10 of D of the same
+    sweep at dt/8 (sample_every x 8, so the same sample times) and a 100x
+    tighter SEGMENT_TOL (measured: 7.1e-12 and 5.0e-11 of D).  Sweeps whose
+    steps ended on every sample time, the shortest accepted without an
+    error estimate, were off by 1.38e-9 (pinched row 311) and 5.45e-8 of D
+    (hard row 825)."""
+    drive, duration = DEFAULT_SWEEPS[sweep]
+    series = hysteresis_sweep(P, MemristorState(w=5e-9), drive, duration, 1e-5, 10)
+    monkeypatch.setattr(K, "SEGMENT_TOL", K.SEGMENT_TOL / 100)
+    tight = hysteresis_sweep(P, MemristorState(w=5e-9), drive, duration, 1e-5 / 8, 80)
+    assert np.array_equal(series.t, tight.t)
+    assert np.max(np.abs(np.asarray(series.w) - np.asarray(tight.w))) < 1e-10 * D
+
+
+@pytest.mark.parametrize("sweep", sorted(DEFAULT_SWEEPS))
+def test_sample_grid_does_not_steer_the_sweep(sweep):
+    """The sample grid only reads the integration: every 10th row of a
+    sample_every = 1 sweep equals the sample_every = 10 rows bit for bit, for
+    the pinched sweep and the first 0.2 s of the hard one (its switching
+    edge, rows 0-2000)."""
+    drive, _ = DEFAULT_SWEEPS[sweep]
+    every = [hysteresis_sweep(P, MemristorState(w=5e-9), drive, 0.2, 1e-5, n) for n in (1, 10)]
+    for column in ("t", "v", "i", "w", "r"):
+        fine, coarse = (getattr(series, column) for series in every)
+        assert fine[::10].tobytes() == coarse.tobytes(), column
+
+
+def never_passing(monkeypatch, calls):
+    """Make the dopant law's sweep rate one whose error estimate never
+    passes: +-1e-9 m/s, alternating at each evaluation, which keeps the
+    state inside its range, so only steps at the guard are accepted."""
+    def sweep_rate(drive, omega):
+        def rate(w, t):
+            calls[0] += 1
+            return 1e-9 if calls[0] % 2 else -1e-9
+        return rate
+
+    law = P.law._replace(sweep_rate=sweep_rate)
+    monkeypatch.setattr(MemristorParams, "law", property(lambda self: law))
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@pytest.mark.parametrize("duration, budget", [(0.2, K.SWEEP_STEPS), (1.0, 100_000)])
+def test_sweep_step_budget_faults(monkeypatch, duration, budget):
+    """A sweep whose steps shrink to the dt/1024 guard, where a step is
+    accepted without an estimate, would take 1024 steps per dt.  It faults
+    once it takes more than max(round(duration/dt), SWEEP_STEPS) accepted
+    steps, at about 12 rate evaluations each (the guard step and one
+    rejected longer probe)."""
+    calls = [0]
+    never_passing(monkeypatch, calls)
+    with deadline(10.0), pytest.raises(
+            SimulationFault, match=f"sine sweep took more than {budget} accepted steps"):
+        hysteresis_sweep(P, MemristorState(w=5e-9), SineDrive(1.0, 10.0), duration, 1e-5, 10)
+    assert 6 * budget < calls[0] < 13 * budget
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_sweep_step_budget_exits_3(monkeypatch, tmp_path, capsys):
+    """The CLI names the sweep that ran out of steps and exits 3."""
+    never_passing(monkeypatch, [0])
+    with deadline(10.0):
+        assert main(["hysteresis", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"simulation fault: the 1 V, 10 Hz sine sweep took more than {K.SWEEP_STEPS} "
+        "accepted steps")
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")

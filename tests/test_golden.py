@@ -10,11 +10,11 @@ from memsnn.harness import EXPERIMENTS, main
 
 GOLDEN = {
     "hysteresis/hysteresis_hard.csv":
-        "30487ed9658707df02abcc4e6974bd0c2fd582006a0d3356af3355c1ab10c501",
+        "ae1c19070027dde3b764ef9bc7eed7372fa46a29dc03e3f0c696cf10260c0dc4",
     "hysteresis/hysteresis_pinched.csv":
-        "236f15fae6de61e51b4499c3b5365d6630c94a4ab152d626992fca8ab7cc57fc",
+        "79903be81ba3bfecff6414fb2d904264c602f1d5e3b45f37ba944092358ebd3a",
     "hysteresis/manifest":
-        "f60a6b7281892e2fd382155189d87b08ee3a2ee1faa11d02b4b3ed4683d735c8",
+        "d36532c00d4d4209b934c2c901af1df788d925b525978926162921b194082299",
     "pattern-learn/final_weights.csv":
         "f7c0f96ece468f119cf42ad063b624aed3b887893ef92f1c4164af3f957775b3",
     "pattern-learn/manifest":
