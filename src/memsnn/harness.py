@@ -63,6 +63,12 @@ class StdpParams(Params):
     max_offset: int = key(6, NONNEGATIVE)
     settle_frames: int = key(10, AT_LEAST_ONE)
 
+    def validate(self, prefix: str = ""):
+        super().validate(prefix)
+        if self.max_offset > 2**53:  # past it, neighbouring offsets share one float
+            raise ConfigError(f"{prefix}max_offset <= 2**53")
+        return self
+
 
 @dataclass(frozen=True)
 class HysteresisParams(Params):
@@ -490,7 +496,7 @@ def run_calibration(cfg: Config, outdir: Path) -> list[Path]:
 
 
 def _window_files(cfg: Config, outdir: Path, suffix: str) -> list[Path]:
-    offsets = list(range(-cfg["stdp.max_offset"], cfg["stdp.max_offset"] + 1))
+    offsets = range(-cfg["stdp.max_offset"], cfg["stdp.max_offset"] + 1)
     ncfg = network_config(cfg, n_pre=1)
     # the start state and the excitatory-frame memo entries do not depend on
     # the polarity: both windows share them

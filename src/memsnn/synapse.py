@@ -18,11 +18,11 @@ no state can break, so nothing checks it.  Only this module knows it; the
 network engine assigns the pair or keys on it.
 
 Every production path, closed-loop programming included, integrates with
-`frame`'s error-controlled Dormand-Prince 5(4) steps over a sequence of
-constant drives (`drive` is the one-drive frame).  The fixed-step RK4
-`apply_differential` is the oracle the tests check it against; it
-integrates branch 1 as a coupled two-state ODE with the branch current
-recomputed at every stage.  For the dopant bridge that is one state too
+`frame`'s error-controlled Dormand-Prince 5(4) steps over the plan of a
+sequence of constant drives (`drive` steps a one-piece plan).  The
+fixed-step RK4 `apply_differential` is the oracle the tests check it
+against; it integrates branch 1 as a coupled two-state ODE with the
+branch current recomputed at every stage.  For the dopant bridge that is one state too
 many: every dopant window is symmetric under x -> 1 - x with the drive
 reversed, so from the corner of `fresh` w1 + w2 = D holds, the devices'
 resistances sum to r_on + r_off, and the branch current is constant under
@@ -49,13 +49,15 @@ addition commutes).  So at every step the inhibitory pair is its twin's
 swapped, and its weight, gain*(v- - v+) in the twin's tap voltages, is
 exactly -(gain*(v+ - v-)).
 
-Repeated drives are not looked up here: the network engine steps each
-distinct synapse frame once per run (see network.py).
+Repeated drives are not looked up here: the network engine plans each
+distinct drive once and steps each distinct synapse frame once per run
+(see network.py).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import _kernels as K
 from .device import MemristorParams, VteamParams
@@ -96,6 +98,25 @@ class SynapseConfig(Params):
         """+1.0 excitatory, -1.0 inhibitory: the factor that reads a bridge's
         weight off its excitatory-frame state (see the module docstring)."""
         return 1.0 if self.polarity == EXCITATORY else -1.0
+
+
+class FramePlan(NamedTuple):
+    """A drive compiled once by `SynapseAssembly.plan`, stepped from any
+    state by `SynapseAssembly.frame`: data only, no kernel bound."""
+
+    pieces: tuple  # (duration, v_ab) pairs of constant drive, in order
+    dt: float      # the step floor
+    steps: tuple   # per piece: see SynapseAssembly.plan
+
+
+def _drive_fault(v_ab, dt):
+    """Why a constant drive can step no state, a non-finite voltage or a bad
+    timestep, or None."""
+    if not math.isfinite(v_ab):
+        return f"non-finite drive voltage {v_ab!r}"
+    if not math.isfinite(dt) or dt <= 0.0:
+        return f"bad timestep {dt!r}"
+    return None
 
 
 def _volts(pieces):
@@ -190,60 +211,94 @@ class SynapseAssembly:
 
     def drive(self, v_ab: float, dt: float, duration: float | None = None):
         """Constant-drive segment with error-controlled Dormand-Prince 5(4)
-        steps: the one-piece `frame`, `duration` defaulting to dt.
+        steps: the `frame` of a one-piece plan, `duration` defaulting to dt.
 
         The integrator of the zero-init drive, programming pulses and the
         device experiments.  Agrees with `apply_differential` to within the
         kernels' SEGMENT_TOL per step.
         """
-        return self.frame(((dt if duration is None else duration, v_ab),), dt)
+        return self.frame(self.plan(((dt if duration is None else duration, v_ab),), dt))
 
-    def frame(self, pieces, dt: float):
-        """Step the bridge through `pieces`, (duration, v_ab) pairs of
-        constant drive in order, and write the new pair to `w`.
+    def plan(self, pieces, dt: float) -> FramePlan:
+        """The state-free part of stepping `pieces`, (duration, v_ab) pairs
+        of constant drive in order, at step floor `dt`, for `frame`.
+
+        Per piece a fault message (a non-finite voltage or a bad timestep),
+        None (zero duration or voltage: skipped), or the span opening at it,
+        (end, S, floor, rate): the following pieces of its drive sign join
+        it up to `end`, S sums |amp|*duration over them and T their
+        durations, both in piece order from 0.0 (|amp| the law's
+        `manifold_speed`), the floor is S*dt/T and the rate the direction's
+        span rate.  S is None where a speed overflows, and only the end is
+        set where the law has no span rates (VTEAM).
+        """
+        pieces, rates, speed, r1 = tuple(pieces), self._span_rates, self._speed, self._r1
+        n, steps = len(pieces), []
+        for i, (duration, v) in enumerate(pieces):
+            end, fault = i + 1, _drive_fault(v, dt)
+            if fault is not None:
+                steps.append(fault)
+            elif duration <= 0.0 or v == 0.0:
+                steps.append(None)
+            elif rates is None:
+                steps.append((end, None, None, None))
+            else:
+                while end < n and pieces[end][0] > 0.0 and 0.0 < pieces[end][1] * v < math.inf:
+                    end += 1
+                span = total = 0.0
+                try:
+                    for t, u in pieces[i:end]:
+                        span += speed(r1, u) * t
+                        total += t
+                    steps.append((end, span, span * dt / total, rates[v > 0.0]))
+                except OverflowError:
+                    steps.append((end, None, None, rates[v > 0.0]))
+        return FramePlan(pieces, dt, tuple(steps))
+
+    def frame(self, plan: FramePlan):
+        """Step the bridge through the pieces of `plan` in order, and write
+        the new pair to `w`.
 
         A pair exactly on its law's manifold, w2 = (lo + hi) - w1, which
-        `fresh` and every such step write, takes each run of pieces of one
-        drive sign as one span.  There M1's rate under a piece is
-        +-|amp|*f(w1, direction), |amp| the law's `manifold_speed`, so in
-        the scaled time |amp|*t the pieces join: the span's length S sums
-        |amp|*duration over its pieces and its duration T their durations,
-        both in piece order.  One `_kernels.segment` call integrates M1
-        alone over [0, S] at the direction's span rate with step floor
-        S*dt/T (so at most T/dt floor steps), and M2 is written as
-        (lo + hi) - w1.  M1 is the device of orientation +1: every law with
-        span rates lists it first.  Any other pair, and every VTEAM pair,
-        takes one two-state `_kernels.branch_segment` call per piece.
-        Pieces of zero duration or voltage are skipped.  A non-finite
-        voltage or state, a bad timestep, a rate overflow, or a step that
-        turns non-finite (the drivers then return a NaN state) raises
-        SimulationFault, whose `piece` is the index of the first piece of
-        the span that faulted.  The drivers are looked up in `_kernels` at
-        each call, so a patched or wrapped kernel is the one that runs.
+        `fresh` and every such step write, takes the span opening at the
+        piece: there M1's rate under a piece is +-|amp|*f(w1, direction), so
+        in the scaled time |amp|*t the pieces of one drive sign join.  One
+        `_kernels.segment` call integrates M1 alone over [0, S] at the
+        span's rate and floor (so at most T/dt floor steps), and M2 is
+        written as (lo + hi) - w1.  M1 is the device of orientation +1:
+        every law with span rates lists it first.  Any other pair, and every
+        VTEAM pair, takes one two-state `_kernels.branch_segment` call per
+        piece.  A non-finite voltage or state, a bad timestep, a rate
+        overflow, or a step that turns non-finite (the drivers then return a
+        NaN state) raises SimulationFault, whose `piece` is the index of the
+        first piece of the span that faulted.  The drivers are looked up in
+        `_kernels` at each call, so a patched or wrapped kernel is the one
+        that runs.
         """
-        lo, hi, rates = self._lo, self._hi, self._span_rates
+        pieces, dt, steps = plan
+        lo, hi = self._lo, self._hi
         n, i = len(pieces), 0
         while i < n:
-            duration, v = pieces[i]
-            end = i + 1
-            try:
-                if self._moves(v, dt, duration):
+            step, end = steps[i], i + 1
+            if step is not None:
+                try:
+                    if type(step) is str:
+                        raise SimulationFault(step)
                     w1, w2 = self.w
+                    if not (math.isfinite(w1) and math.isfinite(w2)):
+                        raise SimulationFault(f"non-finite device state under "
+                                              f"{_volts(pieces[i:end])} V drive")
+                    span_end, span, floor, rate = step
                     try:
-                        if rates is None or w2 != (lo + hi) - w1:
+                        if rate is None or w2 != (lo + hi) - w1:
+                            duration, v = pieces[i]
                             w1, w2 = K.branch_segment(w1, w2, lo, hi, duration, dt, self._o1,
                                                       self._o2, self._r1, v, self._rates)
                         else:
-                            # the following pieces of this drive sign join the span
-                            while (end < n and pieces[end][0] > 0.0
-                                   and 0.0 < pieces[end][1] * v < math.inf):
-                                end += 1
-                            span = total = 0.0
-                            for t, u in pieces[i:end]:
-                                span += self._speed(self._r1, u) * t
-                                total += t
-                            w1, _, _ = K.segment(w1, 0.0, span, span, span * dt / total, lo, hi,
-                                                 rates[v > 0.0])
+                            end = span_end
+                            if span is None:
+                                raise OverflowError  # in the span's manifold speed
+                            w1, _, _ = K.segment(w1, 0.0, span, span, floor, lo, hi, rate)
                             w2 = (lo + hi) - w1
                     except OverflowError:
                         raise SimulationFault(f"device rate overflow under "
@@ -251,10 +306,10 @@ class SynapseAssembly:
                     if not (math.isfinite(w1) and math.isfinite(w2)):
                         raise SimulationFault(f"non-finite device state under "
                                               f"{_volts(pieces[i:end])} V drive")
-                    self.w = (w1, w2)
-            except SimulationFault as exc:
-                exc.piece = i
-                raise
+                except SimulationFault as exc:
+                    exc.piece = i
+                    raise
+                self.w = (w1, w2)
             i = end
         return self
 
@@ -262,10 +317,9 @@ class SynapseAssembly:
         """Whether a constant drive moves the state: not one of zero
         duration or voltage.  A non-finite voltage or state, or a bad
         timestep, raises SimulationFault."""
-        if not math.isfinite(v_ab):
-            raise SimulationFault(f"non-finite drive voltage {v_ab!r}")
-        if not math.isfinite(dt) or dt <= 0.0:
-            raise SimulationFault(f"bad timestep {dt!r}")
+        fault = _drive_fault(v_ab, dt)
+        if fault is not None:
+            raise SimulationFault(fault)
         if duration <= 0.0 or v_ab == 0.0:
             return False
         w1, w2 = self.w
@@ -320,6 +374,8 @@ class SynapseAssembly:
         edge = up * target - tolerance  # up * weight below it: short of the band
         short = self.w  # the state after n pulses
         n, far, k = 0, None, 1  # far: a pulse count known to reach the band
+        if not max_seconds / dt <= 2.0**53:
+            raise ConfigError("at most 2**53 pulses: dt >= max_seconds * 2**-53")
         limit = int(max_seconds / dt)
         while n < limit:
             # double the chunk, or bisect down to the single pulse from `short`

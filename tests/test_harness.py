@@ -361,6 +361,13 @@ BAD_VALUES = [
     ("pattern-learn", "clock.base_freq=1e14",
      "at least one clock.dt per slot: clock.dt <= 1 / clock.base_freq"),
     ("stdp-window", "clock.dt=3e-5", "clock.dt must divide the slot width"),
+    # each once ended in an OverflowError traceback: the slot's step count
+    # (inf), the programming pulse budget (inf) and the offsets' range
+    ("switch-rate", "clock.base_freq=1e-308",
+     "at most 2**53 clock.dt per slot: clock.dt >= 2**-53 / clock.base_freq"),
+    ("weak-strong-calibration", "clock.dt=1e-308",
+     "at most 2**53 clock.dt per slot: clock.dt >= 2**-53 / clock.base_freq"),
+    ("stdp-window", "stdp.max_offset=99999999999999999999", "stdp.max_offset <= 2**53"),
 ]
 
 

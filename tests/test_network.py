@@ -349,24 +349,72 @@ def reported(monkeypatch):
     return reports
 
 
-@pytest.mark.parametrize("init", ["zero", "midpoint"])
-def test_memo_bound_changes_cost_not_results(init, monkeypatch):
+def composed(monkeypatch):
+    """Count the engine's `differential_frame` calls."""
+    calls = [0]
+    compose = network.differential_frame
+
+    def counted(*args):
+        calls[0] += 1
+        return compose(*args)
+
+    monkeypatch.setattr(network, "differential_frame", counted)
+    return calls
+
+
+def planned(monkeypatch):
+    """Per `Network.run_frame` of the runs that follow, the plans its
+    network holds after it and the `differential_frame` calls made in it."""
+    calls, frames = composed(monkeypatch), []
+    run_frame = Network.run_frame
+
+    def recorded(net, *args, **kwargs):
+        before = calls[0]
+        rep = run_frame(net, *args, **kwargs)
+        frames.append((len(net.plans), calls[0] - before))
+        return rep
+
+    monkeypatch.setattr(Network, "run_frame", recorded)
+    return frames
+
+
+def test_short_pattern_run_plans_each_drive_once(monkeypatch):
+    """A 20-epoch zero-init 3x3 run composes each distinct synapse drive
+    once, into the plan that every state under it steps: at most 192
+    `differential_frame` calls, the distinct drives of the whole 300-epoch
+    run, where composing the drive of every stepped frame took 557.  A
+    count, not a time."""
+    calls = composed(monkeypatch)
+    pattern_learning(network_config(STOCK), StimulusParams().program(20), init="zero")
+    assert 0 < calls[0] <= 192
+
+
+@pytest.mark.parametrize("init, kind", [
+    ("zero", "proposed"), ("midpoint", "proposed"), ("zero", "vteam")],
+    ids=["zero", "midpoint", "vteam-zero"])
+def test_memo_bound_changes_cost_not_results(init, kind, monkeypatch):
     """A memo emptied at every frame start keeps only the lockstep groups of
     one frame: 20-epoch runs report bit for bit what the default memo does.
     The zero-init run costs more stage evaluations without its repeats
     across frames; the midpoint run repeats no frame in its first 20
-    epochs, so it costs the same."""
+    epochs, so it costs the same.  The bound empties the plan cache too:
+    at 0 each frame ends holding just the plans it composed.  VTEAM frames
+    step their plans piece by piece."""
     calls, reports = counting(monkeypatch), reported(monkeypatch)
+    frames = planned(monkeypatch)
+    config = network_config(load_config(None, [f"device.kind={kind}"]))
     costs, runs = [], []
     for bound in (network.MEMO_ENTRIES, 0):
         monkeypatch.setattr(network, "MEMO_ENTRIES", bound)
         calls[0] = 0
         reports.clear()
-        pattern_learning(network_config(STOCK), StimulusParams().program(20), init=init)
+        frames.clear()
+        pattern_learning(config, StimulusParams().program(20), init=init)
         costs.append(calls[0])
         runs.append(list(reports))
     assert len(runs[0]) == 200 and runs[0] == runs[1]
     assert costs[1] > costs[0] if init == "zero" else costs[1] == costs[0]
+    assert len(frames) == 200 and all(held == made for held, made in frames)
 
 
 def test_memo_keys_on_the_post_inputs(monkeypatch):
@@ -636,9 +684,9 @@ def recorded_frames(monkeypatch):
     calls = []
     frame = SynapseAssembly.frame
 
-    def recorded(syn, pieces, dt):
-        calls.append(list(pieces))
-        return frame(syn, pieces, dt)
+    def recorded(syn, plan):
+        calls.append(list(plan.pieces))
+        return frame(syn, plan)
 
     monkeypatch.setattr(SynapseAssembly, "frame", recorded)
     return calls
@@ -665,8 +713,10 @@ def test_slot0_piece_is_weighted_and_biases_state(monkeypatch):
     rep = net.run_frame(forced_pre=(0,))
     [pieces] = frames
     assert seen[0] == [psi0 * v_cc] and pieces[0] == (slot, v_cc) and rep.weights[0] != psi0
-    assert net.synapses[0].w == SynapseAssembly(cfg.synapse, start).frame(pieces, dt).w
-    read = SynapseAssembly(cfg.synapse, start).frame(pieces[:1], dt).weight()
+    syn = SynapseAssembly(cfg.synapse, start)
+    assert net.synapses[0].w == syn.frame(syn.plan(pieces, dt)).w
+    syn = SynapseAssembly(cfg.synapse, start)
+    read = syn.frame(syn.plan(pieces[:1], dt)).weight()
     assert read - psi0 == pytest.approx(0.0024, rel=0.25)
     frames.clear()
     net.run_frame()
@@ -703,7 +753,7 @@ def test_frame_is_at_most_two_segment_calls(init, monkeypatch):
     per("frame")
     per("drive")
     pattern_learning(network_config(STOCK), StimulusParams().program(20), init=init)
-    frames = [(args[0], n) for method, args, n in per_call if method == "frame"]
+    frames = [(args[0].pieces, n) for method, args, n in per_call if method == "frame"]
     drives = [n for method, _, n in per_call if method == "drive"]
     assert drives and all(n == 1 for n in drives)
     assert len(frames) > 500 and any(n == 2 for _, n in frames)

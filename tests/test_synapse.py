@@ -234,11 +234,12 @@ def counted_drives(monkeypatch, method="drive"):
 
 
 def piecewise(step):
-    """A `SynapseAssembly.frame` that steps each piece with `step`, a
-    method of `drive`'s signature, such as the fixed-step oracle."""
-    def frame(syn, pieces, dt):
-        for duration, v in pieces:
-            step(syn, v, dt, duration)
+    """A `SynapseAssembly.frame` that steps each piece of its plan with
+    `step`, a method of `drive`'s signature, such as the fixed-step
+    oracle."""
+    def frame(syn, plan):
+        for duration, v in plan.pieces:
+            step(syn, v, plan.dt, duration)
         return syn
 
     return frame
@@ -300,6 +301,17 @@ def test_program_unreachable_target_names_range():
         for target in targets:
             with pytest.raises(ConfigError, match="reachable range"):
                 SynapseAssembly.fresh(config).program_to_weight(target, dt=DT)
+
+
+def test_program_refuses_a_budget_past_2_53_pulses():
+    """The pulse budget max_seconds/dt is counted in an int: a dt that makes
+    it infinite (once an OverflowError) or past 2**53 is refused, before any
+    pulse, with the rule."""
+    for dt in (1e-308, 5.0 * 2.0**-53 / 2.0):
+        syn = SynapseAssembly.fresh(CFG_EXC)
+        with pytest.raises(ConfigError, match=r"at most 2\*\*53 pulses"):
+            syn.program_to_weight(0.5, dt=dt)
+        assert syn.w == CFG_EXC.device.corner_states
 
 
 def test_config_validation():
@@ -753,7 +765,8 @@ def test_span_frames_match_per_piece_drivers(kind, monkeypatch):
         slot1, slot2 = differential_frame(pre, post, width_a, width_b, v_cc, slot)
         pieces = [(slot, v_cc)] * pre + slot1 + slot2
         spans.clear()
-        got = SynapseAssembly(cfg, (w1, d - w1)).frame(pieces, DT).w
+        syn = SynapseAssembly(cfg, (w1, d - w1))
+        got = syn.frame(syn.plan(pieces, DT)).w
         assert got[1] == d - got[0], k
         moved += got[0] != w1
         # one span per drive sign, in the order the signs first come
@@ -768,7 +781,7 @@ def test_span_frames_match_per_piece_drivers(kind, monkeypatch):
             w = result[0]
         assert got[0] == w, k
         twin = SynapseAssembly(replace(cfg, polarity=INHIBITORY), (w1, d - w1))
-        assert twin.frame(pieces, DT).w == got and twin.weight() == -SynapseAssembly(
+        assert twin.frame(twin.plan(pieces, DT)).w == got and twin.weight() == -SynapseAssembly(
             cfg, got).weight()
         per_piece, oracle = (w1, d - w1), SynapseAssembly(cfg, (w1, d - w1))
         for duration, v in pieces:
@@ -778,6 +791,37 @@ def test_span_frames_match_per_piece_drivers(kind, monkeypatch):
         for want in (per_piece, oracle.w):
             assert max(abs(a - b) for a, b in zip(got, want)) <= 2e-12 * d, (k, want)
     assert moved > 120
+
+
+def test_plan_steps_from_any_state(monkeypatch):
+    """One plan serves every state: its steps hold a span for each piece.
+    A pair off the manifold steps piece by piece, and where a piece lands it
+    on the manifold (both devices clamped at their bounds, under the
+    constant window) the span opens at the next piece, over the rest of its
+    drive sign.  A span whose speed overflows faults only where it is
+    stepped: on the manifold at its first piece, naming its drives; off it,
+    at the piece whose branch rates overflow.  Here a Joule power that
+    overflows at 4 V and not at 2 V."""
+    d, r1 = CFG_EXC.device.d, CFG_EXC.r1
+    cfg = SynapseConfig(device=MemristorParams(window=WindowSpec(kind="none")))
+    spans = recorded_spans(monkeypatch)
+    syn = SynapseAssembly(cfg, (0.5 * d, 0.7 * d))
+    pieces = ((0.05, 4.0), (0.002, 2.0), (0.003, 4.0), (0.01, -2.0))
+    syn.frame(syn.plan(pieces, DT))
+    assert len(spans) == 2 and syn.w[1] == d - syn.w[0]
+    assert [args for args, _, _ in spans] == [
+        span_args(cfg.device.law, d, 0.0, d, DT, r1, pieces[1:3]),
+        span_args(cfg.device.law, spans[0][1][0], 0.0, d, DT, r1, pieces[3:])]
+    i = 2.0 / (CFG_EXC.device.r_on + CFG_EXC.device.r_off + r1)
+    cfg = replace(CFG_EXC, device=replace(CFG_EXC.device, i0=i / 3e61, a0=1e-3))
+    syn = SynapseAssembly(cfg, (0.5 * d, 0.5 * d))
+    plan = syn.plan(((0.01, 2.0), (0.01, 4.0)), DT)
+    assert plan.steps[0][1] is None and plan.steps[1][1] is None
+    for w, piece, volts in (((0.5 * d, 0.5 * d), 0, "2.0, 4.0"), ((0.5 * d, 0.6 * d), 1, "4.0")):
+        syn.w = w
+        with pytest.raises(SimulationFault, match=f"overflow under {volts} V") as fault:
+            syn.frame(plan)
+        assert fault.value.piece == piece
 
 
 def test_off_manifold_pair_takes_the_two_state_driver(monkeypatch):
