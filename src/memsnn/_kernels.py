@@ -169,8 +169,9 @@ def dopant_law(r_on, r_off, d, mu_v, a0, i0, q, window_kind, window_p, window_j)
         p = k * (a0 * abs(s) ** n)
         return p if s >= 0.0 else -p
 
-    def resistance(w):
-        x = clamped(w)
+    def resistance(w):  # clamped(w) written out: every weight read takes two
+        x = w / d
+        x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
         return r_on * x + r_off * (1.0 - x)
 
     def rate(w, i):
@@ -306,7 +307,9 @@ def _step_error(w, y5, y4, lo, hi):
 
 
 def _step_factor(err, tol):
-    """Step-size multiplier for the Dormand-Prince 5(4) pair.
+    """Step-size multiplier for the Dormand-Prince 5(4) pair, taken only
+    where a further step follows: after a rejected step, or an accepted one
+    short of the driver's end.
 
     The difference of the pair's 5th- and 4th-order solutions estimates the
     local error of the 4th-order one (Dormand & Prince, J. Comput. Appl.
@@ -348,7 +351,7 @@ def branch_step(rk4, w1, w2, lo, hi, duration, dt, *args):
     return w1, w2
 
 
-def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None, tol=None, on_step=None):
+def segment(w, t, t_end, h, dt, lo, hi, rate, tol=None, on_step=None):
     """Integrate dw/dt = rate(w, t) from t to t_end with error-controlled
     Dormand-Prince 5(4) steps, the first of length h at most (see
     _step_factor), clamping w to [lo, hi] after each.  The last stage of a
@@ -363,16 +366,13 @@ def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None, tol=None, on_step=None):
     solution y, before the clamp, and its stages (k7 is None for a last
     step at the floor, which takes no estimate).
 
-    Returns (w, h_next, k1_next): the state at t_end, the step-size
-    suggestion and first stage rate(w, t_end) for a call that continues
-    from there (None if the last step, at the floor, did not take it).  A
-    step whose 5th- or 4th-order solution or second stage is non-finite
-    ends the integration at once, on the floor or off it, with a NaN
-    state."""
+    Returns the state at t_end, from its last accepted step, which sizes no
+    next step.  A step whose 5th- or 4th-order solution or second stage is
+    non-finite ends the integration at once, on the floor or off it, with a
+    NaN state."""
     tol = (SEGMENT_TOL if tol is None else tol) * (hi - lo)
     h_floor = dt * (1.0 + 1e-9)
-    if k1 is None:
-        k1 = rate(w, t)
+    k1 = rate(w, t)
     while True:
         last = h >= t_end - t
         if last:
@@ -391,32 +391,32 @@ def segment(w, t, t_end, h, dt, lo, hi, rate, k1=None, tol=None, on_step=None):
         k7 = None if floor and last else rate(y, t_next)
         if floor:
             z, err = y, 0.0
-            grow = 2.0  # no estimate at the floor: probe a longer step next
         else:
             z = w + h * ((5179 / 57600) * k1 + (7571 / 16695) * k3 + (393 / 640) * k4
                          - (92097 / 339200) * k5 + (187 / 2100) * k6 + (1 / 40) * k7)
             err = _step_error(w, y, z, lo, hi)
-            grow = _step_factor(err, tol)
         # k2 enters y and z only through the clamped states of stages 3-6,
         # and err clamps z from a state on a bound: each is checked itself
         if not (math.isfinite(y) and math.isfinite(z) and math.isfinite(k2)):
-            return math.nan, h, None
+            return math.nan
         if err <= tol:
             if on_step is not None:
                 on_step(w, y, t, t_next, h, k1, k3, k4, k5, k6, k7)
             w = _clamp(y, lo, hi)
             if last:
-                return w, max(h * grow, dt), k7
+                return w
             t = t_next
             k1 = k7
-        h = max(h * grow, dt)
+        # no estimate at the floor: probe a longer step next
+        h = max(h * (2.0 if floor else _step_factor(err, tol)), dt)
 
 
 def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
     """Error-controlled counterpart of branch_step, with the arguments of
     branch_rk4: `segment` for two states, whose error estimate is the larger
-    of the two devices', under constant drive.  Returns NaN states as soon
-    as a step's solutions or second stages are non-finite."""
+    of the two devices', under constant drive.  Returns the pair from its
+    last accepted step, which sizes no next step, or NaN states as soon as
+    a step's solutions or second stages are non-finite."""
     tol = SEGMENT_TOL * (hi - lo)
     h_floor = dt * (1.0 + 1e-9)
     t = 0.0
@@ -451,7 +451,6 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
             a7, b7 = rates(y1, y2, o1, o2, r_series, v)
         if floor:
             z1, z2, e1, e2 = y1, y2, 0.0, 0.0
-            grow = 2.0  # no estimate at the floor: probe a longer step next
         else:
             z1 = w1 + h * ((5179 / 57600) * a1 + (7571 / 16695) * a3 + (393 / 640) * a4
                            - (92097 / 339200) * a5 + (187 / 2100) * a6 + (1 / 40) * a7)
@@ -459,7 +458,6 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
                            - (92097 / 339200) * b5 + (187 / 2100) * b6 + (1 / 40) * b7)
             e1 = _step_error(w1, y1, z1, lo, hi)
             e2 = _step_error(w2, y2, z2, lo, hi)
-            grow = _step_factor(max(e1, e2), tol)
         if not (math.isfinite(y1) and math.isfinite(y2) and math.isfinite(z1)
                 and math.isfinite(z2) and math.isfinite(a2) and math.isfinite(b2)):
             return math.nan, math.nan
@@ -470,7 +468,8 @@ def branch_segment(w1, w2, lo, hi, duration, dt, o1, o2, r_series, v, rates):
                 return w1, w2
             t += h
             a1, b1 = a7, b7
-        h = max(h * grow, dt)
+        # no estimate at the floor: probe a longer step next
+        h = max(h * (2.0 if floor else _step_factor(max(e1, e2), tol)), dt)
 
 
 def branch_rk4(w1, w2, h, o1, o2, r_series, v, rates):
@@ -554,8 +553,8 @@ def sine_sweep(w0, orient, amp, freq, duration, dt, sample_every, law, lo, hi,
 
     write(0.0, w0)
     if n_samples > 1:
-        w, _, _ = segment(w0, 0.0, n_steps * dt, dt, dt / 1024, lo, hi,
-                          law.sweep_rate(orient * amp, two_pi_f), None, SEGMENT_TOL / 10, rows)
+        w = segment(w0, 0.0, n_steps * dt, dt, dt / 1024, lo, hi,
+                    law.sweep_rate(orient * amp, two_pi_f), SEGMENT_TOL / 10, rows)
         if w != w and idx < n_samples:
             write(idx * sample_every * dt, w)
     return idx

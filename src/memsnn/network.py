@@ -15,10 +15,12 @@ piecewise constant, so a synapse's frame is a list of (duration, voltage)
 pieces, planned once per distinct drive by `SynapseAssembly.plan` and
 integrated in one `SynapseAssembly.frame` call with error-controlled
 Dormand-Prince 5(4) steps (on the dopant manifold, one span per drive
-sign; this module stays free of the device law), the LIF
-membrane advances with the exact constant-input exponential, and traces
-decay analytically.  Everything is deterministic: identical
-configurations give bit-identical results.
+sign; this module stays free of the device law).  The LIF membrane takes
+the exact constant-input exponential, the outputs in slot 0 and a leak in
+slots 1 and 2, and the traces decay analytically, each by a factor its law
+gives once per network (`LifParams.decay` over a slot, `TraceParams.decay`
+over a frame).  Everything is deterministic: identical configurations give
+bit-identical results.
 
 Each distinct synapse frame is stepped once per run.  A synapse's frame is
 a function of its state `w` (the excitatory-frame branch-1 pair, a tuple)
@@ -132,10 +134,12 @@ class Network:
         self.memo = {} if memo is None else memo
         self.plans = {}  # drive -> (plan, first piece of slot 1, of slot 2)
         # per-frame constants, derived once
-        clock = config.clock
+        clock, trace = config.clock, config.trace
         self._dt, self._v_cc, self._sign = clock.dt, config.lif.v_cc, config.synapse.sign
         self._slot, self._frame_width = clock.slot_width, clock.frame_width
-        self._slot_decay = math.exp(-self._slot / config.trace.tau)  # trace at the slot-1 start
+        self._slot_decay = trace.decay(self._slot)  # a trace at the slot-1 start
+        self._frame_decay = trace.decay(self._frame_width)  # a trace over the frame
+        self._v_decay = config.lif.decay(self._slot)  # the post membrane over a slot
         self.frame = 0  # the next frame's number
         self.synapses = [SynapseAssembly.fresh(config.synapse) for _ in range(config.n_pre)]
         self.post = LifNeuron(config.lif, n_inputs=config.n_pre)
@@ -175,26 +179,6 @@ class Network:
                                       f"differential drive {v} exceeds 2*v_cc")
         return self.synapses[si].plan(pieces, self._dt), first1, first2
 
-    def _step_frame(self, si: int, pre_fired: bool, plan, first1: int, first2: int):
-        """Step synapse si through its whole frame, one `SynapseAssembly.frame`
-        call on its plan.  The output is read before stepping.  Returns the
-        memo entry: the new state and the excitatory-frame transmitted
-        output and weight.  A fault names its slot (that of the first piece
-        of the span that faulted; slot 2 for a non-finite weight) and the
-        synapse."""
-        syn, sign = self.synapses[si], self._sign
-        v_out = syn.weight() * self._v_cc if pre_fired else 0.0
-        try:
-            syn.frame(plan)
-        except SimulationFault as exc:
-            k = exc.piece
-            raise SimulationFault(
-                f"slot {(k >= first1) + (k >= first2)}, synapse {si}: {exc}") from None
-        weight = syn.weight()
-        if not math.isfinite(weight):
-            raise SimulationFault(f"slot 2, synapse {si}: non-finite synapse state")
-        return syn.w, sign * v_out, sign * weight
-
     # -- frame execution ----------------------------------------------------
 
     def run_frame(self, forced_pre=(), forced_post: bool = False, load_pre=(),
@@ -229,10 +213,10 @@ class Network:
         # frame edge: forced commands arrive now; natural loads came from
         # comparator crossings during earlier frames.
         fired = self.pre_loaded.union(forced_pre)
-        if not all(0 <= i < cfg.n_pre for i in fired):
+        pre_fired = tuple(sorted(fired))
+        if pre_fired and not (0 <= pre_fired[0] and pre_fired[-1] < cfg.n_pre):
             raise ConfigError(f"pre index outside [0, {cfg.n_pre})")
         self.pre_loaded = set()
-        pre_fired = tuple(sorted(fired))
         if forced_post:
             post.load_fire()
         post_v_edge = post.state.v_mp
@@ -241,32 +225,46 @@ class Network:
         # each synapse's frame, keyed on its state and its drive (see the
         # module docstring): a key the memo lacks steps the drive's plan on
         # this synapse, and each synapse leaves the frame in its entry's state
-        memo, plans = self.memo, self.plans
+        memo, plans, post_trace = self.memo, self.plans, self.post_trace
         if len(memo) > MEMO_ENTRIES:
             memo.clear()
         if len(plans) > MEMO_ENTRIES:
             plans.clear()
-        results = []
-        for si, syn in enumerate(self.synapses):
+        lookup, results, sign = memo.get, [], self._sign
+        for si, (syn, pre_trace) in enumerate(zip(self.synapses, self.pre_traces)):
             pre = si in fired
-            key = (syn.w, self.pre_traces[si], pre, self.post_trace, post_fired)
-            result = memo.get(key)
+            key = (syn.w, pre_trace, pre, post_trace, post_fired)
+            result = lookup(key)
             if result is None:
                 drive = key[1:]
                 planned = plans.get(drive)
                 if planned is None:
                     planned = plans[drive] = self._plan(si, *drive)
-                result = memo[key] = self._step_frame(si, pre, *planned)
+                # one `frame` call steps the whole frame, the output read
+                # before it; a fault names its slot (that of the first piece
+                # of the span that faulted; slot 2 for a non-finite weight)
+                plan, first1, first2 = planned
+                v_out = syn.weight() * self._v_cc if pre else 0.0
+                try:
+                    syn.frame(plan)
+                except SimulationFault as exc:
+                    k = exc.piece
+                    raise SimulationFault(
+                        f"slot {(k >= first1) + (k >= first2)}, synapse {si}: {exc}") from None
+                weight = syn.weight()
+                if not math.isfinite(weight):
+                    raise SimulationFault(f"slot 2, synapse {si}: non-finite synapse state")
+                result = memo[key] = (syn.w, sign * v_out, sign * weight)
             syn.w = result[0]
             results.append(result)
 
         # the post takes the outputs, signed by the polarity, in slot 0 and
         # leaks through slots 1 and 2
-        sign, slot = self._sign, self._slot
-        post_inputs = [sign * r[1] for r in results]
-        zeros = [0.0] * cfg.n_pre
+        v_decay = self._v_decay
+        post.integrate([sign * r[1] for r in results], v_decay)
         for slot_idx in range(3):
-            post.integrate(zeros if slot_idx else post_inputs, slot)
+            if slot_idx:
+                post.leak(v_decay)
             post.trigger_tick(frame_edge=False)
             if slot_idx == load_slot:
                 self.pre_loaded.update(load_pre)
@@ -275,10 +273,10 @@ class Network:
 
         # traces: held at v_p through the owner's firing frame, else decay
         # across the whole frame width.
-        frame_w = self._frame_width
-        self.pre_traces = [trace_step(cfg.trace, v, si in fired, frame_w)
+        trace, decay = cfg.trace, self._frame_decay
+        self.pre_traces = [trace_step(trace, v, si in fired, decay)
                            for si, v in enumerate(self.pre_traces)]
-        self.post_trace = trace_step(cfg.trace, self.post_trace, post_fired, frame_w)
+        self.post_trace = trace_step(trace, post_trace, post_fired, decay)
 
         self.frame += 1
         # tuple of a list: tuple of a generator raised the memory peak

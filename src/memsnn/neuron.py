@@ -24,9 +24,21 @@ class LifParams(Params):
     v_th: float = key(-0.45, (lambda v: v < 0.0, "{} < 0"))  # firing threshold, V
     v_cc: float = key(2.0, POSITIVE)     # spike rail amplitude, V
 
+    def validate(self, prefix: str = ""):
+        super().validate(prefix)  # positive before the product, which may underflow
+        if not self.tau > 0.0:
+            raise ConfigError(f"{prefix}r_ref * {prefix}c > 0")
+        return self
+
     @property
     def tau(self) -> float:
         return self.r_ref * self.c
+
+    def decay(self, dt: float) -> float:
+        """The membrane's leak factor over a step dt > 0, exp(-dt/tau)."""
+        if dt <= 0.0 or not math.isfinite(dt):
+            raise SimulationFault(f"bad timestep {dt!r}")
+        return math.exp(-dt / self.tau)
 
 
 @dataclass
@@ -39,23 +51,24 @@ class LifState:
 
 
 class LifNeuron:
-    """Params + state bundle with the three stepping operations; n_inputs
-    afferents feed the integrator."""
+    """Params + state bundle with the stepping operations; n_inputs
+    afferents feed the integrator.  A step of dt takes its leak factor
+    `decay` = params.decay(dt), which a caller stepping one dt computes once."""
 
     def __init__(self, params: LifParams, state: LifState | None = None, n_inputs: int = 1):
         self.params = params.validate()
         self.state = state if state is not None else LifState()
         self.n_inputs = n_inputs
 
-    def integrate(self, inputs, dt: float):
-        """Advance the membrane under inputs held constant for dt.
+    def integrate(self, inputs, decay: float):
+        """Advance the membrane under inputs held constant for a step of
+        leak factor `decay`.
 
         dV/dt = -(sum_j v_j / R_in + V / R_ref) / C, solved exactly for the
-        constant-input interval; while the neuron is firing the membrane is
-        held at zero (the reset switch stays closed for the whole frame).
+        constant-input step: V_inf + (V - V_inf)*decay with V_inf = -R_ref *
+        sum_j v_j / R_in; while the neuron is firing the membrane is held at
+        zero (the reset switch stays closed for the whole frame).
         """
-        if dt <= 0.0 or not math.isfinite(dt):
-            raise SimulationFault(f"bad timestep {dt!r}")
         if len(inputs) != self.n_inputs:
             raise ConfigError(f"got {len(inputs)} inputs for {self.n_inputs} afferents")
         s = self.state
@@ -69,7 +82,19 @@ class LifNeuron:
                 raise SimulationFault(f"non-finite neuron input {v!r}")
             total += v / r_in
         v_inf = -self.params.r_ref * total
-        s.v_mp = v_inf + (s.v_mp - v_inf) * math.exp(-dt / self.params.tau)
+        s.v_mp = v_inf + (s.v_mp - v_inf) * decay
+        return s
+
+    def leak(self, decay: float):
+        """`integrate` with every input 0.0, bit for bit, without the sum: the
+        zeros sum to +0.0, so V_inf is -0.0 (V * decay alone would keep the
+        sign of a membrane at -0.0 that the update turns to +0.0)."""
+        s = self.state
+        if s.q2:
+            s.v_mp = 0.0
+            return s
+        v_inf = -0.0  # -R_ref * +0.0
+        s.v_mp = v_inf + (s.v_mp - v_inf) * decay
         return s
 
     def comparator(self) -> bool:
@@ -98,7 +123,7 @@ class LifNeuron:
                 s.v_mp = 0.0    # reset switch dumps the capacitor
                 s.q1 = False    # trigger cleared by the inverter
                 fired = True
-        comp = self.comparator()
+        comp = s.v_mp <= self.params.v_th  # the comparator, read inline
         if comp and not s.comp_prev and s.enabled:
             s.q1 = True  # asynchronous load on the comparator rising edge
         s.comp_prev = comp

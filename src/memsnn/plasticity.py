@@ -70,14 +70,20 @@ class TraceParams(Params):
     v_p: float = key(2.0, POSITIVE)    # charged trace potential, V
     tau: float = key(0.045, POSITIVE)  # decay time constant, s
 
+    def decay(self, dt: float) -> float:
+        """The factor a trace decays by over dt >= 0 while its owner is not
+        spiking, exp(-dt/tau)."""
+        if dt < 0.0:
+            raise ConfigError("dt >= 0")
+        return math.exp(-dt / self.tau)
 
-def trace_step(params: TraceParams, v_cp: float, owner_spiking: bool, dt: float) -> float:
-    """Hold at v_p while the owner spikes, exact exponential decay otherwise."""
-    if dt < 0.0:
-        raise ConfigError("dt >= 0")
+
+def trace_step(params: TraceParams, v_cp: float, owner_spiking: bool, decay: float) -> float:
+    """Hold at v_p while the owner spikes, else the exact exponential decay
+    over a step whose factor is `decay` = params.decay(dt)."""
     if owner_spiking:
         return params.v_p
-    return v_cp * math.exp(-dt / params.tau)
+    return v_cp * decay
 
 
 def pwm_encode(params: TraceParams, sampled_v_cp: float,

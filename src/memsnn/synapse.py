@@ -170,8 +170,8 @@ class SynapseAssembly:
     def weight(self) -> float:
         """Gain-scaled difference of the two divider taps (m3 = m2, m4 = m1),
         signed by the polarity."""
-        m1, m2 = map(self._resistance, self.w)
-        c = self.config
+        resistance, (w1, w2), c = self._resistance, self.w, self.config
+        m1, m2 = resistance(w1), resistance(w2)
         return self._sign * c.gain_a * ((m2 + c.r1) / (m1 + m2 + c.r1) - m1 / (m2 + c.r2 + m1))
 
     def weight_range(self) -> tuple[float, float]:
@@ -276,7 +276,9 @@ class SynapseAssembly:
         that runs.
         """
         pieces, dt, steps = plan
-        lo, hi = self._lo, self._hi
+        lo, hi, isfinite = self._lo, self._hi, math.isfinite
+        mid = lo + hi
+        w1, w2 = self.w
         n, i = len(pieces), 0
         while i < n:
             step, end = steps[i], i + 1
@@ -284,13 +286,12 @@ class SynapseAssembly:
                 try:
                     if type(step) is str:
                         raise SimulationFault(step)
-                    w1, w2 = self.w
-                    if not (math.isfinite(w1) and math.isfinite(w2)):
+                    if not (isfinite(w1) and isfinite(w2)):
                         raise SimulationFault(f"non-finite device state under "
                                               f"{_volts(pieces[i:end])} V drive")
                     span_end, span, floor, rate = step
                     try:
-                        if rate is None or w2 != (lo + hi) - w1:
+                        if rate is None or w2 != mid - w1:
                             duration, v = pieces[i]
                             w1, w2 = K.branch_segment(w1, w2, lo, hi, duration, dt, self._o1,
                                                       self._o2, self._r1, v, self._rates)
@@ -298,12 +299,12 @@ class SynapseAssembly:
                             end = span_end
                             if span is None:
                                 raise OverflowError  # in the span's manifold speed
-                            w1, _, _ = K.segment(w1, 0.0, span, span, floor, lo, hi, rate)
-                            w2 = (lo + hi) - w1
+                            w1 = K.segment(w1, 0.0, span, span, floor, lo, hi, rate)
+                            w2 = mid - w1
                     except OverflowError:
                         raise SimulationFault(f"device rate overflow under "
                                               f"{_volts(pieces[i:end])} V drive") from None
-                    if not (math.isfinite(w1) and math.isfinite(w2)):
+                    if not (isfinite(w1) and isfinite(w2)):
                         raise SimulationFault(f"non-finite device state under "
                                               f"{_volts(pieces[i:end])} V drive")
                 except SimulationFault as exc:

@@ -368,6 +368,9 @@ BAD_VALUES = [
     ("weak-strong-calibration", "clock.dt=1e-308",
      "at most 2**53 clock.dt per slot: clock.dt >= 2**-53 / clock.base_freq"),
     ("stdp-window", "stdp.max_offset=99999999999999999999", "stdp.max_offset <= 2**53"),
+    # each positive, yet their product underflows to 0: once a ZeroDivisionError
+    # traceback in the membrane's decay
+    ("pattern-learn", "lif.r_ref=5e-324", "lif.r_ref * lif.c > 0"),
 ]
 
 

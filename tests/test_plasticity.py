@@ -19,22 +19,22 @@ def test_clock_slot_and_frame_widths():
 
 
 def test_trace_held_while_spiking():
-    assert trace_step(TP, 0.3, owner_spiking=True, dt=0.03) == TP.v_p
+    assert trace_step(TP, 0.3, owner_spiking=True, decay=TP.decay(0.03)) == TP.v_p
 
 
 def test_trace_exponential_decay():
-    v = trace_step(TP, TP.v_p, owner_spiking=False, dt=TP.tau)
+    v = trace_step(TP, TP.v_p, owner_spiking=False, decay=TP.decay(TP.tau))
     assert v == pytest.approx(TP.v_p / math.e, rel=1e-12)
 
 
 def test_trace_zero_stays_zero():
-    assert trace_step(TP, 0.0, owner_spiking=False, dt=1.0) == 0.0
+    assert trace_step(TP, 0.0, owner_spiking=False, decay=TP.decay(1.0)) == 0.0
 
 
 def test_trace_monotone_between_spikes():
     prev = TP.v_p
     for _ in range(50):
-        v = trace_step(TP, prev, owner_spiking=False, dt=0.01)
+        v = trace_step(TP, prev, owner_spiking=False, decay=TP.decay(0.01))
         assert 0.0 <= v < prev
         prev = v
 

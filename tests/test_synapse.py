@@ -347,7 +347,7 @@ def segment_call(kind, law, w, lo, hi, duration, dt, o1, o2, r_series, v):
     with the rates of `law`, as `drive` calls it: for the dopant bridge a
     one-piece span, M2 written as the mirror of M1."""
     if kind == "proposed":
-        w1, _, _ = K.segment(*span_args(law, w[0], lo, hi, dt, r_series, ((duration, v),)))
+        w1 = K.segment(*span_args(law, w[0], lo, hi, dt, r_series, ((duration, v),)))
         return w1, (lo + hi) - w1
     return K.branch_segment(*w, lo, hi, duration, dt, o1, o2, r_series, v, law.branch_rates)
 
@@ -426,7 +426,7 @@ def test_mirror_is_the_integrated_second_branch(kind, polarity, monkeypatch):
                             else SEGMENT_DRIVERS[kind])
             if name == "segment":
                 assert args == span_args(law, w[0], lo, hi, dt, sc.r1, ((duration, v),))
-                assert syn.w == (result[0], (lo + hi) - result[0])
+                assert syn.w == (result, (lo + hi) - result)
             else:
                 # the fixed-step driver's RK4 step leads, the law's rates close
                 lead, body = args[:-11], args[-11:]
@@ -672,9 +672,9 @@ def recorded_spans(monkeypatch, counted=lambda rate: rate):
         accepted[0] += sys._getframe(1).f_code is code  # an accepted step
         return clamp(*args)
 
-    def recorded(w, t, t_end, h, dt, lo, hi, rate, k1=None):
+    def recorded(w, t, t_end, h, dt, lo, hi, rate):
         accepted[0] = 0
-        result = segment(w, t, t_end, h, dt, lo, hi, counted(rate), k1)
+        result = segment(w, t, t_end, h, dt, lo, hi, counted(rate))
         spans.append(((w, t, t_end, h, dt, lo, hi, rate), result, accepted[0]))
         return result
 
@@ -778,7 +778,7 @@ def test_span_frames_match_per_piece_drivers(kind, monkeypatch):
             assert args == span_args(law, w, 0.0, d, DT, r1, run), k
             if w in (0.0, d):
                 assert steps <= math.ceil(sum(t for t, _ in run) / DT), (k, steps)
-            w = result[0]
+            w = result
         assert got[0] == w, k
         twin = SynapseAssembly(replace(cfg, polarity=INHIBITORY), (w1, d - w1))
         assert twin.frame(twin.plan(pieces, DT)).w == got and twin.weight() == -SynapseAssembly(
@@ -811,7 +811,7 @@ def test_plan_steps_from_any_state(monkeypatch):
     assert len(spans) == 2 and syn.w[1] == d - syn.w[0]
     assert [args for args, _, _ in spans] == [
         span_args(cfg.device.law, d, 0.0, d, DT, r1, pieces[1:3]),
-        span_args(cfg.device.law, spans[0][1][0], 0.0, d, DT, r1, pieces[3:])]
+        span_args(cfg.device.law, spans[0][1], 0.0, d, DT, r1, pieces[3:])]
     i = 2.0 / (CFG_EXC.device.r_on + CFG_EXC.device.r_off + r1)
     cfg = replace(CFG_EXC, device=replace(CFG_EXC.device, i0=i / 3e61, a0=1e-3))
     syn = SynapseAssembly(cfg, (0.5 * d, 0.5 * d))
